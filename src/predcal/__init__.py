@@ -59,7 +59,6 @@ from .linalg import (
     cholesky,
     matrix_exponential,
     solve_spd,
-    trace_of_influence,
 )
 from .regression import (
     DEFAULT_LAMBDA_GRID,

@@ -87,23 +87,37 @@ class BayesHyper:
         return self.sigma2 / (n * self.beta)
 
 
+def _basis_system(data, model, kernel, lam):
+    """T, the Cholesky factor of M = Sigma + n*lam I, M^{-1} T and T^T M^{-1} T."""
+    t = model.basis_matrix(data.x)
+    gm = gram(kernel, data.x)
+    factor = cholesky(gm.values + data.n * lam * np.eye(data.n))
+    w = solve_spd(factor, t)  # one solve per basis column
+    return t, factor, w, SymMatrix(t.T @ w).a
+
+
 def posterior_mean(data, model, kernel, hyper, x):
-    """Posterior mean of the physical response at one point or a batch."""
+    """Posterior mean of the physical response at one point or a batch.
+
+    Evaluated in the p x p form of the module formula (Woodbury identity):
+    with M = Sigma + n*lambda I,
+
+        theta_t = (T^T M^{-1} T + (beta/alpha) I)^{-1} T^T M^{-1} Y,
+        mean(x) = h(x)^T theta_t + k(x)^T M^{-1} (Y - T theta_t).
+
+    The n x n matrix factored is M alone: adding (alpha/beta) T T^T to it
+    would cost digits as alpha grows.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
 
-    t = model.basis_matrix(data.x)
-    gm = gram(kernel, data.x)
-    n = data.n
-    nlam = n * hyper.induced_lambda(n)  # = sigma2 / beta
-    ratio = hyper.alpha / hyper.beta
-    b = SymMatrix(ratio * (t @ t.T) + gm.values + nlam * np.eye(n))
-    w = solve_spd(cholesky(b), data.y)
+    t, factor, w, g = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
+    g = g + (hyper.beta / hyper.alpha) * np.eye(model.p)
+    theta = np.linalg.solve(g, w.T @ data.y)
+    coef = solve_spd(factor, data.y - t @ theta)
 
-    h = model.basis_matrix(pts)
-    k = kernel_cross(kernel, pts, data.x)
-    out = ratio * (h @ (t.T @ w)) + k @ w
+    out = model.basis_matrix(pts) @ theta + kernel_cross(kernel, pts, data.x) @ coef
     return float(out[0]) if single else out
 
 
@@ -130,13 +144,7 @@ def partial_spline_limit(data, model, kernel, lam):
     """
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    t = model.basis_matrix(data.x)
-    gm = gram(kernel, data.x)
-    n = data.n
-    m = gm.values + n * lam * np.eye(n)
-    factor = cholesky(m)
-    w = solve_spd(factor, t)  # M^{-1} T, one solve per basis column
-    g = SymMatrix(t.T @ w).a
+    t, factor, w, g = _basis_system(data, model, kernel, lam)
     eigs = np.linalg.eigvalsh(g)
     if eigs[0] <= 1e-10:
         raise RankDeficientBasis(

@@ -241,8 +241,9 @@ def calibrate_l2(
     """
     if mc_points < 100:
         raise ValueError("mc_points must be >= 100")
-    lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid)
-    zhat_fit = fit_ridge(data, None, kernel, lam)
+    gm = gram(kernel, data.x)
+    lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid, gram_matrix=gm)
+    zhat_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
     draw = uniform(stream, data.d, size=mc_points)
     zhat = predict_discrepancy(zhat_fit, draw)
 

@@ -21,6 +21,8 @@ Predictor names:
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from .calibrate import (
     DEFAULT_STARTS,
@@ -35,7 +38,7 @@ from .calibrate import (
     calibrate_ls,
     calibrate_optpred,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gram
 from .regression import Dataset, fit_ridge, predict_discrepancy, select_lambda_gcv
 from .rng import RngStream, uniform
 from .systems import NoTruthAvailable, generate_dataset, get_system
@@ -144,8 +147,9 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
             mask = np.ones(data.n, dtype=bool)
             mask[fold] = False
             train = Dataset(x=data.x[mask], y=resid[mask])
-            lam = select_lambda_gcv(train, None, spec)
-            fit = fit_ridge(train, None, spec, lam)
+            gm = gram(spec, train.x)
+            lam = select_lambda_gcv(train, None, spec, gram_matrix=gm)
+            fit = fit_ridge(train, None, spec, lam, gram_matrix=gm)
             pred = predict_discrepancy(fit, data.x[fold])
             err += float(np.sum((resid[fold] - pred) ** 2))
         if err <= best_err:  # ascending grid: ties keep the larger scale
@@ -200,10 +204,11 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     lambda_grid = None if config.lambda_grid is None else np.asarray(config.lambda_grid)
     predictors = {}
     info = {"psi": kernel.psi}
+    gm = gram(kernel, data.x) if {"NP", "LSCal"} & set(config.methods) else None
 
     if "NP" in config.methods:
-        lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid)
-        np_fit = fit_ridge(data, None, kernel, lam)
+        lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid, gram_matrix=gm)
+        np_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
         predictors["NP"] = lambda x: predict_discrepancy(np_fit, x)
         info["np_lambda"] = lam
 
@@ -222,8 +227,8 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     if "LSCal" in config.methods:
         res = calibrate_ls(data, model, starts=config.starts, stream=streams["ls"])
         eta0 = model.eval(data.x, res.theta_hat)
-        lam = select_lambda_gcv(data, eta0, kernel, grid=lambda_grid)
-        fit = fit_ridge(data, eta0, kernel, lam)
+        lam = select_lambda_gcv(data, eta0, kernel, grid=lambda_grid, gram_matrix=gm)
+        fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
         predictors["LSCal"] = _corrected_predictor(model, res.theta_hat, fit)
         info["theta_ls"] = res.theta_hat
         info["ls_lambda"] = lam
@@ -340,13 +345,33 @@ class PmseReport:
             fh.write(self.to_csv())
 
 
+def _one_blas_thread():
+    """Pool initializer: pin the OpenBLAS bundled with numpy and scipy to one thread.
+
+    Workers already split the CPUs between them; BLAS threads on top of
+    that oversubscribe them.  A library or symbol that is not found is
+    left alone.
+    """
+    for pkg, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                        (scipy, "scipy_openblas_set_num_threads")):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for lib in glob.glob(os.path.join(libdir, "*openblas*.so*")):
+            try:
+                fn = getattr(ctypes.CDLL(lib), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            fn(1)
+
+
 def run_experiment(config, threads=1, optpred_mode="one_step", collect_traces=False):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
-    ``threads`` counts worker processes (0 means one per CPU); results
-    are keyed by replicate index, so the output is identical for any
-    worker count.  Any replicate failure aborts the run with the
-    replicate index in the message.
+    ``threads`` counts worker processes (0 means one per CPU), each with
+    one BLAS thread; results are keyed by replicate index, so the output
+    is identical for any worker count.  Any replicate failure aborts the
+    run with the replicate index in the message.
     """
     tasks = [
         (config, si, r, optpred_mode)
@@ -358,7 +383,7 @@ def run_experiment(config, threads=1, optpred_mode="one_step", collect_traces=Fa
     if threads == 1:
         outcomes = [_replicate_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(_replicate_task, tasks, chunksize=1))
 
     per_replicate = {

@@ -1,9 +1,7 @@
 """Dense symmetric positive-definite solves and small matrix exponentials.
 
-All linear algebra in the package routes through the helpers here.  SPD
-systems are solved via a Cholesky factorization, never an explicit
-inverse; the influence-matrix trace needed for smoothing-parameter
-selection is computed from one factorization.  Dense factorizations are
+The package's SPD solves route through the helpers here: a Cholesky
+factorization, never an explicit inverse.  Dense factorizations are
 delegated to LAPACK through scipy.
 """
 
@@ -12,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "CholFactor",
     "cholesky",
     "solve_spd",
-    "trace_of_influence",
     "matrix_exponential",
 ]
 
@@ -101,23 +98,6 @@ def solve_spd(factor, b):
             f"factor has order {factor.order}"
         )
     return cho_solve((factor.l, True), b, check_finite=False)
-
-
-def trace_of_influence(sigma, n_lambda):
-    """Trace of the ridge influence matrix ``Sigma (Sigma + n*lambda I)^{-1}``.
-
-    Uses tr(Sigma M^{-1}) = n - n*lambda * tr(M^{-1}) with M = Sigma +
-    n*lambda I, and tr(M^{-1}) = ||L^{-1}||_F^2 from one triangular solve.
-    """
-    s = _as_square_array(sigma)
-    if n_lambda < 0:
-        raise ValueError("ridge level n*lambda must be >= 0")
-    n = s.shape[0]
-    m = s + n_lambda * np.eye(n)
-    factor = cholesky(m)
-    linv = solve_triangular(factor.l, np.eye(n), lower=True, check_finite=False)
-    trace_minv = float(np.sum(linv * linv))
-    return float(n - n_lambda * trace_minv)
 
 
 # Diagonal Pade(6,6) coefficients of exp.

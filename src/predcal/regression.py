@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .kernels import KernelSpec, gram, kernel_cross
 from .linalg import cholesky, solve_spd
@@ -139,21 +138,22 @@ def predict_discrepancy(fit, x):
     return float(out[0]) if single else out
 
 
-def _gcv_parts(data, eta_at_x, kernel, lam, gram_matrix=None):
-    """Shared solve for gcv_score/select: returns (score, tr(I - A))."""
+def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):
+    """Residual sum of squares / n and tr(I - A) over an array of lambdas.
+
+    One eigendecomposition Sigma = U diag(w) U^T serves every lambda: with
+    z = U^T r and s = n*lambda / (w + n*lambda), I - A = U diag(s) U^T, so
+    (1/n)||r - A r||^2 = sum(s^2 z^2) / n and tr(I - A) = sum(s) (Golub,
+    Heath & Wahba 1979).
+    """
     r = _residuals(data, eta_at_x)
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
     n = data.n
-    nlam = n * lam
-    m = gm.values + nlam * np.eye(n)
-    factor = cholesky(m)
-    coef = solve_spd(factor, r)
-    fitted = gm.values @ coef
-    rss = float(np.sum((r - fitted) ** 2)) / n
-    # tr(I - A) = n*lambda * tr(M^{-1}), with tr(M^{-1}) = ||L^{-1}||_F^2
-    linv = solve_triangular(factor.l, np.eye(n), lower=True, check_finite=False)
-    tr_resid = nlam * float(np.sum(linv * linv))
-    return rss, tr_resid
+    w, u = np.linalg.eigh(gm.values)
+    z2 = (u.T @ r) ** 2
+    nlam = n * np.asarray(lams, dtype=float)[:, None]
+    s = nlam / (w + nlam)
+    return (s * s) @ z2 / n, np.sum(s, axis=1)
 
 
 def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
@@ -170,11 +170,11 @@ def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
     """
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    rss, tr_resid = _gcv_parts(data, eta_at_x, kernel, lam, gram_matrix)
+    rss, tr_resid = _gcv_curve(data, eta_at_x, kernel, [lam], gram_matrix)
     n = data.n
-    if tr_resid <= 1e-12 * n:
-        raise DegenerateTrace(f"tr(I - A) = {tr_resid:.3e} at lambda = {lam:.3e}")
-    return rss / (tr_resid / n) ** 2
+    if tr_resid[0] <= 1e-12 * n:
+        raise DegenerateTrace(f"tr(I - A) = {tr_resid[0]:.3e} at lambda = {lam:.3e}")
+    return float(rss[0] / (tr_resid[0] / n) ** 2)
 
 
 def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
@@ -193,18 +193,10 @@ def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
-    gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    best_lam = None
-    best_score = np.inf
-    for lam in grid:
-        try:
-            score = gcv_score(data, eta_at_x, kernel, float(lam), gram_matrix=gm)
-        except DegenerateTrace:
-            continue
-        # ascending grid plus <= keeps the largest lambda among exact ties
-        if score <= best_score:
-            best_score = score
-            best_lam = float(lam)
-    if best_lam is None:
+    rss, tr_resid = _gcv_curve(data, eta_at_x, kernel, grid, gram_matrix)
+    usable = np.flatnonzero(tr_resid > 1e-12 * data.n)
+    if usable.size == 0:
         raise AllDegenerate("no lambda in the grid has a usable GCV denominator")
-    return best_lam
+    score = rss[usable] / (tr_resid[usable] / data.n) ** 2
+    # ascending grid: the last of the exact ties is the largest lambda
+    return float(grid[usable[np.flatnonzero(score == score.min())[-1]]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from predcal import (
+    DEFAULT_SEED,
     BayesHyper,
     ComputerModel,
     Dataset,
@@ -15,6 +16,7 @@ from predcal import (
     fit_ridge,
     gram,
     kernel_cross,
+    normal,
     partial_spline_limit,
     posterior_mean,
     predict_discrepancy,
@@ -197,16 +199,32 @@ def test_verify_limit_zero_data():
     assert np.all(devs == 0.0)
 
 
-def test_verify_limit_nonincreasing_and_small_at_large_alpha():
-    data = _instance(34, 20)
-    devs = verify_proposition_limit(
-        data, LinearComputerModel(BASIS1), SPEC1,
-        [1.0, 1e2, 1e4, 1e6, 1e8], 1.0, 0.25,
-        uniform(RngStream(34, 2), 1, size=50),
+def _proposition_inputs(n):
+    # the inputs `predcal proposition --n N` builds at its defaults
+    stream = RngStream(DEFAULT_SEED, 0)
+    x = uniform(stream, 1, size=n)
+    model = LinearComputerModel(
+        (lambda p: np.ones(p.shape[0]), lambda p: p[:, 0], lambda p: p[:, 0] ** 2)
     )
-    assert np.all(np.diff(devs) <= 1e-14)
-    yrange = data.y.max() - data.y.min()
-    assert devs[-1] <= 1e-5 * yrange
+    y = (
+        model.basis_matrix(x) @ normal(stream, 1.0, size=3)
+        + 0.5 * np.sin(2.0 * np.pi * x[:, 0])
+        + normal(stream, 0.5, size=n)
+    )
+    return Dataset(x, y), model, uniform(stream, 1, size=50)
+
+
+def test_verify_limit_nonincreasing_and_small_at_large_alpha():
+    small = (_instance(34, 20), LinearComputerModel(BASIS1), uniform(RngStream(34, 2), 1, size=50))
+    # at n=400 an n x n factor of (alpha/beta) T T^T + Sigma + n*lambda I
+    # loses digits as alpha grows and breaks the monotone sequence
+    for data, model, pts in (small, _proposition_inputs(400)):
+        devs = verify_proposition_limit(
+            data, model, SPEC1, [1.0, 1e2, 1e4, 1e6, 1e8], 1.0, 0.25, pts
+        )
+        assert np.all(np.diff(devs) <= 1e-14)
+        yrange = data.y.max() - data.y.min()
+        assert devs[-1] <= 1e-5 * yrange
 
 
 def test_verify_limit_rejects_bad_alpha_grid():

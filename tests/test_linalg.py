@@ -1,4 +1,4 @@
-"""Factorizations, SPD solves, influence traces, and the small expm."""
+"""Factorizations, SPD solves, and the small expm."""
 
 import math
 
@@ -13,7 +13,6 @@ from predcal import (
     cholesky,
     matrix_exponential,
     solve_spd,
-    trace_of_influence,
 )
 
 
@@ -86,30 +85,6 @@ def test_solve_after_cholesky_is_right_inverse_on_random_orders():
         b = rng.standard_normal(n)
         x = solve_spd(f, b)
         assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-
-def test_trace_of_influence_closed_cases():
-    assert trace_of_influence(SymMatrix(np.eye(2)), 1.0) == pytest.approx(1.0)
-    # huge ridge sends the trace to zero
-    assert trace_of_influence(SymMatrix(np.eye(4)), 1e12) <= 1e-10 * 4
-
-
-def test_trace_of_influence_matches_eigenvalue_oracle():
-    rng = np.random.default_rng(3)
-    a = _random_spd(rng, 4)
-    eig = np.linalg.eigvalsh(a)
-    for nl in (1e-3, 0.1, 1.0, 10.0):
-        want = float(np.sum(eig / (eig + nl)))
-        got = trace_of_influence(SymMatrix(a), nl)
-        assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_trace_of_influence_monotone_in_ridge():
-    rng = np.random.default_rng(4)
-    a = _random_spd(rng, 6)
-    grid = np.logspace(-6, 3, 25)
-    vals = [trace_of_influence(SymMatrix(a), nl) for nl in grid]
-    assert all(b <= a_ + 1e-12 for a_, b in zip(vals, vals[1:]))
 
 
 def test_matrix_exponential_zero_diagonal_nilpotent():

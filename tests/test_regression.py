@@ -129,17 +129,45 @@ def test_gcv_zero_residual_is_zero():
     assert gcv_score(d, d.y, SPEC1, 0.5) == 0.0
 
 
+def _dense_gcv(s, y, lam):
+    # A = S (S + n lam I)^{-1} from an explicit inverse
+    n = y.shape[0]
+    inv = np.linalg.inv(s + n * lam * np.eye(n))
+    resid = y - s @ (inv @ y)
+    tr_resid = n - np.sum(s * inv.T)
+    return (np.sum(resid**2) / n) / (tr_resid / n) ** 2
+
+
 def test_gcv_matches_dense_inverse_oracle():
-    d = _random_instance(11, 6)
-    gm = gram(SPEC1, d.x)
-    s = gm.values
-    n = d.n
-    for lam in (1e-3, 0.1, 2.0):
-        a = s @ np.linalg.inv(s + n * lam * np.eye(n))
-        resid = (np.eye(n) - a) @ d.y
-        want = (np.sum(resid**2) / n) / (np.trace(np.eye(n) - a) / n) ** 2
-        got = gcv_score(d, None, SPEC1, lam, gram_matrix=gm)
-        assert got == pytest.approx(want, rel=1e-8)
+    # one well-conditioned case, then two where Sigma + n*lambda I reaches
+    # cond ~1e8 at the grid floor: psi = 1 at n = 200, and 20 pairs of
+    # design points 1e-4 apart
+    pairs = np.repeat(np.linspace(0.05, 0.95, 20), 2) + np.tile([0.0, 1e-4], 20)
+    noise = 0.3 * RngStream(5).generator.standard_normal(40)
+    cases = [
+        (_random_instance(11, 6), SPEC1, (1e-3, 0.1, 2.0)),
+        (_random_instance(11, 200), KernelSpec("matern32", 1.0, 1), (1e-8, 1e-5, 1e-2)),
+        (Dataset(pairs, np.sin(3.0 * pairs) + noise), SPEC1, (1e-8, 1e-5, 1e-2)),
+    ]
+    for d, spec, lams in cases:
+        gm = gram(spec, d.x)
+        for lam in lams:
+            got = gcv_score(d, None, spec, lam, gram_matrix=gm)
+            assert got == pytest.approx(_dense_gcv(gm.values, d.y, lam), rel=1e-8)
+
+
+def test_select_lambda_is_largest_dense_inverse_near_minimizer():
+    # the pick is the largest grid lambda whose dense-inverse GCV score is
+    # within 1e-8 relative of the grid minimum
+    rng = np.random.default_rng(18)
+    for n in (10, 25, 60, 150, 400):
+        psi = float(rng.uniform(0.05, 1.0))
+        d = _random_instance(int(rng.integers(1 << 30)), n)
+        spec = KernelSpec("matern32", psi, 1)
+        gm = gram(spec, d.x)
+        scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
+        want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
+        assert select_lambda_gcv(d, None, spec, gram_matrix=gm) == want
 
 
 def test_gcv_degenerate_trace_raises():

@@ -55,7 +55,6 @@ from .linalg import (
     CholFactor,
     DimensionMismatch,
     NotPositiveDefinite,
-    SymMatrix,
     cholesky,
     matrix_exponential,
     solve_spd,
@@ -69,6 +68,7 @@ from .regression import (
     fit_ridge,
     gcv_score,
     predict_discrepancy,
+    ridge_factor,
     select_lambda_gcv,
 )
 from .rng import RngStream, latin_hypercube, normal, uniform

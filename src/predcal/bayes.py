@@ -23,8 +23,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .kernels import gram, kernel_cross
-from .linalg import SymMatrix, cholesky, solve_spd
-from .regression import DiscrepancyFit, predict_discrepancy
+from .linalg import solve_spd
+from .regression import DiscrepancyFit, predict_discrepancy, ridge_factor
 
 __all__ = [
     "RankDeficientBasis",
@@ -90,10 +90,10 @@ class BayesHyper:
 def _basis_system(data, model, kernel, lam):
     """T, the Cholesky factor of M = Sigma + n*lam I, M^{-1} T and T^T M^{-1} T."""
     t = model.basis_matrix(data.x)
-    gm = gram(kernel, data.x)
-    factor = cholesky(gm.values + data.n * lam * np.eye(data.n))
+    factor = ridge_factor(gram(kernel, data.x), lam)
     w = solve_spd(factor, t)  # one solve per basis column
-    return t, factor, w, SymMatrix(t.T @ w).a
+    g = t.T @ w
+    return t, factor, w, 0.5 * (g + g.T)
 
 
 def posterior_mean(data, model, kernel, hyper, x):
@@ -151,11 +151,8 @@ def partial_spline_limit(data, model, kernel, lam):
             f"smallest eigenvalue of T^T M^-1 T is {eigs[0]:.3e}"
         )
     theta = np.linalg.solve(g, w.T @ data.y)
-    resid = data.y - t @ theta
-    coef = solve_spd(factor, resid)
-    fit = DiscrepancyFit(
-        coef=coef, lam=float(lam), kernel=kernel, train_x=data.x, residual_y=resid
-    )
+    coef = solve_spd(factor, data.y - t @ theta)
+    fit = DiscrepancyFit(coef=coef, lam=float(lam), kernel=kernel, train_x=data.x)
     return theta, fit
 
 

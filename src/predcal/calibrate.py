@@ -28,12 +28,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import KernelSpec, gram
-from .linalg import cholesky, solve_spd
+from .linalg import solve_spd
 from .regression import (
     DEFAULT_LAMBDA_GRID,
     DiscrepancyFit,
     fit_ridge,
     predict_discrepancy,
+    ridge_factor,
     select_lambda_gcv,
 )
 from .rng import latin_hypercube, uniform
@@ -264,6 +265,16 @@ def calibrate_l2(
     )
 
 
+def _weighted_misfit(data, model, factor):
+    """theta -> r^T M^{-1} r with r = Y - eta(X, theta), given M's factor."""
+
+    def misfit(theta):
+        r = data.y - model.eval(data.x, theta)
+        return float(r @ solve_spd(factor, r))
+
+    return misfit
+
+
 def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
     """The prediction-weighted misfit r^T (Sigma + n*lambda I)^{-1} r
     with r = Y - eta(X, theta).
@@ -273,10 +284,7 @@ def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
     drives down the best achievable penalized fit.
     """
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    m = gm.values + data.n * lam * np.eye(data.n)
-    factor = cholesky(m)
-    r = data.y - model.eval(data.x, theta)
-    return float(r @ solve_spd(factor, r))
+    return _weighted_misfit(data, model, ridge_factor(gm, lam))(theta)
 
 
 def lagrangian_value(data, model, kernel, lam, theta, gram_matrix=None):
@@ -286,10 +294,9 @@ def lagrangian_value(data, model, kernel, lam, theta, gram_matrix=None):
     """
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
     r = data.y - model.eval(data.x, theta)
-    m = gm.values + data.n * lam * np.eye(data.n)
-    c = solve_spd(cholesky(m), r)
+    c = solve_spd(ridge_factor(gm, lam), r)
     fitted = gm.values @ c
-    return float(np.mean((r - fitted) ** 2) + lam * (c @ (gm.values @ c)))
+    return float(np.mean((r - fitted) ** 2) + lam * (c @ fitted))
 
 
 def calibrate_optpred(
@@ -329,12 +336,7 @@ def calibrate_optpred(
     ls_fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
 
     # the smoothing level is frozen: one factorization serves every theta
-    m = gm.values + data.n * lam * np.eye(data.n)
-    factor = cholesky(m)
-
-    def wobj(th):
-        r = data.y - model.eval(data.x, th)
-        return float(r @ solve_spd(factor, r))
+    wobj = _weighted_misfit(data, model, ridge_factor(gm, lam))
 
     trace = [lam * wobj(theta)]
     rounds = 1 if mode == "one_step" else max_outer

@@ -30,7 +30,7 @@ from .experiments import (
     run_experiment,
 )
 from .kernels import KernelSpec, rkhs_norm_sq_approx
-from .regression import Dataset, predict_discrepancy
+from .regression import Dataset, DiscrepancyFit, predict_discrepancy
 from .rng import RngStream, normal, uniform
 from .systems import get_system, load_dataset_csv, system_names
 
@@ -129,8 +129,6 @@ def _cmd_predict(args):
     system = get_system(payload["model"])
     theta = np.asarray(payload["theta"], dtype=float)
 
-    from .regression import DiscrepancyFit
-
     fit = None
     if payload.get("coef") is not None:
         spec = payload["kernel"]
@@ -139,7 +137,6 @@ def _cmd_predict(args):
             lam=payload["lambda"],
             kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
             train_x=np.asarray(payload["train_x"], dtype=float),
-            residual_y=np.zeros(len(payload["coef"])),
         )
 
     points = _load_points_csv(args.points, system.d)

@@ -5,26 +5,22 @@ distance and psi > 0 the length scale.  Its reproducing-kernel Hilbert
 space is norm-equivalent to a Sobolev space of order 2, which is the
 smoothness the convergence-rate check relies on.
 
-Gram matrices get a small diagonal jitter so that Cholesky succeeds even
-for near-coincident designs; the jitter escalates by factors of 10 up to
-a hard cap before giving up.
+Gram matrices are returned unfactored, with a small diagonal jitter that
+is used as given: ridge solves factor Sigma + n*lambda I, which the
+n*lambda term keeps positive definite (``regression.ridge_factor``).
+Only the norm surrogate factors a bare Gram matrix, and there the jitter
+escalates by factors of 10 up to a hard cap before giving up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import (
-    CholFactor,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    SymMatrix,
-    cholesky,
-    solve_spd,
-)
+from .linalg import DimensionMismatch, NotPositiveDefinite, cholesky, solve_spd
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -89,57 +85,27 @@ def kernel_cross(spec, x, y):
     return _mat32(cdist(x, y), spec.psi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramMatrix:
-    """Jittered kernel matrix of a design, with its Cholesky factor."""
+    """Kernel matrix of a design with ``jitter`` added to its diagonal."""
 
-    sym: SymMatrix
+    values: np.ndarray
     jitter: float
-    points: np.ndarray
-    chol: CholFactor = field(repr=False)
-
-    @property
-    def values(self):
-        return self.sym.a
-
-    @property
-    def n(self):
-        return self.sym.order
 
 
 def gram(spec, points, jitter=DEFAULT_JITTER):
     """Build the kernel matrix of a design plus a diagonal jitter.
 
-    If the jittered matrix fails to factor, the jitter escalates by
-    factors of 10 (starting from ``DEFAULT_JITTER`` when 0 was requested)
-    until ``MAX_JITTER``; past that the failure propagates.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If no jitter up to ``MAX_JITTER`` yields a factorizable matrix.
+    The matrix is not factored, and the jitter is used as given.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != spec.dim:
         raise DimensionMismatch("design dimension does not match kernel spec")
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
-    base = SymMatrix(kernel_cross(spec, points, points)).a
-    n = base.shape[0]
     j = float(jitter)
-    while True:
-        sym = SymMatrix(base + j * np.eye(n))
-        try:
-            factor = cholesky(sym)
-        except NotPositiveDefinite:
-            nxt = DEFAULT_JITTER if j == 0 else j * 10.0
-            if nxt > MAX_JITTER:
-                raise NotPositiveDefinite(
-                    f"Gram matrix not factorizable even at jitter {MAX_JITTER}"
-                )
-            j = nxt
-            continue
-        return GramMatrix(sym=sym, jitter=j, points=points, chol=factor)
+    values = kernel_cross(spec, points, points) + j * np.eye(points.shape[0])
+    return GramMatrix(values=values, jitter=j)
 
 
 def _unit_grid(dim, grid_size):
@@ -149,6 +115,33 @@ def _unit_grid(dim, grid_size):
     return np.column_stack([m.reshape(-1) for m in mesh])
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_factor(spec, grid_size, jitter):
+    """Read-only Cholesky factor of the grid's jittered Gram matrix.
+
+    Cached, since a profile evaluates many functions on one grid.  The
+    jitter escalates as described in :func:`rkhs_norm_sq_approx`.
+    """
+    if jitter < 0:
+        raise ValueError("jitter must be >= 0")
+    pts = _unit_grid(spec.dim, grid_size)
+    base = kernel_cross(spec, pts, pts)
+    j = float(jitter)
+    while True:
+        try:
+            factor = cholesky(base + j * np.eye(pts.shape[0]))
+            break
+        except NotPositiveDefinite:
+            j = DEFAULT_JITTER if j == 0 else j * 10.0
+            if j > MAX_JITTER:
+                raise NotPositiveDefinite(
+                    f"Gram matrix not factorizable even at jitter {MAX_JITTER}"
+                )
+    # every caller shares the cached factor
+    factor.l.setflags(write=False)
+    return factor
+
+
 def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     """Grid surrogate for the squared RKHS norm of a function.
 
@@ -156,6 +149,10 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     quadratic form g(G)^T (Sigma_G + jitter I)^{-1} g(G), the squared norm
     of the minimum-norm interpolant of g on G.  The value is a lower bound
     of the true squared norm and is nondecreasing under grid refinement.
+    If Sigma_G + jitter I does not factor, the jitter escalates by factors
+    of 10 (starting from ``DEFAULT_JITTER`` when 0 was requested) up to
+    ``MAX_JITTER``.  The factor is reused while ``(spec, grid_size,
+    jitter)`` stay the same.
 
     Parameters
     ----------
@@ -164,6 +161,11 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
         Maps an ``(m, dim)`` array of points to ``m`` values.
     grid_size : int
         Nodes per axis (the grid has ``grid_size ** dim`` points).
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If no jitter up to ``MAX_JITTER`` yields a factorizable matrix.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -171,6 +173,5 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     vals = np.asarray(g(pts), dtype=float).reshape(-1)
     if vals.shape[0] != pts.shape[0]:
         raise DimensionMismatch("g must return one value per grid point")
-    gm = gram(spec, pts, jitter)
-    w = solve_spd(gm.chol, vals)
+    w = solve_spd(_grid_factor(spec, grid_size, jitter), vals)
     return float(vals @ w)

@@ -2,7 +2,11 @@
 
 The package's SPD solves route through the helpers here: a Cholesky
 factorization, never an explicit inverse.  Dense factorizations are
-delegated to LAPACK through scipy.
+delegated to LAPACK through scipy.  ``cholesky`` takes its input as
+given, with no symmetrization and no retry: the ridge matrix
+Sigma + n*lambda I (``regression.ridge_factor``) is positive definite by
+construction, and the one bare Gram matrix the package factors, the
+norm surrogate's grid in ``kernels``, escalates its own jitter.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
 __all__ = [
     "NotPositiveDefinite",
     "DimensionMismatch",
-    "SymMatrix",
     "CholFactor",
     "cholesky",
     "solve_spd",
@@ -33,24 +36,6 @@ class DimensionMismatch(ValueError):
 
 
 @dataclass
-class SymMatrix:
-    """A real symmetric matrix; entries are symmetrized on construction."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("SymMatrix requires a square 2-d array")
-        # average out any floating asymmetry from the caller
-        self.a = 0.5 * (a + a.T)
-
-    @property
-    def order(self):
-        return self.a.shape[0]
-
-
-@dataclass
 class CholFactor:
     """Lower-triangular Cholesky factor L with A = L L^T."""
 
@@ -62,8 +47,6 @@ class CholFactor:
 
 
 def _as_square_array(a):
-    if isinstance(a, SymMatrix):
-        return a.a
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")

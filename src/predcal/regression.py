@@ -27,6 +27,7 @@ __all__ = [
     "DegenerateTrace",
     "AllDegenerate",
     "DEFAULT_LAMBDA_GRID",
+    "ridge_factor",
     "fit_ridge",
     "predict_discrepancy",
     "gcv_score",
@@ -89,7 +90,6 @@ class DiscrepancyFit:
     lam: float
     kernel: KernelSpec
     train_x: np.ndarray
-    residual_y: np.ndarray
 
 
 def _residuals(data, eta_at_x):
@@ -99,6 +99,17 @@ def _residuals(data, eta_at_x):
     if eta.shape[0] != data.n:
         raise ValueError("eta_at_x must hold one value per design point")
     return data.y - eta
+
+
+def ridge_factor(gram_matrix, lam):
+    """Cholesky factor of M = Sigma + n*lam I, the matrix of every ridge solve.
+
+    ``gram_matrix`` is the (jittered) Gram matrix Sigma of an n-point
+    design.  For lam > 0 the n*lam term keeps M positive definite even
+    when Sigma is singular.
+    """
+    n = gram_matrix.values.shape[0]
+    return cholesky(gram_matrix.values + n * lam * np.eye(n))
 
 
 def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
@@ -121,12 +132,8 @@ def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
         raise ValueError("lambda must be > 0")
     r = _residuals(data, eta_at_x)
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    n = data.n
-    m = gm.values + n * lam * np.eye(n)
-    coef = solve_spd(cholesky(m), r)
-    return DiscrepancyFit(
-        coef=coef, lam=float(lam), kernel=kernel, train_x=data.x, residual_y=r
-    )
+    coef = solve_spd(ridge_factor(gm, lam), r)
+    return DiscrepancyFit(coef=coef, lam=float(lam), kernel=kernel, train_x=data.x)
 
 
 def predict_discrepancy(fit, x):

@@ -9,11 +9,9 @@ from predcal import (
     KernelSpec,
     ObjectiveNonFinite,
     RngStream,
-    SymMatrix,
     calibrate_l2,
     calibrate_ls,
     calibrate_optpred,
-    cholesky,
     fit_ridge,
     gram,
     lagrangian_value,
@@ -167,8 +165,7 @@ def test_weighted_objective_scalar_weight_when_kernel_vanishes():
     y = s.generator.standard_normal(6)
     data = Dataset(x, y)
     jitter = 1e-8
-    sym = SymMatrix(jitter * np.eye(6))
-    gm = GramMatrix(sym=sym, jitter=jitter, points=data.x, chol=cholesky(sym))
+    gm = GramMatrix(values=jitter * np.eye(6), jitter=jitter)
     model = ComputerModel(eta=lambda x, t: np.zeros(len(x)), theta_box=[[0.0, 1.0]])
     lam = 0.3
     got = weighted_objective(data, model, SPEC1, lam, [0.5], gram_matrix=gm)

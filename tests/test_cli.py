@@ -133,7 +133,6 @@ def test_calibrate_predict_round_trip(tmp_path, capsys):
         lam=payload["lambda"],
         kernel=KernelSpec("matern32", payload["kernel"]["psi"], 1),
         train_x=np.asarray(payload["train_x"]),
-        residual_y=np.zeros(25),
     )
     want = system.model.eval(pts.reshape(-1, 1), payload["theta"])
     want = want + predict_discrepancy(fit, pts.reshape(-1, 1))

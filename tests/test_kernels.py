@@ -10,12 +10,14 @@ from predcal import (
     DimensionMismatch,
     KernelSpec,
     RngStream,
+    cholesky,
     gram,
     kernel_cross,
     kernel_eval,
     rkhs_norm_sq_approx,
     uniform,
 )
+from predcal.kernels import _grid_factor
 from predcal.systems import get_system
 
 
@@ -67,14 +69,6 @@ def test_gram_single_point_and_diagonal():
     assert gm.values[0, 0] == pytest.approx(1.0 + DEFAULT_JITTER)
 
 
-def test_gram_escalates_on_duplicate_points():
-    spec = KernelSpec("matern32", 0.3, 1)
-    gm = gram(spec, [[0.5], [0.5]], jitter=0.0)
-    # rank-deficient base matrix forces a nonzero jitter
-    assert gm.jitter > 0.0
-    assert np.allclose(gm.chol.l @ gm.chol.l.T, gm.values)
-
-
 def test_gram_matches_elementwise_kernel_oracle():
     spec = KernelSpec("matern32", 0.4, 1)
     pts = np.array([[0.1], [0.35], [0.9]])
@@ -89,8 +83,9 @@ def test_gram_positive_definite_on_random_designs():
     for d, n, seed in ((1, 500, 31), (2, 300, 32)):
         spec = KernelSpec("matern32", 0.3 * math.sqrt(d), d)
         pts = uniform(RngStream(seed), d, size=n)
-        gm = gram(spec, pts)  # would raise NotPositiveDefinite on failure
-        assert gm.n == n
+        gm = gram(spec, pts)
+        assert gm.values.shape == (n, n)
+        cholesky(gm.values)  # would raise NotPositiveDefinite on failure
 
 
 def test_kernel_cross_shape_and_consistency():
@@ -134,6 +129,30 @@ def test_norm_surrogate_constant_function_closed_form():
         exact = 1.0 + 1.0 / (4.0 * psi)
         assert val <= exact + 1e-9
         assert val == pytest.approx(exact, rel=5e-3)
+
+
+def test_norm_surrogate_escalates_jitter_on_singular_grid():
+    # at psi = 1e8 every kernel entry on [0,1] is 1 to within an ulp, so the
+    # bare grid matrix is the singular all-ones matrix J; the first jitter
+    # that factors is DEFAULT_JITTER, and 1^T (J + eps I)^{-1} 1 = m / (m + eps)
+    spec = KernelSpec("matern32", 1e8, 1)
+    pts = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
+    assert np.max(np.abs(kernel_cross(spec, pts, pts) - 1.0)) <= 2.3e-16
+    val = rkhs_norm_sq_approx(spec, lambda x: np.ones(len(x)), 50, jitter=0.0)
+    assert val == pytest.approx(50.0 / (50.0 + DEFAULT_JITTER), rel=1e-9)
+
+
+def test_norm_surrogate_matches_dense_solve_across_grid_sizes():
+    # interleaved grid sizes: a factor cached for one grid never serves another
+    spec = KernelSpec("matern32", 0.16, 1)
+    g = lambda pts: np.sin(5.0 * pts[:, 0]) + pts[:, 0] ** 2
+    for m in (200, 399, 200):
+        pts = np.linspace(0.0, 1.0, m).reshape(-1, 1)
+        vals = g(pts)
+        want = vals @ np.linalg.solve(gram(spec, pts).values, vals)
+        assert rkhs_norm_sq_approx(spec, g, m) == pytest.approx(want, rel=1e-8)
+    # the cached factor is shared by every caller, so it cannot be written
+    assert not _grid_factor(spec, 200, DEFAULT_JITTER).l.flags.writeable
 
 
 def test_norm_surrogate_2d_grid():

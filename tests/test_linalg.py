@@ -9,7 +9,6 @@ from predcal import (
     CholFactor,
     DimensionMismatch,
     NotPositiveDefinite,
-    SymMatrix,
     cholesky,
     matrix_exponential,
     solve_spd,
@@ -19,14 +18,6 @@ from predcal import (
 def _random_spd(rng, n, scale=1.0):
     q = rng.standard_normal((n, n))
     return q @ q.T + scale * np.eye(n)
-
-
-def test_symmatrix_symmetrizes_and_validates():
-    m = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    assert np.array_equal(m.a, m.a.T)
-    assert m.a[0, 1] == 1.0
-    with pytest.raises(DimensionMismatch):
-        SymMatrix(np.zeros((2, 3)))
 
 
 def test_cholesky_identity():
@@ -47,10 +38,15 @@ def test_cholesky_rejects_indefinite():
         cholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_cholesky_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        cholesky(np.zeros((2, 3)))
+
+
 def test_cholesky_reconstructs_input():
     rng = np.random.default_rng(0)
     a = _random_spd(rng, 6)
-    f = cholesky(SymMatrix(a))
+    f = cholesky(a)
     rel = np.linalg.norm(f.l @ f.l.T - a) / np.linalg.norm(a)
     assert rel < 1e-10
 

@@ -5,6 +5,7 @@ import pytest
 
 from predcal import (
     AllDegenerate,
+    ComputerModel,
     DEFAULT_LAMBDA_GRID,
     Dataset,
     DegenerateTrace,
@@ -16,6 +17,7 @@ from predcal import (
     predict_discrepancy,
     select_lambda_gcv,
     uniform,
+    weighted_objective,
 )
 from predcal.experiments import _stream
 from predcal.systems import generate_dataset, get_system
@@ -72,7 +74,8 @@ def test_fit_ridge_subtracts_model_values():
     d = _random_instance(3, 12)
     eta = 0.7 * np.ones(12)
     fit = fit_ridge(d, eta, SPEC1, 0.1)
-    assert np.allclose(fit.residual_y, d.y - 0.7)
+    shifted = fit_ridge(Dataset(d.x, d.y - 0.7), None, SPEC1, 0.1)
+    assert np.allclose(fit.coef, shifted.coef, rtol=1e-12, atol=1e-14)
 
 
 def test_fit_objective_never_beats_zero_function():
@@ -168,6 +171,29 @@ def test_select_lambda_is_largest_dense_inverse_near_minimizer():
         scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
         want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
         assert select_lambda_gcv(d, None, spec, gram_matrix=gm) == want
+
+
+def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
+    # Sigma is singular (every design point appears twice, no jitter), but
+    # Sigma + n*lambda I is positive definite for lambda > 0
+    x = np.repeat(np.linspace(0.05, 0.95, 12), 2)
+    y = np.sin(3.0 * x) + 0.3 * RngStream(19).generator.standard_normal(24)
+    d = Dataset(x, y)
+    gm = gram(SPEC1, d.x, jitter=0.0)
+    assert gm.jitter == 0.0
+    model = ComputerModel(eta=lambda p, t: t[0] * p[:, 0], theta_box=[[-1.0, 1.0]])
+    r = d.y - model.eval(d.x, [0.4])
+    for lam in (1e-6, 1e-3, 1.0):
+        m = gm.values + d.n * lam * np.eye(d.n)
+        coef = fit_ridge(d, None, SPEC1, lam, gram_matrix=gm).coef
+        want = np.linalg.solve(m, d.y)
+        assert np.all(np.isfinite(coef))
+        assert np.linalg.norm(coef - want) <= 1e-8 * np.linalg.norm(want)
+        got = weighted_objective(d, model, SPEC1, lam, [0.4], gram_matrix=gm)
+        assert got == pytest.approx(r @ np.linalg.solve(m, r), rel=1e-8)
+    scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
+    want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
+    assert select_lambda_gcv(d, None, SPEC1, gram_matrix=gm) == want
 
 
 def test_gcv_degenerate_trace_raises():

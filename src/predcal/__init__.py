@@ -34,11 +34,13 @@ from .experiments import (
     METHOD_NAMES,
     ExperimentConfig,
     PmseReport,
+    Predictor,
     build_predictors,
     cv5_select_psi,
     default_psi_grid,
     parse_config,
     pmse,
+    predict,
     run_experiment,
 )
 from .kernels import (
@@ -85,6 +87,7 @@ from .systems import (
     get_system,
     ion_eta,
     load_dataset_csv,
+    load_points_csv,
     system_names,
 )
 

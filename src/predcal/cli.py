@@ -24,15 +24,17 @@ from .bayes import LinearComputerModel, verify_proposition_limit
 from .calibrate import calibrate_l2, calibrate_ls, calibrate_optpred
 from .experiments import (
     DEFAULT_SEED,
+    Predictor,
     cv5_select_psi,
     default_psi_grid,
     parse_config,
+    predict,
     run_experiment,
 )
 from .kernels import KernelSpec, rkhs_norm_sq_approx
-from .regression import Dataset, DiscrepancyFit, predict_discrepancy
+from .regression import Dataset, DiscrepancyFit
 from .rng import RngStream, normal, uniform
-from .systems import get_system, load_dataset_csv, system_names
+from .systems import get_system, load_dataset_csv, load_points_csv, system_names
 
 __all__ = ["cli_main", "main"]
 
@@ -127,7 +129,6 @@ def _cmd_predict(args):
     with open(args.fit) as fh:
         payload = json.load(fh)
     system = get_system(payload["model"])
-    theta = np.asarray(payload["theta"], dtype=float)
 
     fit = None
     if payload.get("coef") is not None:
@@ -138,35 +139,15 @@ def _cmd_predict(args):
             kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
             train_x=np.asarray(payload["train_x"], dtype=float),
         )
+    fitted = Predictor(np.asarray(payload["theta"], dtype=float), fit)
 
-    points = _load_points_csv(args.points, system.d)
-    pred = system.model.eval(points, theta)
-    if fit is not None:
-        pred = pred + predict_discrepancy(fit, points)
+    points = load_points_csv(args.points, system.d)
+    pred = predict(system.model, {"fit": fitted}, points)["fit"]
 
     header = ",".join(f"x{j + 1}" for j in range(system.d)) + ",prediction"
     rows = [tuple(points[i]) + (float(pred[i]),) for i in range(points.shape[0])]
     _write_csv(args.out, header, rows)
     return 0
-
-
-def _load_points_csv(path, d):
-    import csv as _csv
-
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        names = [f"x{j + 1}" for j in range(d)]
-        alt = ["x"] if d == 1 else names
-        if header[:d] != names and header[:d] != alt:
-            raise ValueError(f"{path}: expected input columns {names}")
-        rows = [[float(v) for v in row[:d]] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
 
 
 def _cmd_profile(args):

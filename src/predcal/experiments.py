@@ -8,7 +8,9 @@ sample.  Per-replicate randomness comes from streams keyed by
 how replicates are scheduled, and adding replicates never changes the
 ones already run.
 
-Predictor names:
+Each fitted predictor is a ``Predictor(theta, fit)`` record: the
+computer model at ``theta`` plus the discrepancy expansion ``fit``, either
+term absent when None.  Predictor names:
 
 * ``NoBiasCorr`` -- computer model at the L2-calibrated parameter, no
   discrepancy correction.
@@ -26,20 +28,16 @@ import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
 import scipy
 
-from .calibrate import (
-    DEFAULT_STARTS,
-    calibrate_l2,
-    calibrate_ls,
-    calibrate_optpred,
-)
-from .kernels import KernelSpec, gram
-from .regression import Dataset, fit_ridge, predict_discrepancy, select_lambda_gcv
+from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
+from .kernels import KernelSpec, gram, kernel_cross
+from .regression import Dataset, DiscrepancyFit, fit_ridge, predict_discrepancy, select_lambda_gcv
 from .rng import RngStream, uniform
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
@@ -48,8 +46,10 @@ __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
     "PmseReport",
+    "Predictor",
     "default_psi_grid",
     "cv5_select_psi",
+    "predict",
     "pmse",
     "build_predictors",
     "run_experiment",
@@ -70,6 +70,9 @@ _PHASE_LS = 2
 _PHASE_L2 = 3
 _PHASE_OPTPRED = 4
 _PHASE_TEST = 5
+
+# test points scored per block; bounds the (block, n) kernel matrix
+_PMSE_CHUNK = 32768
 
 
 def default_psi_grid(d):
@@ -109,6 +112,10 @@ class ExperimentConfig:
             raise ValueError("psi must be 'cv5' or a positive number")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
+        if self.lambda_grid is not None:
+            grid = np.asarray(self.lambda_grid, dtype=float)
+            if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+                raise ValueError("lambda_grid must be nonempty, finite and > 0")
 
 
 def _stream(seed, sigma_idx, replicate, phase):
@@ -141,7 +148,7 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     best_psi = None
     best_err = np.inf
     for psi in psi_grid:
-        spec = KernelSpec("matern32", psi, data.d)
+        spec = KernelSpec(family, psi, data.d)
         err = 0.0
         for fold in folds:
             mask = np.ones(data.n, dtype=bool)
@@ -158,32 +165,61 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     return best_psi
 
 
-def pmse(predictor, system, mc_test_points, stream, chunk=32768):
-    """Mean squared prediction error against the noiseless truth.
+@dataclass(frozen=True)
+class Predictor:
+    """A fitted predictor x -> eta(x, theta) + h(x).
 
-    Draws ``mc_test_points`` uniform inputs from ``stream`` and averages
-    (predictor - truth)^2 over them.  Evaluation is chunked to bound
-    memory; the average itself is taken over the full array at once.
+    ``theta`` is None when there is no model term (NP); ``fit`` is the
+    discrepancy expansion h, None when there is no correction.
+    """
+
+    theta: Optional[np.ndarray]
+    fit: Optional[DiscrepancyFit]
+
+
+def predict(model, predictors, x):
+    """Evaluate a mapping of name -> Predictor at the points ``x`` (m, d).
+
+    Returns a mapping of name -> (m,) array.  Fits that share a kernel
+    and a training design share one kernel matrix; each still takes its
+    own matrix-vector product.
+    """
+    cross = {}
+    out = {}
+    for name, p in predictors.items():
+        value = None if p.theta is None else model.eval(x, p.theta)
+        if p.fit is not None:
+            key = (p.fit.kernel, id(p.fit.train_x))
+            if key not in cross:
+                cross[key] = kernel_cross(p.fit.kernel, x, p.fit.train_x)
+            h = cross[key] @ p.fit.coef
+            value = h if value is None else value + h
+        out[name] = value
+    return out
+
+
+def pmse(predictors, system, mc_test_points, stream):
+    """Mean squared prediction error of each predictor against the noiseless truth.
+
+    Draws ``mc_test_points`` uniform inputs from ``stream`` once and, for
+    every name -> Predictor of the mapping, averages (prediction - truth)^2
+    over them; returns a mapping of name -> PMSE.  A predictor scores the
+    same whichever others it is scored with.  Evaluation is chunked to
+    bound memory; each average is taken over the full array at once.
     """
     if system.zeta is None:
         raise NoTruthAvailable(f"system {system.id!r} has no truth to score against")
     if mc_test_points < 1:
         raise ValueError("mc_test_points must be >= 1")
     x = uniform(stream, system.d, size=mc_test_points)
-    sq = np.empty(mc_test_points)
-    for lo in range(0, mc_test_points, chunk):
-        hi = min(lo + chunk, mc_test_points)
-        diff = np.asarray(predictor(x[lo:hi]), dtype=float) - system.zeta(x[lo:hi])
-        sq[lo:hi] = diff * diff
-    return float(np.mean(sq))
-
-
-def _model_predictor(model, theta):
-    return lambda x: model.eval(x, theta)
-
-
-def _corrected_predictor(model, theta, fit):
-    return lambda x: model.eval(x, theta) + predict_discrepancy(fit, x)
+    sq = {name: np.empty(mc_test_points) for name in predictors}
+    for lo in range(0, mc_test_points, _PMSE_CHUNK):
+        hi = min(lo + _PMSE_CHUNK, mc_test_points)
+        truth = system.zeta(x[lo:hi])
+        for name, pred in predict(system.model, predictors, x[lo:hi]).items():
+            diff = pred - truth
+            sq[name][lo:hi] = diff * diff
+    return {name: float(np.mean(v)) for name, v in sq.items()}
 
 
 def build_predictors(data, system, kernel, config, streams, optpred_mode="one_step"):
@@ -196,9 +232,9 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     Returns
     -------
     (predictors, info)
-        ``predictors`` maps method name to a callable over (m, d) input
-        arrays; ``info`` holds fitted parameters, smoothing levels, and
-        the prediction-weighted objective trace when OptCal ran.
+        ``predictors`` maps method name to a ``Predictor``; ``info``
+        holds fitted parameters, smoothing levels, and the
+        prediction-weighted objective trace when OptCal ran.
     """
     model = system.model
     lambda_grid = None if config.lambda_grid is None else np.asarray(config.lambda_grid)
@@ -208,20 +244,14 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
 
     if "NP" in config.methods:
         lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid, gram_matrix=gm)
-        np_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
-        predictors["NP"] = lambda x: predict_discrepancy(np_fit, x)
+        fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
+        predictors["NP"] = Predictor(None, fit)
         info["np_lambda"] = lam
 
     if "NoBiasCorr" in config.methods:
-        res = calibrate_l2(
-            data,
-            model,
-            kernel,
-            starts=config.starts,
-            stream=streams["l2"],
-            lambda_grid=lambda_grid,
-        )
-        predictors["NoBiasCorr"] = _model_predictor(model, res.theta_hat)
+        res = calibrate_l2(data, model, kernel, starts=config.starts, stream=streams["l2"],
+                           lambda_grid=lambda_grid)
+        predictors["NoBiasCorr"] = Predictor(res.theta_hat, None)
         info["theta_l2"] = res.theta_hat
 
     if "LSCal" in config.methods:
@@ -229,23 +259,14 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
         eta0 = model.eval(data.x, res.theta_hat)
         lam = select_lambda_gcv(data, eta0, kernel, grid=lambda_grid, gram_matrix=gm)
         fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
-        predictors["LSCal"] = _corrected_predictor(model, res.theta_hat, fit)
+        predictors["LSCal"] = Predictor(res.theta_hat, fit)
         info["theta_ls"] = res.theta_hat
         info["ls_lambda"] = lam
 
     if "OptCal" in config.methods:
-        res = calibrate_optpred(
-            data,
-            model,
-            kernel,
-            mode=optpred_mode,
-            starts=config.starts,
-            stream=streams["optpred"],
-            lambda_grid=lambda_grid,
-        )
-        predictors["OptCal"] = _corrected_predictor(
-            model, res.theta_hat, res.discrepancy
-        )
+        res = calibrate_optpred(data, model, kernel, mode=optpred_mode, starts=config.starts,
+                                stream=streams["optpred"], lambda_grid=lambda_grid)
+        predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
         info["theta_opt"] = res.theta_hat
         info["opt_lambda"] = res.lambda_used
         info["opt_trace"] = list(res.objective_trace)
@@ -255,45 +276,21 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
 
 def _run_replicate(config, sigma_idx, replicate, optpred_mode):
     system = get_system(config.system)
-    sigma2 = config.sigma2[sigma_idx]
-    seed = config.seed
-
-    data = generate_dataset(
-        system,
-        config.n,
-        math.sqrt(sigma2),
-        _stream(seed, sigma_idx, replicate, _PHASE_DATA),
-    )
+    stream = partial(_stream, config.seed, sigma_idx, replicate)
+    sigma = math.sqrt(config.sigma2[sigma_idx])
+    data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
     if config.psi == "cv5":
-        psi = cv5_select_psi(
-            data,
-            "matern32",
-            default_psi_grid(system.d),
-            None,
-            _stream(seed, sigma_idx, replicate, _PHASE_PSI),
-        )
+        grid = default_psi_grid(system.d)
+        psi = cv5_select_psi(data, "matern32", grid, None, stream(_PHASE_PSI))
     else:
         psi = float(config.psi)
     kernel = KernelSpec("matern32", psi, system.d)
 
-    streams = {
-        "ls": _stream(seed, sigma_idx, replicate, _PHASE_LS),
-        "l2": _stream(seed, sigma_idx, replicate, _PHASE_L2),
-        "optpred": _stream(seed, sigma_idx, replicate, _PHASE_OPTPRED),
-    }
+    streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
     predictors, info = build_predictors(
         data, system, kernel, config, streams, optpred_mode=optpred_mode
     )
-
-    scores = {}
-    for method in config.methods:
-        scores[method] = pmse(
-            predictors[method],
-            system,
-            config.mc_test_points,
-            _stream(seed, sigma_idx, replicate, _PHASE_TEST),
-        )
-    return scores, info
+    return pmse(predictors, system, config.mc_test_points, stream(_PHASE_TEST)), info
 
 
 def _replicate_task(args):
@@ -323,21 +320,11 @@ class PmseReport:
 
     def to_csv(self):
         """Report as CSV text, rows sorted by (method, sigma2)."""
-        fmt = "%.17g"
         lines = ["method,sigma2,mean_pmse,se_pmse,replicates"]
-        for method in sorted(set(k[0] for k in self.per_replicate)):
-            for sigma2 in sorted(set(k[1] for k in self.per_replicate if k[0] == method)):
-                lines.append(
-                    ",".join(
-                        [
-                            method,
-                            fmt % sigma2,
-                            fmt % self.mean(method, sigma2),
-                            fmt % self.se(method, sigma2),
-                            str(self.per_replicate[(method, sigma2)].size),
-                        ]
-                    )
-                )
+        for method, sigma2 in sorted(self.per_replicate):
+            stats = (sigma2, self.mean(method, sigma2), self.se(method, sigma2))
+            size = self.per_replicate[(method, sigma2)].size
+            lines.append(",".join([method, *("%.17g" % v for v in stats), str(size)]))
         return "\n".join(lines) + "\n"
 
     def write(self, path):
@@ -405,7 +392,6 @@ def run_experiment(config, threads=1, optpred_mode="one_step", collect_traces=Fa
     return report
 
 
-_LIST_KEYS = {"sigma2", "methods", "lambda_grid"}
 _INT_KEYS = {"n", "replicates", "mc_test_points", "starts", "seed"}
 
 
@@ -431,11 +417,7 @@ def parse_config(path):
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value
 
-    known = {
-        "system", "n", "sigma2", "replicates", "mc_test_points",
-        "methods", "psi", "lambda_grid", "starts", "seed", "out",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ValueError(f"{path}: unknown keys {sorted(unknown)}")
     for req in ("system", "n", "sigma2", "replicates"):

@@ -37,6 +37,7 @@ __all__ = [
     "system_names",
     "generate_dataset",
     "load_dataset_csv",
+    "load_points_csv",
 ]
 
 
@@ -207,11 +208,13 @@ def generate_dataset(system, n, sigma, stream):
     return Dataset(x=x, y=y)
 
 
-def load_dataset_csv(path):
-    """Read a dataset from CSV with header ``x1,...,xd,y``.
+def _read_csv(path, d=None):
+    """Read the numeric rows of a CSV whose header starts ``x1,...,xd``.
 
-    A single input column may also be named plain ``x``.  Coordinates
-    must lie in [0, 1] (rescale inputs before writing the file).
+    A single input column may also be named plain ``x``.  With ``d``
+    given, the first d columns are read and any after them ignored.  With
+    ``d`` None the file is a dataset: the last column must be ``y``, the
+    inputs are the columns before it, and every row must fill them all.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -219,21 +222,41 @@ def load_dataset_csv(path):
         if header is None:
             raise ValueError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        if header[-1] != "y":
-            raise ValueError(f"{path}: last column must be 'y', got {header[-1]!r}")
-        d = len(header) - 1
-        if d < 1:
-            raise ValueError(f"{path}: no input columns")
-        expected = ["x"] if d == 1 else None
-        for j, name in enumerate(header[:-1]):
-            if name != f"x{j + 1}" and not (expected and name in expected):
+        if d is None:
+            if header[-1:] != ["y"]:
+                raise ValueError(f"{path}: last column must be 'y', got {header[-1:]}")
+            d, ncols, keep = len(header) - 1, len(header), None
+        else:
+            ncols = keep = d
+        if d < 1 or len(header) < d:
+            raise ValueError(f"{path}: expected {d} input column(s), got {header}")
+        for j, name in enumerate(header[:d]):
+            if name != f"x{j + 1}" and not (d == 1 and name == "x"):
                 raise ValueError(
                     f"{path}: input column {j} must be named 'x{j + 1}', got {name!r}"
                 )
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = [[float(v) for v in row[:keep]] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape[1] != d + 1:
+    if any(len(row) != ncols for row in rows):
         raise ValueError(f"{path}: inconsistent column count")
-    return Dataset(x=arr[:, :d], y=arr[:, d])
+    return np.asarray(rows, dtype=float)
+
+
+def load_dataset_csv(path):
+    """Read a dataset from CSV with header ``x1,...,xd,y``.
+
+    A single input column may also be named plain ``x``.  Coordinates
+    must lie in [0, 1] (rescale inputs before writing the file).
+    """
+    arr = _read_csv(path)
+    return Dataset(x=arr[:, :-1], y=arr[:, -1])
+
+
+def load_points_csv(path, d):
+    """Read prediction points, an (m, d) array, from a CSV with header ``x1,...,xd``.
+
+    Columns after the d inputs are ignored, so a dataset file serves as
+    a points file.  Points need not lie in the unit cube.
+    """
+    return _read_csv(path, d)

@@ -163,6 +163,31 @@ def test_calibrate_ls_fit_predicts_model_only(tmp_path):
     assert np.allclose(arr[:, 1], want, atol=1e-12)
 
 
+def test_predict_accepts_training_csv_and_rejects_bad_header(tmp_path, capsys):
+    data_csv = tmp_path / "train.csv"
+    data = _write_dataset(data_csv, n=12)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        [
+            "calibrate", "--data", str(data_csv), "--model", "ex1",
+            "--method", "optpred", "--psi", "0.3", "--starts", "2", "--out", str(fit_json),
+        ]
+    ) == 0
+    pred_csv = tmp_path / "pred.csv"
+    # the y column after the inputs is ignored
+    assert cli_main(
+        ["predict", "--fit", str(fit_json), "--points", str(data_csv), "--out", str(pred_csv)]
+    ) == 0
+    _, arr = _read_csv(pred_csv)
+    assert np.array_equal(arr[:, 0], data.x[:, 0])
+
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("t\n0.25\n")
+    capsys.readouterr()
+    assert cli_main(["predict", "--fit", str(fit_json), "--points", str(bad_csv)]) == 1
+    assert "predcal: error" in capsys.readouterr().err
+
+
 def test_calibrate_dimension_mismatch(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)

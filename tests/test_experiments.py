@@ -6,9 +6,11 @@ from scipy.integrate import quad
 
 from predcal import (
     ComputerModel,
+    DiscrepancyFit,
     ExperimentConfig,
     KernelSpec,
     NoTruthAvailable,
+    Predictor,
     RngStream,
     build_predictors,
     cv5_select_psi,
@@ -16,12 +18,32 @@ from predcal import (
     ex1_zeta,
     generate_dataset,
     get_system,
+    kernel_cross,
     parse_config,
     pmse,
+    predict,
+    predict_discrepancy,
     run_experiment,
 )
+from predcal import experiments
 from predcal.experiments import _stream
 from predcal.systems import NamedSystem
+
+# truth ex1_zeta; model theta_0 * zeta(x) + theta_1, so (1, 0) is exact
+_AFFINE = NamedSystem(
+    id="affine",
+    zeta=lambda x: ex1_zeta(x[:, 0]),
+    model=ComputerModel(
+        eta=lambda x, t: t[0] * ex1_zeta(x[:, 0]) + t[1],
+        theta_box=[[-2.0, 2.0], [-2.0, 2.0]],
+    ),
+    d=1,
+    reference_theta={},
+)
+
+
+def _affine(t0, t1):
+    return Predictor(np.array([t0, t1]), None)
 
 
 def _toy_cfg(**kw):
@@ -59,6 +81,9 @@ def test_config_validation():
         _toy_cfg(starts=0)
     with pytest.raises(KeyError):
         _toy_cfg(system="nope")
+    for grid in ((-1e-3, 1e-3), (), (1e-3, float("nan"))):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            _toy_cfg(lambda_grid=grid)
 
 
 def test_cv5_single_value_grid():
@@ -99,6 +124,12 @@ def test_cv5_ties_go_to_larger_scale():
     assert psi == default_psi_grid(1)[-1]
 
 
+def test_cv5_uses_the_requested_kernel_family():
+    data = generate_dataset(get_system("ex1"), 10, 0.2, RngStream(63))
+    with pytest.raises(ValueError, match="kernel family"):
+        cv5_select_psi(data, "gaussian", [0.3], None, RngStream(63, 1))
+
+
 def test_cv5_validation():
     sys1 = get_system("ex1")
     data = generate_dataset(sys1, 4, 0.2, RngStream(63))
@@ -110,43 +141,82 @@ def test_cv5_validation():
 
 
 def test_pmse_exact_predictor():
-    sys1 = get_system("ex1")
-    assert pmse(sys1.zeta, sys1, 2000, RngStream(64)) == 0.0
+    got = pmse({"exact": _affine(1.0, 0.0)}, _AFFINE, 2000, RngStream(64))
+    assert got == {"exact": 0.0}
 
 
 def test_pmse_constant_offset():
-    sys1 = get_system("ex1")
-    val = pmse(lambda x: sys1.zeta(x) + 1.0, sys1, 2000, RngStream(65))
+    val = pmse({"offset": _affine(1.0, 1.0)}, _AFFINE, 2000, RngStream(65))["offset"]
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pmse_zero_predictor_matches_quadrature():
-    sys1 = get_system("ex1")
     want, quad_err = quad(lambda x: ex1_zeta(x) ** 2, 0.0, 1.0)
     assert quad_err < 1e-8
-    stream = RngStream(66)
-    got = pmse(lambda x: np.zeros(len(x)), sys1, 100_000, stream)
+    got = pmse({"zero": _affine(0.0, 0.0)}, _AFFINE, 100_000, RngStream(66))["zero"]
     # compare within 3 standard errors of the Monte Carlo mean
     sq = ex1_zeta(np.ravel(RngStream(66).generator.random((100_000, 1)))) ** 2
     se = sq.std(ddof=1) / np.sqrt(sq.size)
     assert abs(got - want) <= 3.0 * se
 
 
-def test_pmse_chunk_invariant():
-    sys1 = get_system("ex1")
-    pred = lambda x: 0.5 * np.ones(len(x))
-    a = pmse(pred, sys1, 3000, RngStream(67), chunk=64)
-    b = pmse(pred, sys1, 3000, RngStream(67), chunk=1 << 20)
+def test_pmse_chunk_invariant(monkeypatch):
+    preds = {"half": _affine(0.0, 0.5)}
+    monkeypatch.setattr(experiments, "_PMSE_CHUNK", 64)
+    a = pmse(preds, _AFFINE, 3000, RngStream(67))
+    monkeypatch.setattr(experiments, "_PMSE_CHUNK", 1 << 20)
+    b = pmse(preds, _AFFINE, 3000, RngStream(67))
     assert a == b
+
+
+def test_pmse_of_a_mapping_scores_each_predictor_as_alone():
+    # one test draw serves every predictor, so adding a method never
+    # shifts another method's score
+    sys1 = get_system("ex1")
+    data = generate_dataset(sys1, 30, 0.3, RngStream(72))
+    cfg = _toy_cfg(n=30, methods=("NoBiasCorr", "NP", "LSCal", "OptCal"), starts=2)
+    streams = {"ls": RngStream(72, 2), "l2": RngStream(72, 3), "optpred": RngStream(72, 4)}
+    preds, _ = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
+    together = pmse(preds, sys1, 5000, RngStream(72, 5))
+    assert set(together) == set(preds)
+    for name, p in preds.items():
+        alone = pmse({name: p}, sys1, 5000, RngStream(72, 5))[name]
+        assert alone.hex() == together[name].hex(), name
+
+
+def test_predict_shares_the_kernel_matrix_and_matches_the_terms(monkeypatch):
+    sys1 = get_system("ex1")
+    data = generate_dataset(sys1, 20, 0.3, RngStream(73))
+    cfg = _toy_cfg(n=20, methods=("NP", "LSCal"))
+    streams = {"ls": RngStream(73, 2), "l2": RngStream(73, 3), "optpred": RngStream(73, 4)}
+    preds, _ = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
+    np_fit, ls = preds["NP"].fit, preds["LSCal"]
+    # a fit on another design needs a kernel matrix of its own
+    head = DiscrepancyFit(np_fit.coef[:5], np_fit.lam, np_fit.kernel, data.x[:5].copy())
+    preds["head"] = Predictor(None, head)
+    x = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel_cross(*args)
+
+    monkeypatch.setattr(experiments, "kernel_cross", counted)
+    got = predict(sys1.model, preds, x)
+    assert len(calls) == 2  # NP and LSCal both hold data.x under one kernel
+    assert np.array_equal(got["NP"], predict_discrepancy(np_fit, x))
+    want = sys1.model.eval(x, ls.theta) + predict_discrepancy(ls.fit, x)
+    assert np.array_equal(got["LSCal"], want)
+    assert np.array_equal(got["head"], predict_discrepancy(head, x))
 
 
 def test_pmse_errors():
     ion = get_system("ion")
+    zero = {"zero": Predictor(np.zeros(3), None)}
     with pytest.raises(NoTruthAvailable):
-        pmse(lambda x: np.zeros(len(x)), ion, 1000, RngStream(68))
-    sys1 = get_system("ex1")
+        pmse(zero, ion, 1000, RngStream(68))
     with pytest.raises(ValueError):
-        pmse(lambda x: np.zeros(len(x)), sys1, 0, RngStream(68))
+        pmse({"zero": _affine(0.0, 0.0)}, _AFFINE, 0, RngStream(68))
 
 
 def test_build_predictors_perfect_model_noiseless():
@@ -170,8 +240,8 @@ def test_build_predictors_perfect_model_noiseless():
     }
     preds, info = build_predictors(data, toy, KernelSpec("matern32", 0.3, 1), cfg, streams)
     assert set(preds) == {"NoBiasCorr", "NP", "LSCal", "OptCal"}
-    for method, predictor in preds.items():
-        assert pmse(predictor, toy, 5000, RngStream(69, 5)) <= 1e-6, method
+    for method, score in pmse(preds, toy, 5000, RngStream(69, 5)).items():
+        assert score <= 1e-6, method
     assert info["theta_ls"][0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -204,8 +274,8 @@ def test_build_predictors_method_streams_are_isolated():
     alone, _ = build_predictors(
         data, sys1, kernel, _toy_cfg(n=20, methods=("OptCal",)), fresh_streams()
     )
-    grid = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
-    assert np.array_equal(both["OptCal"](grid), alone["OptCal"](grid))
+    assert np.array_equal(both["OptCal"].theta, alone["OptCal"].theta)
+    assert np.array_equal(both["OptCal"].fit.coef, alone["OptCal"].fit.coef)
 
 
 def test_run_experiment_single_cell():
@@ -324,6 +394,7 @@ def test_parse_config_errors(tmp_path):
         "dup.cfg": "system=ex1\nsystem=ex2\nn=20\nsigma2=0.1\nreplicates=2\n",
         "missing.cfg": "system=ex1\nn=20\nreplicates=2\n",
         "noeq.cfg": "system ex1\n",
+        "neglam.cfg": "system=ex1\nn=20\nsigma2=0.1\nreplicates=2\nlambda_grid=-1e-3,1e-3\n",
     }
     for name, text in cases.items():
         path = tmp_path / name

@@ -20,6 +20,7 @@ from predcal import (
     get_system,
     ion_eta,
     load_dataset_csv,
+    load_points_csv,
     system_names,
 )
 from predcal.systems import _ion_generator
@@ -238,7 +239,33 @@ def test_load_dataset_csv_errors(tmp_path):
     no_rows.write_text("x,y\n")
     with pytest.raises(ValueError):
         load_dataset_csv(no_rows)
+    too_wide = tmp_path / "f.csv"
+    too_wide.write_text("x,y\n0.1,2.0,5.0\n")
+    with pytest.raises(ValueError, match="column count"):
+        load_dataset_csv(too_wide)
     out_of_box = tmp_path / "e.csv"
     out_of_box.write_text("x,y\n1.5,0.0\n")
     with pytest.raises(ValueError):
         load_dataset_csv(out_of_box)
+
+
+def test_load_points_csv_rules(tmp_path):
+    # the x alias at d = 1, later columns ignored, no unit-cube check
+    path = tmp_path / "p1.csv"
+    path.write_text("x,y\n1.5,7.0\n-0.25,8.0\n")
+    assert np.array_equal(load_points_csv(path, 1), [[1.5], [-0.25]])
+    two = tmp_path / "p2.csv"
+    two.write_text("x1,x2,note\n0.1,0.2,a\n0.3,0.4,b\n")
+    assert np.array_equal(load_points_csv(two, 2), [[0.1, 0.2], [0.3, 0.4]])
+    for name, text, d in [
+        ("empty.csv", "", 1),
+        ("rows.csv", "x1\n", 1),
+        ("name.csv", "t\n0.5\n", 1),
+        ("alias.csv", "x,x2\n0.1,0.2\n", 2),
+        ("short.csv", "x1\n0.5\n", 2),
+        ("width.csv", "x1,x2\n0.5\n", 2),
+    ]:
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            load_points_csv(bad, d)

@@ -15,6 +15,7 @@ with status 1.  All randomness derives from ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -60,11 +61,8 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_experiment(args):
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = type(config)(**{**config.__dict__, "seed": args.seed})
-    if args.out is not None:
-        config = type(config)(**{**config.__dict__, "out": args.out})
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
+    config = dataclasses.replace(parse_config(args.config), **overrides)
     report = run_experiment(config, threads=args.threads)
     if not config.out:
         sys.stdout.write(report.to_csv())

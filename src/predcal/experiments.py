@@ -26,6 +26,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -99,8 +100,8 @@ class ExperimentConfig:
         get_system(self.system)
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if len(self.sigma2) < 1 or any(s < 0 for s in self.sigma2):
-            raise ValueError("sigma2 must be a nonempty list of nonnegative values")
+        if len(self.sigma2) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigma2):
+            raise ValueError("sigma2 must be a nonempty list of finite nonnegative values")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.mc_test_points < 1000:
@@ -108,8 +109,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHOD_NAMES]
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHOD_NAMES}")
-        if self.psi != "cv5" and not (isinstance(self.psi, float) and self.psi > 0):
-            raise ValueError("psi must be 'cv5' or a positive number")
+        fixed_psi = isinstance(self.psi, numbers.Real) and not isinstance(self.psi, bool)
+        if self.psi != "cv5" and not (fixed_psi and math.isfinite(self.psi) and self.psi > 0):
+            raise ValueError("psi must be 'cv5' or a finite positive number")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.lambda_grid is not None:

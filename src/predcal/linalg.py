@@ -1,4 +1,4 @@
-"""Dense symmetric positive-definite solves and small matrix exponentials.
+"""Dense symmetric positive-definite solves and matrix exponentials.
 
 The package's SPD solves route through the helpers here: a Cholesky
 factorization, never an explicit inverse.  Dense factorizations are
@@ -6,7 +6,9 @@ delegated to LAPACK through scipy.  ``cholesky`` takes its input as
 given, with no symmetrization and no retry: the ridge matrix
 Sigma + n*lambda I (``regression.ridge_factor``) is positive definite by
 construction, and the one bare Gram matrix the package factors, the
-norm surrogate's grid in ``kernels``, escalates its own jitter.
+norm surrogate's grid in ``kernels``, escalates its own jitter.  The
+matrix exponential is scipy's ``expm``, taken over a whole stack of
+matrices in one call (the ion model passes one matrix per design point).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, expm
 from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
 
 __all__ = [
@@ -83,40 +85,14 @@ def solve_spd(factor, b):
     return cho_solve((factor.l, True), b, check_finite=False)
 
 
-# Diagonal Pade(6,6) coefficients of exp.
-_PADE6 = (1.0, 1 / 2, 5 / 44, 1 / 66, 1 / 792, 1 / 15840, 1 / 665280)
-
-
 def matrix_exponential(a):
-    """Matrix exponential of a small square matrix (order <= 8).
+    """Matrix exponential of a square matrix, or of each k x k slice of ``(..., k, k)``.
 
-    Pade(6,6) approximation with scaling and squaring: the argument is
-    halved until its 1-norm is at most 0.5, the rational approximant is
-    evaluated there, and the result is squared back up.  At that norm the
-    approximant is accurate to well below 1e-10 relative error.
+    Delegates to ``scipy.linalg.expm``: scaling and squaring with a Pade
+    approximant whose degree and scaling are chosen per slice (Al-Mohy and
+    Higham 2009), so a slice of a stack gets the same bits as a lone call.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    if a.shape[0] > 8:
-        raise ValueError("matrix_exponential is restricted to order <= 8")
-    norm1 = float(np.max(np.sum(np.abs(a), axis=0))) if a.size else 0.0
-    squarings = 0
-    if norm1 > 0.5:
-        squarings = int(np.ceil(np.log2(norm1 / 0.5)))
-    b = a / (2.0**squarings)
-
-    n = a.shape[0]
-    term = np.eye(n)
-    num = _PADE6[0] * term
-    den = _PADE6[0] * term
-    sign = 1.0
-    for c in _PADE6[1:]:
-        term = term @ b
-        sign = -sign
-        num += c * term
-        den += sign * c * term
-    e = np.linalg.solve(den, num)
-    for _ in range(squarings):
-        e = e @ e
-    return e
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch("expected a square matrix or a stack of them")
+    return expm(a)

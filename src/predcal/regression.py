@@ -51,7 +51,8 @@ class Dataset:
     """Design points in the unit cube and scalar responses.
 
     ``x`` is coerced to shape (n, d); a 1-d array is treated as n points
-    in one dimension.  Coordinates must lie in [0, 1].
+    in one dimension.  Coordinates must lie in [0, 1], and every entry of
+    ``x`` and ``y`` must be finite.
     """
 
     x: np.ndarray
@@ -68,6 +69,8 @@ class Dataset:
             raise ValueError("x and y lengths differ")
         if x.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("design points and responses must be finite")
         if np.any(x < 0.0) or np.any(x > 1.0):
             raise ValueError("design coordinates must lie in [0, 1]")
         self.x = x

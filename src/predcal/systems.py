@@ -120,13 +120,9 @@ def ion_eta(x, theta):
 
     ``x`` is log time; ``theta`` holds the three positive transition rates.
     """
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    a = _ion_generator(theta)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape[0])
-    for i, xi in enumerate(xs):
-        out[i] = matrix_exponential(math.exp(xi) * a)[0, 3]
-    return out if np.ndim(x) else float(out[0])
+    a = _ion_generator(np.asarray(theta, dtype=float).reshape(-1))
+    corner = matrix_exponential(np.multiply.outer(np.exp(x), a))[..., 0, 3]
+    return corner if np.ndim(x) else float(corner)
 
 
 def _make_systems():

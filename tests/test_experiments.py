@@ -67,6 +67,9 @@ def test_config_validation():
         _toy_cfg(sigma2=())
     with pytest.raises(ValueError):
         _toy_cfg(sigma2=(-0.1,))
+    for sigma2 in ((float("nan"),), (0.1, float("inf"))):
+        with pytest.raises(ValueError, match="sigma2"):
+            _toy_cfg(sigma2=sigma2)
     with pytest.raises(ValueError):
         _toy_cfg(replicates=0)
     with pytest.raises(ValueError):
@@ -77,6 +80,10 @@ def test_config_validation():
         _toy_cfg(methods=())
     with pytest.raises(ValueError):
         _toy_cfg(psi=-0.3)
+    for psi in (float("inf"), float("nan"), True, "0.3"):
+        with pytest.raises(ValueError, match="psi"):
+            _toy_cfg(psi=psi)
+    assert _toy_cfg(psi=1).psi == 1 and _toy_cfg(psi=np.float64(0.3)).psi == 0.3
     with pytest.raises(ValueError):
         _toy_cfg(starts=0)
     with pytest.raises(KeyError):

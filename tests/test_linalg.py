@@ -1,4 +1,4 @@
-"""Factorizations, SPD solves, and the small expm."""
+"""Factorizations, SPD solves, and the matrix exponential."""
 
 import math
 
@@ -109,6 +109,15 @@ def test_matrix_exponential_matches_taylor_on_small_norms():
         got = matrix_exponential(a)
         want = _expm_taylor(a)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # a (m, k, k) stack: each slice matches its Taylor sum and a lone call
+    stack = rng.standard_normal((6, 4, 4))
+    stack *= 0.5 / np.abs(stack).sum(axis=1).max(axis=1)[:, None, None]
+    got = matrix_exponential(stack)
+    assert got.shape == stack.shape
+    for a, e in zip(stack, got):
+        want = _expm_taylor(a)
+        assert np.linalg.norm(e - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(e, matrix_exponential(a))
 
 
 def test_matrix_exponential_inverse_identity():
@@ -122,10 +131,12 @@ def test_matrix_exponential_inverse_identity():
 
 
 def test_matrix_exponential_rejects_large_orders():
-    with pytest.raises(ValueError):
-        matrix_exponential(np.eye(9))
     with pytest.raises(DimensionMismatch):
         matrix_exponential(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        matrix_exponential(np.zeros((5, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        matrix_exponential(np.zeros(4))
 
 
 def test_cholfactor_exposes_order():

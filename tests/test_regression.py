@@ -40,6 +40,9 @@ def test_dataset_coercion_and_validation():
         Dataset(np.array([0.1, 1.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         Dataset(np.array([0.1, 0.5]), np.array([1.0]))
+    for x, y in [([0.1, np.nan], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf]), ([0.1, 0.5], [-np.inf, 2.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.array(x), np.array(y))
 
 
 def test_fit_ridge_single_point_scalar_solve():

@@ -93,6 +93,11 @@ def test_ion_matches_scipy_expm():
         th = rng.uniform(0.01, 10.0, size=3)
         ref = scipy_expm(math.exp(x) * _ion_generator(th))[0, 3]
         assert ion_eta(x, th) == pytest.approx(ref, abs=1e-12)
+    # box corners, where a symmetrised-eigh route errs by up to 4e-12
+    for th in [(10.0, 0.01, 10.0), (0.01, 10.0, 0.01), (10.0, 10.0, 0.01)]:
+        for x in (-3.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+            ref = scipy_expm(math.exp(x) * _ion_generator(th))[0, 3]
+            assert ion_eta(x, th) == pytest.approx(ref, abs=1e-12)
 
 
 def test_ion_generator_layout():
@@ -123,6 +128,10 @@ def test_ion_vector_input():
     out = ion_eta(xs, (1.0, 2.0, 0.5))
     assert out.shape == (3,)
     assert out[1] == pytest.approx(ion_eta(0.0, (1.0, 2.0, 0.5)), abs=0.0)
+    # one stacked call gives each point the bits of its scalar call
+    xs = np.random.default_rng(43).uniform(-3.0, 3.0, size=50)
+    out = ion_eta(xs, (10.0, 0.01, 10.0))
+    assert [ion_eta(x, (10.0, 0.01, 10.0)) for x in xs] == out.tolist()
 
 
 def test_double_entry_scalar_reimplementation():
@@ -247,6 +256,10 @@ def test_load_dataset_csv_errors(tmp_path):
     out_of_box.write_text("x,y\n1.5,0.0\n")
     with pytest.raises(ValueError):
         load_dataset_csv(out_of_box)
+    not_finite = tmp_path / "g.csv"
+    not_finite.write_text("x,y\n0.1,1.0\n0.2,nan\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_dataset_csv(not_finite)
 
 
 def test_load_points_csv_rules(tmp_path):

@@ -3,8 +3,9 @@
 
 Runs the full harness on the benchmark system ``ex1``: replicated data
 sets at two noise levels, four predictors per replicate (nonparametric,
-model-only at the least squares fit, and two bias-corrected calibrated
-predictors), PMSE estimated by Monte Carlo against the known truth.
+model-only at the L2-calibrated parameter, and two bias-corrected
+calibrated predictors), PMSE estimated by Monte Carlo against the known
+truth.
 Replicate counts and test-point budgets are kept small so the script
 finishes in seconds; the report format is the same CSV the command line
 interface writes.

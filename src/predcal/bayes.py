@@ -142,8 +142,6 @@ def partial_spline_limit(data, model, kernel, lam):
     RankDeficientBasis
         If T^T M^{-1} T has a numerically zero eigenvalue (below 1e-10).
     """
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
     t, factor, w, g = _basis_system(data, model, kernel, lam)
     eigs = np.linalg.eigvalsh(g)
     if eigs[0] <= 1e-10:

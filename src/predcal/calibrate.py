@@ -12,8 +12,10 @@ Three estimators are provided:
   driven by the objective (Y - eta(theta))^T (Sigma + n*lambda I)^{-1}
   (Y - eta(theta)), which is the residual profile of the joint penalized
   problem over parameter and discrepancy.  One-step mode stops after a
-  single parameter update; full mode alternates parameter and discrepancy
-  updates to convergence.
+  single search; full mode, with the smoothing level still frozen, re-runs
+  the search on the same objective from the incumbent until the gain falls
+  below 1e-8 relative.  Either way the discrepancy is fit once, at the
+  final parameter.
 
 All searches use a multi-start Nelder-Mead restricted to the parameter
 box; candidate points that leave the box are reflected back through the
@@ -30,7 +32,6 @@ import numpy as np
 from .kernels import KernelSpec, gram
 from .linalg import solve_spd
 from .regression import (
-    DEFAULT_LAMBDA_GRID,
     DiscrepancyFit,
     fit_ridge,
     predict_discrepancy,
@@ -54,6 +55,10 @@ __all__ = [
 DEFAULT_STARTS = 10
 SIMPLEX_TOL = 1e-8
 MAX_NM_ITER = 500
+# Monte Carlo points of the L2 distance, drawn once per calibration
+L2_MC_POINTS = 4096
+# most searches one full-mode OptPred run makes
+MAX_OUTER_ROUNDS = 10
 
 
 class ObjectiveNonFinite(Exception):
@@ -208,7 +213,7 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     return best_x, best_v
 
 
-def calibrate_ls(data, model, starts=DEFAULT_STARTS, stream=None):
+def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
     """Least squares calibration: minimize mean squared data-model misfit."""
 
     def objective(theta):
@@ -223,15 +228,7 @@ def calibrate_ls(data, model, starts=DEFAULT_STARTS, stream=None):
     )
 
 
-def calibrate_l2(
-    data,
-    model,
-    kernel,
-    starts=DEFAULT_STARTS,
-    stream=None,
-    mc_points=4096,
-    lambda_grid=None,
-):
+def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     """L2 calibration against a nonparametric fit of the physical response.
 
     The response is first smoothed with a GCV-tuned ridge fit; the
@@ -240,12 +237,10 @@ def calibrate_l2(
     distribution.  The Monte Carlo draw is taken once and held fixed
     through the search.
     """
-    if mc_points < 100:
-        raise ValueError("mc_points must be >= 100")
     gm = gram(kernel, data.x)
-    lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid, gram_matrix=gm)
+    lam = select_lambda_gcv(data, None, kernel, gram_matrix=gm)
     zhat_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
-    draw = uniform(stream, data.d, size=mc_points)
+    draw = uniform(stream, data.d, size=L2_MC_POINTS)
     zhat = predict_discrepancy(zhat_fit, draw)
 
     def objective(theta):
@@ -257,11 +252,7 @@ def calibrate_l2(
         theta_hat=theta,
         method="L2",
         lambda_used=lam,
-        diagnostics={
-            "starts": starts,
-            "best_objective": value,
-            "mc_points": mc_points,
-        },
+        diagnostics={"starts": starts, "best_objective": value},
     )
 
 
@@ -287,67 +278,52 @@ def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
     return _weighted_misfit(data, model, ridge_factor(gm, lam))(theta)
 
 
-def lagrangian_value(data, model, kernel, lam, theta, gram_matrix=None):
+def lagrangian_value(data, model, kernel, lam, theta):
     """Penalized joint objective at theta with the discrepancy profiled out:
 
     (1/n) ||r - Sigma c||^2 + lambda c^T Sigma c  at  c = (Sigma + n*lambda I)^{-1} r.
     """
-    gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
+    gm = gram(kernel, data.x)
     r = data.y - model.eval(data.x, theta)
     c = solve_spd(ridge_factor(gm, lam), r)
     fitted = gm.values @ c
     return float(np.mean((r - fitted) ** 2) + lam * (c @ fitted))
 
 
-def calibrate_optpred(
-    data,
-    model,
-    kernel,
-    mode="one_step",
-    starts=DEFAULT_STARTS,
-    stream=None,
-    max_outer=10,
-    lambda_grid=None,
-):
+def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_STARTS, *, stream):
     """Prediction-weighted calibration with a least squares warm start.
 
     Procedure: (1) least squares calibration; (2) GCV fixes the smoothing
     level at the warm start's residuals, and it stays frozen from then
     on; (3) the parameter minimizes the weighted misfit, with the
     incoming parameter always included as a search start; (4) the
-    discrepancy is refit at the new parameter.  ``mode="full"`` repeats
-    (3)-(4) until the profiled penalized objective decreases by less than
-    1e-8 relative or ``max_outer`` rounds are done.
+    discrepancy is fit once, at the final parameter.  ``mode="full"``
+    repeats (3) on the same objective from its incumbent until the value
+    decreases by less than 1e-8 relative or ``MAX_OUTER_ROUNDS`` searches
+    are done.
 
     The recorded ``objective_trace`` holds the profiled penalized
-    objective after the warm start and after every round; it is
+    objective after the warm start and after every search; it is
     nonincreasing by construction.
     """
     if mode not in ("one_step", "full"):
         raise ValueError("mode must be 'one_step' or 'full'")
-    if lambda_grid is None:
-        lambda_grid = DEFAULT_LAMBDA_GRID
 
     gm = gram(kernel, data.x)
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
     theta = ls.theta_hat
-    eta0 = model.eval(data.x, theta)
-    lam = select_lambda_gcv(data, eta0, kernel, grid=lambda_grid, gram_matrix=gm)
-    ls_fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
+    lam = select_lambda_gcv(data, model.eval(data.x, theta), kernel, gram_matrix=gm)
 
     # the smoothing level is frozen: one factorization serves every theta
     wobj = _weighted_misfit(data, model, ridge_factor(gm, lam))
 
     trace = [lam * wobj(theta)]
-    rounds = 1 if mode == "one_step" else max_outer
-    for _ in range(rounds):
-        theta_new, value = minimize_box(
+    for _ in range(1 if mode == "one_step" else MAX_OUTER_ROUNDS):
+        theta, value = minimize_box(
             wobj, model.theta_box, starts, stream, extra_points=[theta]
         )
-        theta = theta_new
         trace.append(lam * value)
-        prev, cur = trace[-2], trace[-1]
-        if mode == "full" and prev - cur < 1e-8 * max(abs(prev), 1e-300):
+        if trace[-2] - trace[-1] < 1e-8 * max(abs(trace[-2]), 1e-300):
             break
 
     final_fit = fit_ridge(
@@ -363,6 +339,5 @@ def calibrate_optpred(
             "starts": starts,
             "best_objective": trace[-1],
             "theta_ls": ls.theta_hat,
-            "ls_fit": ls_fit,
         },
     )

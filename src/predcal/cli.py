@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,13 @@ PROFILE_GRID_1D = 200
 L2_QUADRATURE_POINTS = 4096
 
 
+def _finite_positive(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _write_csv(path, header, rows):
     lines = [header]
     for row in rows:
@@ -74,8 +82,6 @@ def _select_kernel(data, psi_arg, stream):
         psi = cv5_select_psi(data, "matern32", default_psi_grid(data.d), None, stream)
     else:
         psi = float(psi_arg)
-        if psi <= 0:
-            raise ValueError("--psi must be positive")
     return KernelSpec("matern32", psi, data.d)
 
 
@@ -242,7 +248,7 @@ def _build_parser():
     p.add_argument("--norm", required=True, choices=("l2", "rkhs"))
     p.add_argument("--psi", type=float, default=DEFAULT_PROFILE_PSI,
                    help="kernel scale for the rkhs norm")
-    p.add_argument("--step", type=float, default=1e-3, help="theta grid step")
+    p.add_argument("--step", type=_finite_positive, default=1e-3, help="theta grid step")
     p.add_argument("--grid", type=int, default=PROFILE_GRID_1D,
                    help="interpolation grid size for the rkhs norm")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")

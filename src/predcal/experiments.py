@@ -91,7 +91,6 @@ class ExperimentConfig:
     mc_test_points: int = 100_000
     methods: tuple = METHOD_NAMES
     psi: object = "cv5"  # "cv5" or a fixed positive length scale
-    lambda_grid: Optional[tuple] = None  # None means the default grid
     starts: int = DEFAULT_STARTS
     seed: int = DEFAULT_SEED
     out: Optional[str] = None
@@ -112,12 +111,10 @@ class ExperimentConfig:
         fixed_psi = isinstance(self.psi, numbers.Real) and not isinstance(self.psi, bool)
         if self.psi != "cv5" and not (fixed_psi and math.isfinite(self.psi) and self.psi > 0):
             raise ValueError("psi must be 'cv5' or a finite positive number")
+        if self.psi == "cv5" and self.n < 5:
+            raise ValueError("psi='cv5' needs n >= 5 for five-fold cross-validation")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.lambda_grid is not None:
-            grid = np.asarray(self.lambda_grid, dtype=float)
-            if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
-                raise ValueError("lambda_grid must be nonempty, finite and > 0")
 
 
 def _stream(seed, sigma_idx, replicate, phase):
@@ -239,27 +236,25 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
         prediction-weighted objective trace when OptCal ran.
     """
     model = system.model
-    lambda_grid = None if config.lambda_grid is None else np.asarray(config.lambda_grid)
     predictors = {}
     info = {"psi": kernel.psi}
     gm = gram(kernel, data.x) if {"NP", "LSCal"} & set(config.methods) else None
 
     if "NP" in config.methods:
-        lam = select_lambda_gcv(data, None, kernel, grid=lambda_grid, gram_matrix=gm)
+        lam = select_lambda_gcv(data, None, kernel, gram_matrix=gm)
         fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
         predictors["NP"] = Predictor(None, fit)
         info["np_lambda"] = lam
 
     if "NoBiasCorr" in config.methods:
-        res = calibrate_l2(data, model, kernel, starts=config.starts, stream=streams["l2"],
-                           lambda_grid=lambda_grid)
+        res = calibrate_l2(data, model, kernel, starts=config.starts, stream=streams["l2"])
         predictors["NoBiasCorr"] = Predictor(res.theta_hat, None)
         info["theta_l2"] = res.theta_hat
 
     if "LSCal" in config.methods:
         res = calibrate_ls(data, model, starts=config.starts, stream=streams["ls"])
         eta0 = model.eval(data.x, res.theta_hat)
-        lam = select_lambda_gcv(data, eta0, kernel, grid=lambda_grid, gram_matrix=gm)
+        lam = select_lambda_gcv(data, eta0, kernel, gram_matrix=gm)
         fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
         predictors["LSCal"] = Predictor(res.theta_hat, fit)
         info["theta_ls"] = res.theta_hat
@@ -267,7 +262,7 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
 
     if "OptCal" in config.methods:
         res = calibrate_optpred(data, model, kernel, mode=optpred_mode, starts=config.starts,
-                                stream=streams["optpred"], lambda_grid=lambda_grid)
+                                stream=streams["optpred"])
         predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
         info["theta_opt"] = res.theta_hat
         info["opt_lambda"] = res.lambda_used
@@ -311,7 +306,7 @@ class PmseReport:
 
     config: ExperimentConfig
     per_replicate: dict  # (method, sigma2) -> ndarray of replicate PMSEs
-    traces: dict = field(default_factory=dict)  # (sigma2, replicate) -> list
+    traces: dict = field(default_factory=dict)  # (sigma2, replicate) -> OptCal trace
 
     def mean(self, method, sigma2):
         return float(np.mean(self.per_replicate[(method, sigma2)]))
@@ -354,13 +349,14 @@ def _one_blas_thread():
             fn(1)
 
 
-def run_experiment(config, threads=1, optpred_mode="one_step", collect_traces=False):
+def run_experiment(config, threads=1, optpred_mode="one_step"):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
     ``threads`` counts worker processes (0 means one per CPU), each with
     one BLAS thread; results are keyed by replicate index, so the output
     is identical for any worker count.  Any replicate failure aborts the
-    run with the replicate index in the message.
+    run with the replicate index in the message.  When OptCal runs, the
+    report's ``traces`` hold each replicate's OptPred objective trace.
     """
     tasks = [
         (config, si, r, optpred_mode)
@@ -385,7 +381,7 @@ def run_experiment(config, threads=1, optpred_mode="one_step", collect_traces=Fa
         s2 = config.sigma2[si]
         for method, value in scores.items():
             per_replicate[(method, s2)][r] = value
-        if collect_traces and "opt_trace" in info:
+        if "opt_trace" in info:
             traces[(s2, r)] = info["opt_trace"]
 
     report = PmseReport(config=config, per_replicate=per_replicate, traces=traces)
@@ -401,8 +397,7 @@ def parse_config(path):
     """Read an ExperimentConfig from a flat key=value file.
 
     Lines are ``key=value``; ``#`` starts a comment; list values are
-    comma-separated.  ``lambda_grid=default`` (or omitting the key)
-    selects the built-in grid.
+    comma-separated.  Keys are the ``ExperimentConfig`` field names.
     """
     raw = {}
     with open(path) as fh:
@@ -434,8 +429,6 @@ def parse_config(path):
         kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(","))
     if "psi" in raw:
         kwargs["psi"] = "cv5" if raw["psi"] == "cv5" else float(raw["psi"])
-    if "lambda_grid" in raw and raw["lambda_grid"] != "default":
-        kwargs["lambda_grid"] = tuple(float(v) for v in raw["lambda_grid"].split(","))
     if "out" in raw:
         kwargs["out"] = raw["out"]
     return ExperimentConfig(**kwargs)

@@ -50,8 +50,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.psi > 0:
-            raise ValueError("length scale psi must be > 0")
+        if not (np.isfinite(self.psi) and self.psi > 0):
+            raise ValueError("length scale psi must be finite and > 0")
         if self.dim < 1:
             raise ValueError("input dimension must be >= 1")
 
@@ -117,7 +117,7 @@ def _unit_grid(dim, grid_size):
 
 @functools.lru_cache(maxsize=1)
 def _grid_factor(spec, grid_size, jitter):
-    """Read-only Cholesky factor of the grid's jittered Gram matrix.
+    """The grid and the Cholesky factor of its jittered Gram matrix, both read-only.
 
     Cached, since a profile evaluates many functions on one grid.  The
     jitter escalates as described in :func:`rkhs_norm_sq_approx`.
@@ -137,9 +137,10 @@ def _grid_factor(spec, grid_size, jitter):
                 raise NotPositiveDefinite(
                     f"Gram matrix not factorizable even at jitter {MAX_JITTER}"
                 )
-    # every caller shares the cached factor
+    # every caller shares the cached grid and factor
+    pts.setflags(write=False)
     factor.l.setflags(write=False)
-    return factor
+    return pts, factor
 
 
 def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
@@ -152,13 +153,14 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     If Sigma_G + jitter I does not factor, the jitter escalates by factors
     of 10 (starting from ``DEFAULT_JITTER`` when 0 was requested) up to
     ``MAX_JITTER``.  The factor is reused while ``(spec, grid_size,
-    jitter)`` stay the same.
+    jitter)`` stay the same, and so is the grid.
 
     Parameters
     ----------
     spec : KernelSpec
     g : callable
-        Maps an ``(m, dim)`` array of points to ``m`` values.
+        Maps an ``(m, dim)`` array of points to ``m`` values; it is given
+        the cached grid, which is read-only.
     grid_size : int
         Nodes per axis (the grid has ``grid_size ** dim`` points).
 
@@ -169,9 +171,9 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    pts = _unit_grid(spec.dim, grid_size)
+    pts, factor = _grid_factor(spec, grid_size, jitter)
     vals = np.asarray(g(pts), dtype=float).reshape(-1)
     if vals.shape[0] != pts.shape[0]:
         raise DimensionMismatch("g must return one value per grid point")
-    w = solve_spd(_grid_factor(spec, grid_size, jitter), vals)
+    w = solve_spd(factor, vals)
     return float(vals @ w)

@@ -110,7 +110,14 @@ def ridge_factor(gram_matrix, lam):
     ``gram_matrix`` is the (jittered) Gram matrix Sigma of an n-point
     design.  For lam > 0 the n*lam term keeps M positive definite even
     when Sigma is singular.
+
+    Raises
+    ------
+    ValueError
+        If lam is not finite and > 0.
     """
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and > 0")
     n = gram_matrix.values.shape[0]
     return cholesky(gram_matrix.values + n * lam * np.eye(n))
 
@@ -131,8 +138,6 @@ def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
         Precomputed Gram matrix of ``data.x`` (saves rebuilding it when
         several fits share one design).
     """
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
     r = _residuals(data, eta_at_x)
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
     coef = solve_spd(ridge_factor(gm, lam), r)

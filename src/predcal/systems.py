@@ -119,6 +119,8 @@ def ion_eta(x, theta):
     """Channel-gating model: first-row, last-column entry of exp(e^x A(theta)).
 
     ``x`` is log time; ``theta`` holds the three positive transition rates.
+    A ``Dataset`` keeps inputs in [0, 1], so ion data covers log times
+    0 to 1, i.e. times 1 to e.
     """
     a = _ion_generator(np.asarray(theta, dtype=float).reshape(-1))
     corner = matrix_exponential(np.multiply.outer(np.exp(x), a))[..., 0, 3]

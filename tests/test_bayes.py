@@ -172,7 +172,7 @@ def test_partial_spline_rejects_nonpositive_lambda():
 
 def test_optpred_full_mode_agrees_with_partial_spline_on_linear_model():
     # for a model linear in theta the weighted objective is convex, so the
-    # alternating search must land on the closed-form stationary point
+    # full-mode search must land on the closed-form stationary point
     data = _instance(32, 30, noise=0.4)
     cmodel = ComputerModel(
         eta=lambda x, t: t[0] + t[1] * x[:, 0], theta_box=[[-5.0, 5.0], [-5.0, 5.0]]

@@ -223,13 +223,35 @@ def test_calibrate_optpred_theta_step_never_worse_than_warm_start():
     assert w_new <= w_ls + 1e-10 * max(1.0, w_ls)
 
 
+def test_calibrators_require_a_stream():
+    sys1 = get_system("ex1")
+    data = generate_dataset(sys1, 12, 0.3, RngStream(20))
+    calls = (
+        lambda: calibrate_ls(data, sys1.model),
+        lambda: calibrate_l2(data, sys1.model, SPEC1),
+        lambda: calibrate_optpred(data, sys1.model, SPEC1),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="stream"):
+            call()
+
+
+def test_objectives_reject_nonpositive_lambda():
+    sys1 = get_system("ex1")
+    data = generate_dataset(sys1, 12, 0.3, RngStream(21))
+    for objective in (weighted_objective, lagrangian_value):
+        for lam in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lambda"):
+                objective(data, sys1.model, SPEC1, lam, [0.2])
+
+
 def test_calibration_results_stay_in_box():
     sys2 = get_system("ex2")
     data = generate_dataset(sys2, 30, 0.3, RngStream(19))
     spec2 = KernelSpec("matern32", 0.5, 2)
     for res in (
         calibrate_ls(data, sys2.model, stream=RngStream(19, 1)),
-        calibrate_l2(data, sys2.model, spec2, stream=RngStream(19, 2), mc_points=500),
+        calibrate_l2(data, sys2.model, spec2, stream=RngStream(19, 2)),
         calibrate_optpred(data, sys2.model, spec2, stream=RngStream(19, 3)),
     ):
         box = sys2.model.theta_box

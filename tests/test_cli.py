@@ -89,6 +89,13 @@ def test_profile_rkhs_csv(tmp_path):
     assert 0.2 <= interior_minima[1] <= 0.5
 
 
+def test_profile_step_must_be_finite_and_positive():
+    for step in ("-0.1", "0", "nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", "--model", "ex1", "--norm", "l2", "--step", step])
+        assert exc.value.code == 2
+
+
 def test_profile_rejects_multi_parameter_model(capsys):
     assert cli_main(["profile", "--model", "ex2", "--norm", "l2"]) == 1
     assert "predcal: error" in capsys.readouterr().err
@@ -195,6 +202,16 @@ def test_calibrate_dimension_mismatch(tmp_path, capsys):
         ["calibrate", "--data", str(data_csv), "--model", "ex2", "--method", "ls"]
     ) == 1
     assert "input column" in capsys.readouterr().err
+
+
+def test_calibrate_rejects_nonpositive_or_infinite_psi(tmp_path, capsys):
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=10)
+    for psi in ("inf", "0", "-0.3"):
+        assert cli_main(
+            ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls", "--psi", psi]
+        ) == 1
+        assert "psi" in capsys.readouterr().err
 
 
 def test_experiment_subcommand_matches_library(tmp_path):

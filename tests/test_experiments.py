@@ -88,9 +88,10 @@ def test_config_validation():
         _toy_cfg(starts=0)
     with pytest.raises(KeyError):
         _toy_cfg(system="nope")
-    for grid in ((-1e-3, 1e-3), (), (1e-3, float("nan"))):
-        with pytest.raises(ValueError, match="lambda_grid"):
-            _toy_cfg(lambda_grid=grid)
+    # five-fold cross-validation of psi needs five points; a fixed psi does not
+    with pytest.raises(ValueError, match="cv5"):
+        _toy_cfg(psi="cv5", n=4)
+    assert _toy_cfg(psi="cv5", n=5).n == 5 and _toy_cfg(psi=0.3, n=4).n == 4
 
 
 def test_cv5_single_value_grid():
@@ -310,7 +311,7 @@ def test_run_experiment_thread_count_does_not_change_output():
 
 def test_run_experiment_collects_traces_in_full_mode():
     cfg = _toy_cfg(replicates=2, methods=("OptCal",))
-    rep = run_experiment(cfg, optpred_mode="full", collect_traces=True)
+    rep = run_experiment(cfg, optpred_mode="full")
     assert set(rep.traces) == {(0.1, 0), (0.1, 1)}
     for trace in rep.traces.values():
         assert len(trace) >= 2
@@ -373,7 +374,6 @@ def test_parse_config_round_trip(tmp_path):
         "mc_test_points = 2000\n"
         "methods = NP, LSCal\n"
         "psi = 0.3\n"
-        "lambda_grid = 1e-4, 1e-2\n"
         "starts = 3\n"
         "seed = 7\n"
         "out = r.csv\n"
@@ -381,17 +381,16 @@ def test_parse_config_round_trip(tmp_path):
     cfg = parse_config(path)
     assert cfg == ExperimentConfig(
         system="ex1", n=20, sigma2=(0.1, 0.25), replicates=3, mc_test_points=2000,
-        methods=("NP", "LSCal"), psi=0.3, lambda_grid=(1e-4, 1e-2), starts=3,
+        methods=("NP", "LSCal"), psi=0.3, starts=3,
         seed=7, out="r.csv",
     )
 
 
 def test_parse_config_defaults_and_cv5(tmp_path):
     path = tmp_path / "exp.cfg"
-    path.write_text("system=ex1\nn=20\nsigma2=0.1\nreplicates=2\npsi=cv5\nlambda_grid=default\n")
+    path.write_text("system=ex1\nn=20\nsigma2=0.1\nreplicates=2\npsi=cv5\n")
     cfg = parse_config(path)
     assert cfg.psi == "cv5"
-    assert cfg.lambda_grid is None
     assert cfg.mc_test_points == 100_000
 
 

@@ -17,6 +17,7 @@ from predcal import (
     rkhs_norm_sq_approx,
     uniform,
 )
+from predcal import kernels
 from predcal.kernels import _grid_factor
 from predcal.systems import get_system
 
@@ -24,8 +25,9 @@ from predcal.systems import get_system
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec("rbf", 0.3, 1)
-    with pytest.raises(ValueError):
-        KernelSpec("matern32", 0.0, 1)
+    for psi in (0.0, -0.3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="psi"):
+            KernelSpec("matern32", psi, 1)
     with pytest.raises(ValueError):
         KernelSpec("matern32", 0.3, 0)
     assert KernelSpec("matern32", 0.3, 1).smoothness == 2.0
@@ -151,8 +153,25 @@ def test_norm_surrogate_matches_dense_solve_across_grid_sizes():
         vals = g(pts)
         want = vals @ np.linalg.solve(gram(spec, pts).values, vals)
         assert rkhs_norm_sq_approx(spec, g, m) == pytest.approx(want, rel=1e-8)
-    # the cached factor is shared by every caller, so it cannot be written
-    assert not _grid_factor(spec, 200, DEFAULT_JITTER).l.flags.writeable
+    # the cached grid and factor are shared by every caller, so they cannot be written
+    pts, factor = _grid_factor(spec, 200, DEFAULT_JITTER)
+    assert not pts.flags.writeable and not factor.l.flags.writeable
+
+
+def test_norm_surrogate_builds_its_grid_once(monkeypatch):
+    built = []
+    unit_grid = kernels._unit_grid
+
+    def counting_grid(dim, grid_size):
+        built.append(grid_size)
+        return unit_grid(dim, grid_size)
+
+    monkeypatch.setattr(kernels, "_unit_grid", counting_grid)
+    kernels._grid_factor.cache_clear()
+    spec = KernelSpec("matern32", 0.2, 1)
+    for shift in (0.0, 0.5, 1.0):
+        rkhs_norm_sq_approx(spec, lambda x, s=shift: x[:, 0] + s, 37)
+    assert built == [37]
 
 
 def test_norm_surrogate_2d_grid():

@@ -36,6 +36,8 @@ from .experiments import (
     PmseReport,
     Predictor,
     build_predictors,
+    choose_kernel,
+    csv_text,
     cv5_select_psi,
     default_psi_grid,
     parse_config,

@@ -97,7 +97,9 @@ def _basis_system(data, model, kernel, lam):
 
 
 def posterior_mean(data, model, kernel, hyper, x):
-    """Posterior mean of the physical response at one point or a batch.
+    """Posterior mean of the physical response at a batch ``(m, d)`` of points.
+
+    Returns an (m,) array; a single point ``(d,)`` is a one-row batch.
 
     Evaluated in the p x p form of the module formula (Woodbury identity):
     with M = Sigma + n*lambda I,
@@ -108,17 +110,13 @@ def posterior_mean(data, model, kernel, hyper, x):
     The n x n matrix factored is M alone: adding (alpha/beta) T T^T to it
     would cost digits as alpha grows.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     t, factor, w, g = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
     g = g + (hyper.beta / hyper.alpha) * np.eye(model.p)
     theta = np.linalg.solve(g, w.T @ data.y)
     coef = solve_spd(factor, data.y - t @ theta)
 
-    out = model.basis_matrix(pts) @ theta + kernel_cross(kernel, pts, data.x) @ coef
-    return float(out[0]) if single else out
+    return model.basis_matrix(pts) @ theta + kernel_cross(kernel, pts, data.x) @ coef
 
 
 def partial_spline_limit(data, model, kernel, lam):

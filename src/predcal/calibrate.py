@@ -91,9 +91,11 @@ class ComputerModel:
         return self.theta_box.shape[0]
 
     def eval(self, x, theta):
-        """Evaluate the model at a batch of inputs, returning a 1-d array."""
+        """Evaluate the model at a batch of inputs and a (p,) theta, returning a 1-d array."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         theta = np.asarray(theta, dtype=float).reshape(-1)
+        if theta.shape[0] != self.p:
+            raise ValueError(f"theta must hold p={self.p} values, got {theta.shape[0]}")
         out = np.asarray(self.eta(x, theta), dtype=float).reshape(-1)
         if out.shape[0] != x.shape[0]:
             raise ValueError("eta must return one value per input row")
@@ -220,12 +222,8 @@ def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
         r = data.y - model.eval(data.x, theta)
         return float(np.mean(r * r))
 
-    theta, value = minimize_box(objective, model.theta_box, starts, stream)
-    return CalibrationResult(
-        theta_hat=theta,
-        method="LS",
-        diagnostics={"starts": starts, "best_objective": value},
-    )
+    theta, _ = minimize_box(objective, model.theta_box, starts, stream)
+    return CalibrationResult(theta_hat=theta, method="LS")
 
 
 def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
@@ -247,13 +245,8 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
         diff = zhat - model.eval(draw, theta)
         return float(np.mean(diff * diff))
 
-    theta, value = minimize_box(objective, model.theta_box, starts, stream)
-    return CalibrationResult(
-        theta_hat=theta,
-        method="L2",
-        lambda_used=lam,
-        diagnostics={"starts": starts, "best_objective": value},
-    )
+    theta, _ = minimize_box(objective, model.theta_box, starts, stream)
+    return CalibrationResult(theta_hat=theta, method="L2", lambda_used=lam)
 
 
 def _weighted_misfit(data, model, factor):
@@ -315,7 +308,9 @@ def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_START
     lam = select_lambda_gcv(data, model.eval(data.x, theta), kernel, gram_matrix=gm)
 
     # the smoothing level is frozen: one factorization serves every theta
-    wobj = _weighted_misfit(data, model, ridge_factor(gm, lam))
+    # and the final discrepancy fit
+    factor = ridge_factor(gm, lam)
+    wobj = _weighted_misfit(data, model, factor)
 
     trace = [lam * wobj(theta)]
     for _ in range(1 if mode == "one_step" else MAX_OUTER_ROUNDS):
@@ -326,18 +321,12 @@ def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_START
         if trace[-2] - trace[-1] < 1e-8 * max(abs(trace[-2]), 1e-300):
             break
 
-    final_fit = fit_ridge(
-        data, model.eval(data.x, theta), kernel, lam, gram_matrix=gm
-    )
+    coef = solve_spd(factor, data.y - model.eval(data.x, theta))
     return CalibrationResult(
         theta_hat=theta,
         method="OptPred-OneStep" if mode == "one_step" else "OptPred-Full",
-        discrepancy=final_fit,
+        discrepancy=DiscrepancyFit(coef=coef, lam=lam, kernel=kernel, train_x=data.x),
         lambda_used=lam,
         objective_trace=trace,
-        diagnostics={
-            "starts": starts,
-            "best_objective": trace[-1],
-            "theta_ls": ls.theta_hat,
-        },
+        diagnostics={"theta_ls": ls.theta_hat},
     )

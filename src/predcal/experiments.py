@@ -50,6 +50,8 @@ __all__ = [
     "Predictor",
     "default_psi_grid",
     "cv5_select_psi",
+    "choose_kernel",
+    "csv_text",
     "predict",
     "pmse",
     "build_predictors",
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ValueError("n must be >= 2")
         if len(self.sigma2) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigma2):
             raise ValueError("sigma2 must be a nonempty list of finite nonnegative values")
+        if len(set(self.sigma2)) != len(self.sigma2):
+            raise ValueError("sigma2 values must be distinct")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.mc_test_points < 1000:
@@ -162,6 +166,22 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
             best_err = err
             best_psi = psi
     return best_psi
+
+
+def choose_kernel(data, psi, stream):
+    """The Matern-3/2 kernel at length scale ``psi``, or, for ``psi="cv5"``, at the
+    five-fold CV pick over ``default_psi_grid`` with folds drawn from ``stream``."""
+    if psi == "cv5":
+        psi = cv5_select_psi(data, "matern32", default_psi_grid(data.d), None, stream)
+    return KernelSpec("matern32", float(psi), data.d)
+
+
+def csv_text(header, rows):
+    """CSV text: the header line, then one line per row, floats as %.17g and other values by str."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -271,29 +291,20 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     return predictors, info
 
 
-def _run_replicate(config, sigma_idx, replicate, optpred_mode):
-    system = get_system(config.system)
-    stream = partial(_stream, config.seed, sigma_idx, replicate)
-    sigma = math.sqrt(config.sigma2[sigma_idx])
-    data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
-    if config.psi == "cv5":
-        grid = default_psi_grid(system.d)
-        psi = cv5_select_psi(data, "matern32", grid, None, stream(_PHASE_PSI))
-    else:
-        psi = float(config.psi)
-    kernel = KernelSpec("matern32", psi, system.d)
-
-    streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
-    predictors, info = build_predictors(
-        data, system, kernel, config, streams, optpred_mode=optpred_mode
-    )
-    return pmse(predictors, system, config.mc_test_points, stream(_PHASE_TEST)), info
-
-
-def _replicate_task(args):
-    config, sigma_idx, replicate, optpred_mode = args
+def _run_replicate(config, optpred_mode, cell):
+    """PMSE scores and info of one (noise index, replicate) cell; a failure names the cell."""
+    sigma_idx, replicate = cell
     try:
-        return _run_replicate(config, sigma_idx, replicate, optpred_mode)
+        system = get_system(config.system)
+        stream = partial(_stream, config.seed, sigma_idx, replicate)
+        sigma = math.sqrt(config.sigma2[sigma_idx])
+        data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
+        kernel = choose_kernel(data, config.psi, stream(_PHASE_PSI))
+        streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
+        predictors, info = build_predictors(
+            data, system, kernel, config, streams, optpred_mode=optpred_mode
+        )
+        return pmse(predictors, system, config.mc_test_points, stream(_PHASE_TEST)), info
     except Exception as err:
         raise RuntimeError(
             f"replicate {replicate} at sigma2={config.sigma2[sigma_idx]} failed: {err}"
@@ -317,12 +328,12 @@ class PmseReport:
 
     def to_csv(self):
         """Report as CSV text, rows sorted by (method, sigma2)."""
-        lines = ["method,sigma2,mean_pmse,se_pmse,replicates"]
-        for method, sigma2 in sorted(self.per_replicate):
-            stats = (sigma2, self.mean(method, sigma2), self.se(method, sigma2))
-            size = self.per_replicate[(method, sigma2)].size
-            lines.append(",".join([method, *("%.17g" % v for v in stats), str(size)]))
-        return "\n".join(lines) + "\n"
+        rows = [
+            (method, float(sigma2), self.mean(method, sigma2), self.se(method, sigma2),
+             self.per_replicate[(method, sigma2)].size)
+            for method, sigma2 in sorted(self.per_replicate)
+        ]
+        return csv_text("method,sigma2,mean_pmse,se_pmse,replicates", rows)
 
     def write(self, path):
         with open(path, "w", newline="") as fh:
@@ -352,24 +363,24 @@ def _one_blas_thread():
 def run_experiment(config, threads=1, optpred_mode="one_step"):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
-    ``threads`` counts worker processes (0 means one per CPU), each with
-    one BLAS thread; results are keyed by replicate index, so the output
-    is identical for any worker count.  Any replicate failure aborts the
-    run with the replicate index in the message.  When OptCal runs, the
+    ``threads`` caps the worker processes (0 means one per CPU), each with
+    one BLAS thread; no more start than there are cells, since a pool
+    starts all of them at once, and a single worker runs in this process.
+    Results are keyed by replicate index, so the output is identical for
+    any worker count.  Any replicate failure aborts the run with the
+    replicate index in the message.  When OptCal runs, the
     report's ``traces`` hold each replicate's OptPred objective trace.
     """
-    tasks = [
-        (config, si, r, optpred_mode)
-        for si in range(len(config.sigma2))
-        for r in range(config.replicates)
-    ]
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1:
-        outcomes = [_replicate_task(t) for t in tasks]
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
+    cells = [(si, r) for si in range(len(config.sigma2)) for r in range(config.replicates)]
+    run = partial(_run_replicate, config, optpred_mode)
+    workers = min(threads or os.cpu_count() or 1, len(cells))
+    if workers == 1:
+        outcomes = [run(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
-            outcomes = list(pool.map(_replicate_task, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            outcomes = list(pool.map(run, cells, chunksize=1))
 
     per_replicate = {
         (m, s2): np.empty(config.replicates)
@@ -377,7 +388,7 @@ def run_experiment(config, threads=1, optpred_mode="one_step"):
         for s2 in config.sigma2
     }
     traces = {}
-    for (_, si, r, _), (scores, info) in zip(tasks, outcomes):
+    for (si, r), (scores, info) in zip(cells, outcomes):
         s2 = config.sigma2[si]
         for method, value in scores.items():
             per_replicate[(method, s2)][r] = value

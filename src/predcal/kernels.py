@@ -1,9 +1,7 @@
 """Matern-3/2 kernels, Gram matrices, and a grid RKHS-norm surrogate.
 
 The kernel is K(x, y) = (1 + r/psi) * exp(-r/psi) with r the Euclidean
-distance and psi > 0 the length scale.  Its reproducing-kernel Hilbert
-space is norm-equivalent to a Sobolev space of order 2, which is the
-smoothness the convergence-rate check relies on.
+distance and psi > 0 the length scale.
 
 Gram matrices are returned unfactored, with a small diagonal jitter that
 is used as given: ridge solves factor Sigma + n*lambda I, which the
@@ -54,11 +52,6 @@ class KernelSpec:
             raise ValueError("length scale psi must be finite and > 0")
         if self.dim < 1:
             raise ValueError("input dimension must be >= 1")
-
-    @property
-    def smoothness(self):
-        """Sobolev order of the native space (2 for Matern-3/2)."""
-        return 2.0
 
 
 def _mat32(r, psi):

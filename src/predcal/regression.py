@@ -145,16 +145,15 @@ def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
 
 
 def predict_discrepancy(fit, x):
-    """Evaluate the fitted expansion at one point ``(d,)`` or a batch ``(m, d)``."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    k = kernel_cross(fit.kernel, np.atleast_2d(x), fit.train_x)
-    out = k @ fit.coef
-    return float(out[0]) if single else out
+    """Evaluate the fitted expansion at a batch ``(m, d)`` of points; returns an (m,) array.
+
+    A single point ``(d,)`` is a one-row batch.
+    """
+    return kernel_cross(fit.kernel, x, fit.train_x) @ fit.coef
 
 
 def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):
-    """Residual sum of squares / n and tr(I - A) over an array of lambdas.
+    """GCV scores over an array of lambdas, NaN where tr(I - A) <= 1e-12 * n.
 
     One eigendecomposition Sigma = U diag(w) U^T serves every lambda: with
     z = U^T r and s = n*lambda / (w + n*lambda), I - A = U diag(s) U^T, so
@@ -168,7 +167,10 @@ def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):
     z2 = (u.T @ r) ** 2
     nlam = n * np.asarray(lams, dtype=float)[:, None]
     s = nlam / (w + nlam)
-    return (s * s) @ z2 / n, np.sum(s, axis=1)
+    tr_resid = np.sum(s, axis=1)
+    score = np.full(tr_resid.shape, np.nan)
+    np.divide((s * s) @ z2 / n, (tr_resid / n) ** 2, out=score, where=tr_resid > 1e-12 * n)
+    return score
 
 
 def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
@@ -185,11 +187,10 @@ def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
     """
     if not lam > 0:
         raise ValueError("lambda must be > 0")
-    rss, tr_resid = _gcv_curve(data, eta_at_x, kernel, [lam], gram_matrix)
-    n = data.n
-    if tr_resid[0] <= 1e-12 * n:
-        raise DegenerateTrace(f"tr(I - A) = {tr_resid[0]:.3e} at lambda = {lam:.3e}")
-    return float(rss[0] / (tr_resid[0] / n) ** 2)
+    score = float(_gcv_curve(data, eta_at_x, kernel, [lam], gram_matrix)[0])
+    if np.isnan(score):
+        raise DegenerateTrace(f"tr(I - A) <= 1e-12 * n at lambda = {lam:.3e}")
+    return score
 
 
 def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
@@ -208,10 +209,8 @@ def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
-    rss, tr_resid = _gcv_curve(data, eta_at_x, kernel, grid, gram_matrix)
-    usable = np.flatnonzero(tr_resid > 1e-12 * data.n)
-    if usable.size == 0:
+    score = _gcv_curve(data, eta_at_x, kernel, grid, gram_matrix)
+    if np.all(np.isnan(score)):
         raise AllDegenerate("no lambda in the grid has a usable GCV denominator")
-    score = rss[usable] / (tr_resid[usable] / data.n) ** 2
     # ascending grid: the last of the exact ties is the largest lambda
-    return float(grid[usable[np.flatnonzero(score == score.min())[-1]]])
+    return float(grid[np.flatnonzero(score == np.nanmin(score))[-1]])

@@ -53,7 +53,6 @@ class NamedSystem:
     zeta: Optional[Callable]  # maps (m, d) points to m values
     model: ComputerModel
     d: int
-    reference_theta: dict
 
 
 def ex1_zeta(x):
@@ -118,13 +117,13 @@ def _ion_generator(theta):
 def ion_eta(x, theta):
     """Channel-gating model: first-row, last-column entry of exp(e^x A(theta)).
 
-    ``x`` is log time; ``theta`` holds the three positive transition rates.
+    ``x`` is an array of log times, and the result an array of its shape;
+    ``theta`` holds the three positive transition rates.
     A ``Dataset`` keeps inputs in [0, 1], so ion data covers log times
     0 to 1, i.e. times 1 to e.
     """
     a = _ion_generator(np.asarray(theta, dtype=float).reshape(-1))
-    corner = matrix_exponential(np.multiply.outer(np.exp(x), a))[..., 0, 3]
-    return corner if np.ndim(x) else float(corner)
+    return matrix_exponential(np.multiply.outer(np.exp(x), a))[..., 0, 3]
 
 
 def _make_systems():
@@ -150,28 +149,20 @@ def _make_systems():
             zeta=lambda x: ex1_zeta(x[:, 0]),
             model=ex1_model,
             d=1,
-            # profile minimizers of the discrepancy norm over theta
-            reference_theta={
-                "l2_argmin": -0.1780,
-                "rkhs_argmin": 0.3740,
-                "rkhs_local_argmin": -0.1230,
-            },
         ),
         "ex2": NamedSystem(
             id="ex2",
             zeta=lambda x: ex2_zeta(x[:, 0], x[:, 1]),
             model=ex2_model,
             d=2,
-            reference_theta={},
         ),
         "ex3": NamedSystem(
             id="ex3",
             zeta=lambda x: ex3_zeta(x[:, 0]),
             model=ex3_model,
             d=1,
-            reference_theta={},
         ),
-        "ion": NamedSystem(id="ion", zeta=None, model=ion_model, d=1, reference_theta={}),
+        "ion": NamedSystem(id="ion", zeta=None, model=ion_model, d=1),
     }
 
 

@@ -89,16 +89,6 @@ def test_posterior_mean_linear_in_y():
     assert np.allclose(p12, 2.0 * p1 - 0.5 * p2, atol=1e-10)
 
 
-def test_posterior_mean_scalar_point():
-    data = _instance(25, 9)
-    model = LinearComputerModel(BASIS1)
-    hyper = BayesHyper(alpha=1.0, beta=1.0, sigma2=0.2)
-    val = posterior_mean(data, model, SPEC1, hyper, np.array([0.5]))
-    batch = posterior_mean(data, model, SPEC1, hyper, np.array([[0.5]]))
-    assert isinstance(val, float)
-    assert val == pytest.approx(batch[0], abs=0.0)
-
-
 def test_bayes_hyper_validation():
     with pytest.raises(ValueError):
         BayesHyper(alpha=0.0, beta=1.0, sigma2=1.0)

@@ -77,6 +77,11 @@ def test_computer_model_validation():
         # eta returning the wrong number of outputs
         bad = ComputerModel(eta=lambda x, t: np.zeros(3), theta_box=[[0.0, 1.0]])
         bad.eval(np.zeros((2, 1)), [0.5])
+    # a theta of the wrong length is refused, not ignored or half read
+    for name, theta in (("ex1", [0.3, 99.0]), ("ex2", [0.5]), ("ion", [1.0, 2.0])):
+        system = get_system(name)
+        with pytest.raises(ValueError, match=f"p={system.model.p}"):
+            system.model.eval(np.full((2, system.d), 0.5), theta)
 
 
 def test_calibrate_ls_constant_model_recovers_mean():
@@ -208,6 +213,18 @@ def test_calibrate_optpred_trace_nonincreasing_full_mode():
         assert b <= a + 1e-12 * max(1.0, abs(a))
     assert res.lambda_used > 0
     assert -1.0 <= res.theta_hat[0] <= 1.0
+
+
+def test_calibrate_optpred_discrepancy_is_the_ridge_fit_at_its_theta():
+    # the final fit reuses the objective's factor and must match a fresh fit
+    sys1 = get_system("ex1")
+    data = generate_dataset(sys1, 30, 0.4, RngStream(19))
+    for mode in ("one_step", "full"):
+        res = calibrate_optpred(data, sys1.model, SPEC1, mode=mode, starts=3,
+                                stream=RngStream(19, 1))
+        want = fit_ridge(data, sys1.model.eval(data.x, res.theta_hat), SPEC1, res.lambda_used)
+        assert np.array_equal(res.discrepancy.coef, want.coef)
+        assert res.discrepancy.lam == res.lambda_used
 
 
 def test_calibrate_optpred_theta_step_never_worse_than_warm_start():

@@ -194,6 +194,13 @@ def test_predict_accepts_training_csv_and_rejects_bad_header(tmp_path, capsys):
     assert cli_main(["predict", "--fit", str(fit_json), "--points", str(bad_csv)]) == 1
     assert "predcal: error" in capsys.readouterr().err
 
+    # a hand-edited fit whose theta has two entries for ex1's one
+    payload = json.loads(fit_json.read_text())
+    payload["theta"] = payload["theta"] + [99.0]
+    fit_json.write_text(json.dumps(payload))
+    assert cli_main(["predict", "--fit", str(fit_json), "--points", str(data_csv)]) == 1
+    assert "p=1" in capsys.readouterr().err
+
 
 def test_calibrate_dimension_mismatch(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"

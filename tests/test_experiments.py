@@ -38,7 +38,6 @@ _AFFINE = NamedSystem(
         theta_box=[[-2.0, 2.0], [-2.0, 2.0]],
     ),
     d=1,
-    reference_theta={},
 )
 
 
@@ -70,6 +69,9 @@ def test_config_validation():
     for sigma2 in ((float("nan"),), (0.1, float("inf"))):
         with pytest.raises(ValueError, match="sigma2"):
             _toy_cfg(sigma2=sigma2)
+    # a repeated noise level would overwrite the first one's scores
+    with pytest.raises(ValueError, match="distinct"):
+        _toy_cfg(sigma2=(0.1, 0.1))
     with pytest.raises(ValueError):
         _toy_cfg(replicates=0)
     with pytest.raises(ValueError):
@@ -239,7 +241,6 @@ def test_build_predictors_perfect_model_noiseless():
         zeta=lambda x: np.sin(2.0 * np.pi * x[:, 0]),
         model=model,
         d=1,
-        reference_theta={},
     )
     data = generate_dataset(toy, 200, 0.0, RngStream(69))
     cfg = _toy_cfg(n=200, sigma2=(0.0,), methods=("NoBiasCorr", "NP", "LSCal", "OptCal"))
@@ -307,6 +308,36 @@ def test_run_experiment_thread_count_does_not_change_output():
     assert a.to_csv() == b.to_csv()
     for key in a.per_replicate:
         assert np.array_equal(a.per_replicate[key], b.per_replicate[key])
+
+
+def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    cfg = _toy_cfg(replicates=3)
+    want = run_experiment(cfg).to_csv()
+    assert run_experiment(cfg, threads=8).to_csv() == want
+    assert run_experiment(cfg, threads=2).to_csv() == want
+    assert started == [3, 2]
+    # one cell runs in this process, whatever the worker count
+    run_experiment(_toy_cfg(), threads=0)
+    run_experiment(_toy_cfg(), threads=4)
+    assert started == [3, 2]
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(cfg, threads=-1)
 
 
 def test_run_experiment_collects_traces_in_full_mode():

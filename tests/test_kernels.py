@@ -30,7 +30,6 @@ def test_kernel_spec_validation():
             KernelSpec("matern32", psi, 1)
     with pytest.raises(ValueError):
         KernelSpec("matern32", 0.3, 0)
-    assert KernelSpec("matern32", 0.3, 1).smoothness == 2.0
 
 
 def test_kernel_eval_closed_forms():

@@ -19,7 +19,15 @@ Three estimators are provided:
 
 All searches use a multi-start Nelder-Mead restricted to the parameter
 box; candidate points that leave the box are reflected back through the
-violated face.
+violated face.  The starts run in lockstep: every start's simplex lives
+in one (k, p+1, p) array, and each iteration evaluates the objective at
+most three times for all running starts together (the reflections; the
+expansion and contraction points; the shrinks).  So an objective takes a
+(k, p) array of parameter rows and returns their k values, and the
+calibrators' objectives evaluate the computer model through
+``ComputerModel.eval_batch``.  Each start still follows its own path,
+with its own convergence test and iteration limit: it reaches the same
+parameter and value, to the bit, as it would searched alone.
 """
 
 from __future__ import annotations
@@ -71,10 +79,19 @@ class ComputerModel:
 
     ``eta`` maps an (m, d) array of inputs and a (p,) parameter vector to
     m outputs.  ``theta_box`` has one [low, high] row per parameter.
+
+    ``eta_batch``, if given, is the same model over many parameters: it
+    maps (m, d) inputs and a (k, p) array of parameter rows to a (k, m)
+    array whose row i is ``eta`` at row i.  The calibrators' searches
+    evaluate all their candidate parameters of a step in one
+    ``eval_batch`` call, so a model that broadcasts over parameter rows
+    saves a Python call per row.  A model without ``eta_batch`` gives
+    the same results: ``eval_batch`` then loops over ``eval``.
     """
 
     eta: Callable
     theta_box: np.ndarray
+    eta_batch: Optional[Callable] = None
 
     def __post_init__(self):
         box = np.asarray(self.theta_box, dtype=float)
@@ -101,6 +118,22 @@ class ComputerModel:
             raise ValueError("eta must return one value per input row")
         return out
 
+    def eval_batch(self, x, thetas):
+        """Evaluate the model at a batch of inputs for each row of a (k, p) theta array.
+
+        Returns a (k, m) array; row i equals ``eval(x, thetas[i])``.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.p:
+            raise ValueError(f"theta rows must hold p={self.p} values, got shape {thetas.shape}")
+        if self.eta_batch is None:
+            return np.array([self.eval(x, t) for t in thetas]).reshape(len(thetas), len(x))
+        out = np.asarray(self.eta_batch(x, thetas), dtype=float)
+        if out.shape != (thetas.shape[0], x.shape[0]):
+            raise ValueError("eta_batch must return one row per theta and one column per input")
+        return out
+
 
 @dataclass
 class CalibrationResult:
@@ -114,78 +147,126 @@ class CalibrationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fold_into_box(x, box):
-    """Reflect coordinates back through the violated box face."""
-    lo = box[:, 0]
-    w = box[:, 1] - lo
-    t = np.mod(x - lo, 2.0 * w)
-    return lo + w - np.abs(w - t)
+def _box_fold(box):
+    """The map of points into ``box``, as a function of an (..., p) array.
+
+    Each coordinate is reflected back through the face it crossed, then
+    clipped to the box: the reflection's rounding can leave a point an
+    ulp outside a face (0.01 - 2e-16 for a [0.01, 10] row).
+    """
+    lo, hi = box[:, 0], box[:, 1]
+    w = hi - lo
+    top, period = lo + w, 2.0 * w
+
+    def fold(x):
+        y = top - np.abs(w - np.mod(x - lo, period))
+        return np.minimum(np.maximum(y, lo, out=y), hi, out=y)
+
+    return fold
 
 
-def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
-    """Nelder-Mead from one start; returns (x_best, f_best).
+def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
+    """Nelder-Mead from every row of ``x0`` (k, p), the starts advanced together.
+
+    ``f`` maps a (j, p) array of points to their j values.  Returns
+    ``(thetas, values)`` of shapes (k, p) and (k,): row i is the best
+    vertex of start i's final simplex, the point a search from ``x0[i]``
+    alone would return.
 
     Every candidate is folded into the box before evaluation, so the
-    search never queries an infeasible point.  Terminates when the
+    search never queries an infeasible point.  A start stops when its
     simplex diameter (max infinity-norm distance to the best vertex)
-    drops below ``tol`` or after ``max_iter`` iterations.
+    drops below ``tol`` or after ``max_iter`` iterations.  Each iteration
+    calls ``f`` at most three times, each time on the running starts
+    that need it: their reflection points; their expansion or
+    contraction points; their shrunk simplices.
     """
-    p = x0.shape[0]
-    width = box[:, 1] - box[:, 0]
-    verts = [np.array(x0, dtype=float)]
-    for j in range(p):
-        step = np.zeros(p)
-        step[j] = 0.05 * width[j]
-        verts.append(_fold_into_box(x0 + step, box))
-    verts = np.array(verts)
-    vals = np.array([f(v) for v in verts])
+    fold = _box_fold(box)
+    k, p = x0.shape
+    verts = np.empty((k, p + 1, p))
+    verts[:, 0] = x0
+    verts[:, 1:] = fold(x0[:, None, :] + np.diag(0.05 * (box[:, 1] - box[:, 0])))
+    vals = f(verts.reshape(-1, p)).reshape(k, p + 1)
 
+    thetas, values = np.empty((k, p)), np.empty(k)
+    run = np.arange(k)  # the starts still searching, in the row order of verts
+    rows = run[:, None]
     for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
-        verts = verts[order]
-        vals = vals[order]
-        if np.max(np.abs(verts[1:] - verts[0])) < tol:
-            break
-        centroid = np.mean(verts[:-1], axis=0)
-        worst = verts[-1]
-
-        xr = _fold_into_box(centroid + (centroid - worst), box)
+        order = vals.argsort(axis=1, kind="stable")
+        verts, vals = verts[rows, order], vals[rows, order]
+        done = np.maximum.reduce(np.abs(verts[:, 1:] - verts[:, :1]), axis=(1, 2)) < tol
+        if np.count_nonzero(done):
+            thetas[run[done]], values[run[done]] = verts[done, 0], vals[done, 0]
+            run, verts, vals = run[~done], verts[~done], vals[~done]
+            if not run.size:
+                return thetas, values
+            rows = rows[: run.size]
+        centroid = np.add.reduce(verts[:, :-1], axis=1) / p
+        worst = verts[:, -1]
+        step = centroid - worst
+        xr = fold(centroid + step)
         fr = f(xr)
-        if fr < vals[0]:
-            xe = _fold_into_box(centroid + 2.0 * (centroid - worst), box)
-            fe = f(xe)
-            if fe < fr:
-                verts[-1], vals[-1] = xe, fe
-            else:
-                verts[-1], vals[-1] = xr, fr
-        elif fr < vals[-2]:
-            verts[-1], vals[-1] = xr, fr
-        else:
-            if fr < vals[-1]:
-                xc = _fold_into_box(centroid + 0.5 * (xr - centroid), box)
-            else:
-                xc = _fold_into_box(centroid + 0.5 * (worst - centroid), box)
-            fc = f(xc)
-            if fc < min(fr, vals[-1]):
-                verts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, p + 1):
-                    verts[i] = _fold_into_box(
-                        verts[0] + 0.5 * (verts[i] - verts[0]), box
-                    )
-                    vals[i] = f(verts[i])
 
-    best = int(np.argmin(vals))
-    return verts[best].copy(), float(vals[best])
+        # beyond the best value: try the expansion; not below the second
+        # worst: contract, toward the reflection if it beat the worst
+        expand = fr < vals[:, 0]
+        second = expand | (fr >= vals[:, -2])
+        n_second = np.count_nonzero(second)
+        if not n_second:
+            verts[:, -1], vals[:, -1] = xr, fr
+            continue
+        inside = (fr >= vals[:, -1])[:, None]
+        half = np.where(inside, worst, xr) - centroid
+        x2 = fold(centroid + np.where(expand[:, None], 2.0 * step, 0.5 * half))
+        if n_second == run.size:
+            f2 = f(x2)
+        else:
+            f2 = np.full(run.size, np.inf)
+            f2[second] = f(x2[second])
+        # an expansion must beat the reflection, a contraction both the
+        # reflection and the worst vertex; an expansion's fr is below the
+        # worst value already, so one test serves both (f2 is inf elsewhere)
+        take = f2 < np.minimum(fr, vals[:, -1])
+        shrink = second & ~(expand | take)
+        new_x, new_f = np.where(take[:, None], x2, xr), np.where(take, f2, fr)
+        if shrink.any():
+            v = verts[shrink]
+            pts = fold(v[:, :1] + 0.5 * (v[:, 1:] - v[:, :1]))
+            verts[shrink, 1:] = pts
+            vals[shrink, 1:] = f(pts.reshape(-1, p)).reshape(-1, p)
+            keep = ~shrink
+            verts[keep, -1], vals[keep, -1] = new_x[keep], new_f[keep]
+        else:
+            verts[:, -1], vals[:, -1] = new_x, new_f
+
+    best = vals.argmin(axis=1)
+    thetas[run], values[run] = verts[rows[:, 0], best], vals[rows[:, 0], best]
+    return thetas, values
+
+
+def _extra_start(point, box):
+    """An extra start as a (p,) array, refused unless it is a point of the box."""
+    x = np.asarray(point, dtype=float).reshape(-1)
+    if x.shape[0] != box.shape[0] or not (np.all(x >= box[:, 0]) and np.all(x <= box[:, 1])):
+        raise ValueError(
+            f"extra start {point!r} must hold p={box.shape[0]} finite values "
+            f"inside the box {box.tolist()}"
+        )
+    return x
 
 
 def minimize_box(objective, box, starts, stream, extra_points=()):
     """Multi-start Nelder-Mead over a box.
 
-    ``starts`` Latin hypercube start points are drawn from ``stream``;
-    any ``extra_points`` are prepended as additional starts.  The best
-    local result wins; exact value ties go to the lexicographically
-    smallest parameter vector.
+    ``objective`` maps a (k, p) array of parameter rows to an array of
+    their k values.  ``starts`` Latin hypercube start points are drawn
+    from ``stream``; any ``extra_points`` are prepended as additional
+    starts, and each must hold p finite values inside the box.  All
+    starts are searched in lockstep, so each iteration calls
+    ``objective`` at most three times, on a batch holding one candidate
+    (or, for a shrink, p) per running start; each start still reaches
+    what a search from it alone would.  The best local result wins; exact
+    value ties go to the lexicographically smallest parameter vector.
 
     Returns
     -------
@@ -195,32 +276,42 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     ------
     ObjectiveNonFinite
         If the objective produces a non-finite value anywhere.
+    ValueError
+        If an extra start is not a point of the box.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
         box = box.reshape(1, 2)
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    p = box.shape[0]
 
-    def checked(theta):
-        v = float(objective(theta))
-        if not np.isfinite(v):
-            raise ObjectiveNonFinite(f"objective is not finite at theta={theta}")
-        return v
+    def checked(thetas):
+        values = np.asarray(objective(thetas), dtype=float)
+        if values.shape != (thetas.shape[0],):
+            raise ValueError(
+                f"objective must return one value per theta row, got shape {values.shape}"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = thetas[np.argmin(finite)]
+            raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
+        return values
 
-    inits = [np.asarray(q, dtype=float).reshape(-1) for q in extra_points]
-    inits.extend(latin_hypercube(stream, starts, box))
-    results = [_nelder_mead(checked, x0, box) for x0 in inits]
-    best_x, best_v = min(results, key=lambda t: (t[1], tuple(t[0])))
-    return best_x, best_v
+    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, p))
+    x0 = np.concatenate([inits, latin_hypercube(stream, starts, box)])
+    thetas, values = _nelder_mead_lockstep(checked, x0, box)
+    vals, rows = values.tolist(), thetas.tolist()
+    best = min(range(len(vals)), key=lambda i: (vals[i], rows[i]))
+    return thetas[best].copy(), vals[best]
 
 
 def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
     """Least squares calibration: minimize mean squared data-model misfit."""
 
-    def objective(theta):
-        r = data.y - model.eval(data.x, theta)
-        return float(np.mean(r * r))
+    def objective(thetas):
+        r = data.y - model.eval_batch(data.x, thetas)
+        return np.mean(r * r, axis=1)
 
     theta, _ = minimize_box(objective, model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="LS")
@@ -241,20 +332,22 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     draw = uniform(stream, data.d, size=L2_MC_POINTS)
     zhat = predict_discrepancy(zhat_fit, draw)
 
-    def objective(theta):
-        diff = zhat - model.eval(draw, theta)
-        return float(np.mean(diff * diff))
+    def objective(thetas):
+        diff = zhat - model.eval_batch(draw, thetas)
+        return np.mean(diff * diff, axis=1)
 
     theta, _ = minimize_box(objective, model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="L2", lambda_used=lam)
 
 
 def _weighted_misfit(data, model, factor):
-    """theta -> r^T M^{-1} r with r = Y - eta(X, theta), given M's factor."""
+    """(k, p) theta rows -> r^T M^{-1} r per row, r = Y - eta(X, theta), given M's factor."""
 
-    def misfit(theta):
-        r = data.y - model.eval(data.x, theta)
-        return float(r @ solve_spd(factor, r))
+    def misfit(thetas):
+        r = data.y - model.eval_batch(data.x, thetas)
+        w = solve_spd(factor, r.T).T
+        # one dot product per row: einsum's row sums differ in the last bits
+        return np.array([ri @ wi for ri, wi in zip(r, w)])
 
     return misfit
 
@@ -268,7 +361,8 @@ def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
     drives down the best achievable penalized fit.
     """
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    return _weighted_misfit(data, model, ridge_factor(gm, lam))(theta)
+    misfit = _weighted_misfit(data, model, ridge_factor(gm, lam))
+    return float(misfit(np.reshape(theta, (1, -1)))[0])
 
 
 def lagrangian_value(data, model, kernel, lam, theta):
@@ -312,7 +406,7 @@ def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_START
     factor = ridge_factor(gm, lam)
     wobj = _weighted_misfit(data, model, factor)
 
-    trace = [lam * wobj(theta)]
+    trace = [lam * float(wobj(theta[None])[0])]
     for _ in range(1 if mode == "one_step" else MAX_OUTER_ROUNDS):
         theta, value = minimize_box(
             wobj, model.theta_box, starts, stream, extra_points=[theta]

@@ -62,7 +62,11 @@ def ex1_zeta(x):
 
 
 def ex1_eta(x, theta):
-    """Truth minus a one-parameter oscillatory distortion."""
+    """Truth minus a one-parameter oscillatory distortion.
+
+    ``theta`` is a scalar, or a (k, 1) column for a (k, m) result from
+    (m,) inputs; the truth term is computed once either way.
+    """
     x = np.asarray(x, dtype=float)
     amp = np.sqrt(theta * theta - theta + 1.0)
     wave = np.sin(2.0 * np.pi * theta * x) + np.cos(2.0 * np.pi * theta * x)
@@ -81,6 +85,7 @@ def ex2_zeta(x1, x2):
 
 
 def ex2_eta(x1, x2, t1, t2):
+    """Computer model of ex2; scalar parameters, or (k, 1) columns for a (k, m) result."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     return (2.0 / 3.0) * np.exp(x1 + t1) - x2 * np.sin(t2) + t2
@@ -97,51 +102,61 @@ def ex3_zeta(x):
     return 8.0 + 2.5 * np.log(_EX3_C - _EX3_C * th * th)
 
 def ex3_eta(x, v0, g):
-    """Frictionless trajectory 8 + v0 x - g x^2 / 2."""
+    """Frictionless trajectory 8 + v0 x - g x^2 / 2.
+
+    ``v0`` and ``g`` are scalars, or (k, 1) columns for a (k, m) result.
+    """
     x = np.asarray(x, dtype=float)
     return 8.0 + v0 * x - 0.5 * g * x * x
 
 
 def _ion_generator(theta):
-    t1, t2, t3 = theta
-    return np.array(
-        [
-            [-t2 - t3, t1, 0.0, 0.0],
-            [t2, -t1 - t2, t1, 0.0],
-            [0.0, t2, -t1 - t2, t1],
-            [0.0, 0.0, t2, -t1],
-        ]
-    )
+    """Generators A(theta), shape (..., 4, 4), of rate vectors of shape (..., 3)."""
+    theta = np.asarray(theta, dtype=float)
+    t1, t2, t3 = theta[..., 0], theta[..., 1], theta[..., 2]
+    a = np.zeros(theta.shape[:-1] + (4, 4))
+    a[..., 0, 0], a[..., 0, 1] = -t2 - t3, t1
+    a[..., 1, 0], a[..., 1, 1], a[..., 1, 2] = t2, -t1 - t2, t1
+    a[..., 2, 1], a[..., 2, 2], a[..., 2, 3] = t2, -t1 - t2, t1
+    a[..., 3, 2], a[..., 3, 3] = t2, -t1
+    return a
 
 
 def ion_eta(x, theta):
     """Channel-gating model: first-row, last-column entry of exp(e^x A(theta)).
 
     ``x`` is an array of log times, and the result an array of its shape;
-    ``theta`` holds the three positive transition rates.
+    ``theta`` holds the three positive transition rates.  A (k, 3) array
+    of rate rows gives a (k,) + x.shape result, from one matrix
+    exponential call over the whole stack.
     A ``Dataset`` keeps inputs in [0, 1], so ion data covers log times
     0 to 1, i.e. times 1 to e.
     """
-    a = _ion_generator(np.asarray(theta, dtype=float).reshape(-1))
-    return matrix_exponential(np.multiply.outer(np.exp(x), a))[..., 0, 3]
+    theta = np.asarray(theta, dtype=float)
+    a = _ion_generator(theta).reshape(theta.shape[:-1] + (1,) * np.ndim(x) + (4, 4))
+    return matrix_exponential(np.exp(x)[..., None, None] * a)[..., 0, 3]
 
 
 def _make_systems():
     ex1_model = ComputerModel(
         eta=lambda x, th: ex1_eta(x[:, 0], th[0]),
         theta_box=[[-1.0, 1.0]],
+        eta_batch=lambda x, th: ex1_eta(x[:, 0], th[:, :1]),
     )
     ex2_model = ComputerModel(
         eta=lambda x, th: ex2_eta(x[:, 0], x[:, 1], th[0], th[1]),
         theta_box=[[0.0, 1.0], [0.0, 1.0]],
+        eta_batch=lambda x, th: ex2_eta(x[:, 0], x[:, 1], th[:, :1], th[:, 1:]),
     )
     ex3_model = ComputerModel(
         eta=lambda x, th: ex3_eta(x[:, 0], th[0], th[1]),
         theta_box=[[0.0, 5.0], [0.0, 20.0]],
+        eta_batch=lambda x, th: ex3_eta(x[:, 0], th[:, :1], th[:, 1:]),
     )
     ion_model = ComputerModel(
         eta=lambda x, th: ion_eta(x[:, 0], th),
         theta_box=[[0.01, 10.0]] * 3,
+        eta_batch=lambda x, th: ion_eta(x[:, 0], th),
     )
     return {
         "ex1": NamedSystem(

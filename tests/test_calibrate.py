@@ -28,21 +28,23 @@ SPEC1 = KernelSpec("matern32", 0.3, 1)
 
 def test_minimize_box_quadratic():
     theta, value = minimize_box(
-        lambda t: (t[0] - 0.3) ** 2, [[0.0, 1.0]], 5, RngStream(1)
+        lambda t: (t[:, 0] - 0.3) ** 2, [[0.0, 1.0]], 5, RngStream(1)
     )
     assert abs(theta[0] - 0.3) < 1e-5
     assert value < 1e-9
 
 
 def test_minimize_box_constant_objective():
-    theta, value = minimize_box(lambda t: 7.25, [[0.0, 1.0], [2.0, 3.0]], 3, RngStream(2))
+    theta, value = minimize_box(
+        lambda t: np.full(len(t), 7.25), [[0.0, 1.0], [2.0, 3.0]], 3, RngStream(2)
+    )
     assert value == 7.25
     assert 0.0 <= theta[0] <= 1.0 and 2.0 <= theta[1] <= 3.0
 
 
 def test_minimize_box_rosenbrock():
     def rosen(t):
-        return (1.0 - t[0]) ** 2 + 100.0 * (t[1] - t[0] ** 2) ** 2
+        return (1.0 - t[:, 0]) ** 2 + 100.0 * (t[:, 1] - t[:, 0] ** 2) ** 2
 
     theta, value = minimize_box(rosen, [[-2.0, 2.0], [-2.0, 2.0]], 10, RngStream(3))
     assert value < 1e-6
@@ -53,7 +55,7 @@ def test_minimize_box_stays_feasible_and_uses_extra_start():
     # objective minimized exactly at the extra start
     target = np.array([0.123456])
     theta, value = minimize_box(
-        lambda t: np.sum((t - target) ** 2),
+        lambda t: np.sum((t - target) ** 2, axis=1),
         [[0.0, 1.0]],
         1,
         RngStream(4),
@@ -65,7 +67,24 @@ def test_minimize_box_stays_feasible_and_uses_extra_start():
 
 def test_minimize_box_rejects_nonfinite():
     with pytest.raises(ObjectiveNonFinite):
-        minimize_box(lambda t: float("nan"), [[0.0, 1.0]], 2, RngStream(5))
+        minimize_box(lambda t: np.full(len(t), np.nan), [[0.0, 1.0]], 2, RngStream(5))
+
+
+def test_minimize_box_refuses_extra_starts_outside_the_box():
+    queried = []
+
+    def objective(t):
+        queried.append(t.copy())
+        return np.sum(t * t, axis=1)
+
+    box = [[0.0, 1.0], [0.0, 1.0]]
+    for bad in ([5.0, -3.0], [0.5, 1.5], [0.5], [0.5, 0.5, 0.5], [0.5, np.nan], [np.inf, 0.5]):
+        with pytest.raises(ValueError, match="extra start"):
+            minimize_box(objective, box, 2, RngStream(22), extra_points=[[0.2, 0.2], bad])
+    assert queried == []
+    # a start on a face is a point of the box
+    theta, value = minimize_box(objective, box, 1, RngStream(22), extra_points=[[0.0, 1.0]])
+    assert value < 1e-12
 
 
 def test_computer_model_validation():

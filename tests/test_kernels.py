@@ -199,6 +199,48 @@ def test_ex1_profile_has_the_two_documented_local_minima():
     assert abs(t_pos - 0.3740) <= 0.03
 
 
+def _matern32_norm_sq_on_unit_interval(f, f1, f2, psi, nodes=200):
+    """Closed-form squared Matern-3/2 norm of f restricted to [0, 1]:
+
+    f(0)^2 + psi^2 f'(0)^2 + (psi^3 / 4) int_0^1 (f'' + 2 f'/psi + f/psi^2)^2 dt,
+    with the integral by Gauss-Legendre quadrature (``f1`` and ``f2`` are
+    the first two derivatives).
+    """
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    op = f2(t) + 2.0 * f1(t) / psi + f(t) / psi**2
+    return f(0.0) ** 2 + psi**2 * f1(0.0) ** 2 + 0.25 * psi**3 * float((op * op) @ w)
+
+
+def test_norm_surrogate_approaches_the_closed_form_norm_from_below():
+    # criterion 3's profile scale and its two reported minimizers; the ex1
+    # gap zeta - eta is the wave a (sin wx + cos wx), a^2 = t^2 - t + 1, w = 2 pi t
+    psi = 0.16
+    spec = KernelSpec("matern32", psi, 1)
+    sys1 = get_system("ex1")
+    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    # the closed form reproduces the constant's known norm 1 + 1/(4 psi)
+    assert _matern32_norm_sq_on_unit_interval(one, zero, zero, psi) == pytest.approx(
+        1.0 + 0.25 / psi, rel=1e-12
+    )
+    exact = {}
+    for theta in (-0.126, 0.374):
+        a, w = np.sqrt(theta * theta - theta + 1.0), 2.0 * np.pi * theta
+        f = lambda x: a * (np.sin(w * x) + np.cos(w * x))
+        f1 = lambda x: a * w * (np.cos(w * x) - np.sin(w * x))
+        f2 = lambda x: -a * w * w * (np.sin(w * x) + np.cos(w * x))
+        exact[theta] = _matern32_norm_sq_on_unit_interval(f, f1, f2, psi)
+        g = lambda pts: sys1.zeta(pts) - sys1.model.eval(pts, [theta])
+        # nested grids: node spacing 1/10, 1/20, ..., 1/160
+        gaps = [exact[theta] - rkhs_norm_sq_approx(spec, g, n) for n in (11, 21, 41, 81, 161)]
+        assert min(gaps) >= -1e-9 * exact[theta]
+        assert all(fine < coarse for coarse, fine in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 5e-3 * exact[theta]
+    # the closed form also puts the smaller norm at -0.126 (criterion 3 expects 0.374)
+    assert exact[-0.126] < exact[0.374]
+
+
 def test_norm_surrogate_validates_inputs():
     spec = KernelSpec("matern32", 0.3, 1)
     with pytest.raises(ValueError):

@@ -132,6 +132,11 @@ def test_ion_vector_input():
     xs = np.random.default_rng(43).uniform(-3.0, 3.0, size=50)
     out = ion_eta(xs, (10.0, 0.01, 10.0))
     assert [ion_eta(x, (10.0, 0.01, 10.0)) for x in xs] == out.tolist()
+    # and so does one call over rows of rates, one result row per rate row
+    rates = np.array([[10.0, 0.01, 10.0], [2.5, 1.2, 0.8]])
+    rows = ion_eta(xs, rates)
+    assert rows.shape == (2, 50)
+    assert rows.tolist() == [ion_eta(xs, r).tolist() for r in rates]
 
 
 def test_double_entry_scalar_reimplementation():

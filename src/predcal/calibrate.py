@@ -23,11 +23,13 @@ violated face.  The starts run in lockstep: every start's simplex lives
 in one (k, p+1, p) array, and each iteration evaluates the objective at
 most three times for all running starts together (the reflections; the
 expansion and contraction points; the shrinks).  So an objective takes a
-(k, p) array of parameter rows and returns their k values, and the
-calibrators' objectives evaluate the computer model through
-``ComputerModel.eval_batch``.  Each start still follows its own path,
-with its own convergence test and iteration limit: it reaches the same
-parameter and value, to the bit, as it would searched alone.
+(k, p) array of parameter rows and returns their k values.  A computer
+model has the same form: its ``eta`` maps inputs and a (k, p) array of
+parameter rows to a (k, m) array, so the calibrators' objectives
+evaluate the model at every row in one ``ComputerModel.eval_batch``
+call.  Each start still follows its own path, with its own convergence
+test and iteration limit: it reaches the same parameter and value, to
+the bit, as it would searched alone.
 """
 
 from __future__ import annotations
@@ -77,21 +79,14 @@ class ObjectiveNonFinite(Exception):
 class ComputerModel:
     """A computer model eta(x, theta) with a rectangular parameter domain.
 
-    ``eta`` maps an (m, d) array of inputs and a (p,) parameter vector to
-    m outputs.  ``theta_box`` has one [low, high] row per parameter.
-
-    ``eta_batch``, if given, is the same model over many parameters: it
-    maps (m, d) inputs and a (k, p) array of parameter rows to a (k, m)
-    array whose row i is ``eta`` at row i.  The calibrators' searches
-    evaluate all their candidate parameters of a step in one
-    ``eval_batch`` call, so a model that broadcasts over parameter rows
-    saves a Python call per row.  A model without ``eta_batch`` gives
-    the same results: ``eval_batch`` then loops over ``eval``.
+    ``eta`` maps an (m, d) array of inputs and a (k, p) array of parameter
+    rows to a (k, m) array whose row i is the model at row i; the
+    calibrators' searches evaluate all their candidate parameters of a
+    step in one call.  ``theta_box`` has one [low, high] row per parameter.
     """
 
     eta: Callable
     theta_box: np.ndarray
-    eta_batch: Optional[Callable] = None
 
     def __post_init__(self):
         box = np.asarray(self.theta_box, dtype=float)
@@ -108,30 +103,23 @@ class ComputerModel:
         return self.theta_box.shape[0]
 
     def eval(self, x, theta):
-        """Evaluate the model at a batch of inputs and a (p,) theta, returning a 1-d array."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        if theta.shape[0] != self.p:
-            raise ValueError(f"theta must hold p={self.p} values, got {theta.shape[0]}")
-        out = np.asarray(self.eta(x, theta), dtype=float).reshape(-1)
-        if out.shape[0] != x.shape[0]:
-            raise ValueError("eta must return one value per input row")
-        return out
+        """Evaluate the model at (m, d) inputs and a (p,) theta, returning m values."""
+        return self.eval_batch(x, np.reshape(theta, (1, -1)))[0]
 
     def eval_batch(self, x, thetas):
-        """Evaluate the model at a batch of inputs for each row of a (k, p) theta array.
+        """Evaluate the model at (m, d) inputs for each row of a (k, p) theta array.
 
         Returns a (k, m) array; row i equals ``eval(x, thetas[i])``.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"x must be an (m, d) array of input rows, got shape {x.shape}")
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.p:
             raise ValueError(f"theta rows must hold p={self.p} values, got shape {thetas.shape}")
-        if self.eta_batch is None:
-            return np.array([self.eval(x, t) for t in thetas]).reshape(len(thetas), len(x))
-        out = np.asarray(self.eta_batch(x, thetas), dtype=float)
+        out = np.asarray(self.eta(x, thetas), dtype=float)
         if out.shape != (thetas.shape[0], x.shape[0]):
-            raise ValueError("eta_batch must return one row per theta and one column per input")
+            raise ValueError("eta must return one row per theta and one column per input")
         return out
 
 

@@ -77,6 +77,9 @@ _PHASE_TEST = 5
 # test points scored per block; bounds the (block, n) kernel matrix
 _PMSE_CHUNK = 32768
 
+# the integer fields of ExperimentConfig
+_INT_KEYS = ("n", "replicates", "mc_test_points", "starts", "seed")
+
 
 def default_psi_grid(d):
     return tuple(p * math.sqrt(d) for p in _PSI_GRID_1D)
@@ -99,6 +102,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         get_system(self.system)
+        for key in _INT_KEYS:
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if len(self.sigma2) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigma2):
@@ -401,9 +410,6 @@ def run_experiment(config, threads=1, optpred_mode="one_step"):
     return report
 
 
-_INT_KEYS = {"n", "replicates", "mc_test_points", "starts", "seed"}
-
-
 def parse_config(path):
     """Read an ExperimentConfig from a flat key=value file.
 
@@ -433,7 +439,7 @@ def parse_config(path):
             raise ValueError(f"{path}: missing required key {req!r}")
 
     kwargs = {"system": raw["system"]}
-    for key in _INT_KEYS & set(raw):
+    for key in raw.keys() & _INT_KEYS:
         kwargs[key] = int(raw[key])
     kwargs["sigma2"] = tuple(float(v) for v in raw["sigma2"].split(","))
     if "methods" in raw:

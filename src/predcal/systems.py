@@ -69,7 +69,8 @@ def ex1_eta(x, theta):
     """
     x = np.asarray(x, dtype=float)
     amp = np.sqrt(theta * theta - theta + 1.0)
-    wave = np.sin(2.0 * np.pi * theta * x) + np.cos(2.0 * np.pi * theta * x)
+    arg = 2.0 * np.pi * theta * x
+    wave = np.sin(arg) + np.cos(arg)
     return ex1_zeta(x) - amp * wave
 
 
@@ -139,24 +140,20 @@ def ion_eta(x, theta):
 
 def _make_systems():
     ex1_model = ComputerModel(
-        eta=lambda x, th: ex1_eta(x[:, 0], th[0]),
+        eta=lambda x, th: ex1_eta(x[:, 0], th[:, :1]),
         theta_box=[[-1.0, 1.0]],
-        eta_batch=lambda x, th: ex1_eta(x[:, 0], th[:, :1]),
     )
     ex2_model = ComputerModel(
-        eta=lambda x, th: ex2_eta(x[:, 0], x[:, 1], th[0], th[1]),
+        eta=lambda x, th: ex2_eta(x[:, 0], x[:, 1], th[:, :1], th[:, 1:]),
         theta_box=[[0.0, 1.0], [0.0, 1.0]],
-        eta_batch=lambda x, th: ex2_eta(x[:, 0], x[:, 1], th[:, :1], th[:, 1:]),
     )
     ex3_model = ComputerModel(
-        eta=lambda x, th: ex3_eta(x[:, 0], th[0], th[1]),
+        eta=lambda x, th: ex3_eta(x[:, 0], th[:, :1], th[:, 1:]),
         theta_box=[[0.0, 5.0], [0.0, 20.0]],
-        eta_batch=lambda x, th: ex3_eta(x[:, 0], th[:, :1], th[:, 1:]),
     )
     ion_model = ComputerModel(
         eta=lambda x, th: ion_eta(x[:, 0], th),
         theta_box=[[0.01, 10.0]] * 3,
-        eta_batch=lambda x, th: ion_eta(x[:, 0], th),
     )
     return {
         "ex1": NamedSystem(

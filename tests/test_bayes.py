@@ -165,7 +165,7 @@ def test_optpred_full_mode_agrees_with_partial_spline_on_linear_model():
     # full-mode search must land on the closed-form stationary point
     data = _instance(32, 30, noise=0.4)
     cmodel = ComputerModel(
-        eta=lambda x, t: t[0] + t[1] * x[:, 0], theta_box=[[-5.0, 5.0], [-5.0, 5.0]]
+        eta=lambda x, th: th[:, :1] + th[:, 1:] * x[:, 0], theta_box=[[-5.0, 5.0], [-5.0, 5.0]]
     )
     res = calibrate_optpred(data, cmodel, SPEC1, mode="full", stream=RngStream(32, 1))
     theta, fit = partial_spline_limit(

@@ -1,5 +1,8 @@
 """Calibrators, the weighted objective, and the box-constrained optimizer."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -90,12 +93,18 @@ def test_minimize_box_refuses_extra_starts_outside_the_box():
 def test_computer_model_validation():
     with pytest.raises(ValueError):
         ComputerModel(eta=lambda x, t: np.zeros(len(x)), theta_box=[[1.0, 1.0]])
-    m = ComputerModel(eta=lambda x, t: x[:, 0] * t[0], theta_box=[[0.0, 1.0]])
+    m = ComputerModel(eta=lambda x, th: x[:, 0] * th[:, :1], theta_box=[[0.0, 1.0]])
     assert m.p == 1
     with pytest.raises(ValueError):
         # eta returning the wrong number of outputs
         bad = ComputerModel(eta=lambda x, t: np.zeros(3), theta_box=[[0.0, 1.0]])
         bad.eval(np.zeros((2, 1)), [0.5])
+    # a 1-d x is refused, not read as one point
+    ex1 = get_system("ex1").model
+    with pytest.raises(ValueError, match=r"\(m, d\)"):
+        ex1.eval(np.array([0.1, 0.2, 0.3]), [0.2])
+    with pytest.raises(ValueError, match=r"\(m, d\)"):
+        ex1.eval_batch(np.array([0.1, 0.2, 0.3]), [[0.2]])
     # a theta of the wrong length is refused, not ignored or half read
     for name, theta in (("ex1", [0.3, 99.0]), ("ex2", [0.5]), ("ion", [1.0, 2.0])):
         system = get_system(name)
@@ -103,12 +112,26 @@ def test_computer_model_validation():
             system.model.eval(np.full((2, system.d), 0.5), theta)
 
 
+def test_readme_model_calibrates():
+    # the README's "Your own computer model" example, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Your own computer model", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope = {"np": np, "ComputerModel": ComputerModel}
+    exec(code, scope)
+    model = scope["model"]
+    x = uniform(RngStream(5), 1, size=20)
+    data = Dataset(x, model.eval(x, [1.2, 3.0]))
+    res = calibrate_ls(data, model, starts=3, stream=RngStream(5, 1))
+    assert np.max(np.abs(res.theta_hat - [1.2, 3.0])) < 1e-4
+
+
 def test_calibrate_ls_constant_model_recovers_mean():
     s = RngStream(6)
     x = uniform(s, 1, size=30)
     y = 0.8 + 0.1 * s.generator.standard_normal(30)
     data = Dataset(x, y)
-    model = ComputerModel(eta=lambda x, t: np.full(len(x), t[0]), theta_box=[[-2.0, 2.0]])
+    model = ComputerModel(eta=lambda x, th: np.repeat(th, len(x), axis=1), theta_box=[[-2.0, 2.0]])
     res = calibrate_ls(data, model, stream=RngStream(6, 1))
     assert res.method == "LS"
     assert res.theta_hat[0] == pytest.approx(y.mean(), abs=1e-6)
@@ -118,7 +141,7 @@ def test_calibrate_ls_shift_equivariance_with_intercept_model():
     s = RngStream(7)
     x = uniform(s, 1, size=25)
     y = np.sin(2.0 * x[:, 0]) + 0.2 * s.generator.standard_normal(25)
-    model = ComputerModel(eta=lambda x, t: np.full(len(x), t[0]), theta_box=[[-5.0, 5.0]])
+    model = ComputerModel(eta=lambda x, th: np.repeat(th, len(x), axis=1), theta_box=[[-5.0, 5.0]])
     a = calibrate_ls(Dataset(x, y), model, stream=RngStream(7, 1))
     b = calibrate_ls(Dataset(x, y + 1.5), model, stream=RngStream(7, 1))
     assert b.theta_hat[0] - a.theta_hat[0] == pytest.approx(1.5, abs=1e-5)
@@ -151,7 +174,7 @@ def test_calibrate_l2_recovers_scaling_of_own_fit():
     lam = select_lambda_gcv(data, None, SPEC1)
     zfit = fit_ridge(data, None, SPEC1, lam)
     model = ComputerModel(
-        eta=lambda x, t: t[0] * predict_discrepancy(zfit, x), theta_box=[[0.0, 2.0]]
+        eta=lambda x, th: th[:, :1] * predict_discrepancy(zfit, x), theta_box=[[0.0, 2.0]]
     )
     res = calibrate_l2(data, model, SPEC1, stream=RngStream(10, 1))
     assert res.method == "L2"
@@ -190,7 +213,7 @@ def test_weighted_objective_scalar_weight_when_kernel_vanishes():
     data = Dataset(x, y)
     jitter = 1e-8
     gm = GramMatrix(values=jitter * np.eye(6), jitter=jitter)
-    model = ComputerModel(eta=lambda x, t: np.zeros(len(x)), theta_box=[[0.0, 1.0]])
+    model = ComputerModel(eta=lambda x, th: np.zeros((len(th), len(x))), theta_box=[[0.0, 1.0]])
     lam = 0.3
     got = weighted_objective(data, model, SPEC1, lam, [0.5], gram_matrix=gm)
     want = float(y @ y) / (6 * lam + jitter)

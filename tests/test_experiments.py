@@ -34,7 +34,7 @@ _AFFINE = NamedSystem(
     id="affine",
     zeta=lambda x: ex1_zeta(x[:, 0]),
     model=ComputerModel(
-        eta=lambda x, t: t[0] * ex1_zeta(x[:, 0]) + t[1],
+        eta=lambda x, th: th[:, :1] * ex1_zeta(x[:, 0]) + th[:, 1:],
         theta_box=[[-2.0, 2.0], [-2.0, 2.0]],
     ),
     d=1,
@@ -88,6 +88,15 @@ def test_config_validation():
     assert _toy_cfg(psi=1).psi == 1 and _toy_cfg(psi=np.float64(0.3)).psi == 0.3
     with pytest.raises(ValueError):
         _toy_cfg(starts=0)
+    # integer fields take integral numbers only; the seed is an unsigned 64-bit value
+    for key, value in (("n", 20.5), ("replicates", 1.5), ("mc_test_points", 1000.5),
+                       ("starts", 2.5), ("starts", True), ("seed", 7.0), ("n", "12")):
+        with pytest.raises(ValueError, match=key):
+            _toy_cfg(**{key: value})
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            _toy_cfg(seed=seed)
+    assert _toy_cfg(n=np.int64(12), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     with pytest.raises(KeyError):
         _toy_cfg(system="nope")
     # five-fold cross-validation of psi needs five points; a fixed psi does not
@@ -233,7 +242,7 @@ def test_build_predictors_perfect_model_noiseless():
     # truth inside the model family and no noise: every method is exact
     # up to the kernel interpolation floor
     model = ComputerModel(
-        eta=lambda x, t: t[0] * np.sin(2.0 * np.pi * x[:, 0]),
+        eta=lambda x, th: th[:, :1] * np.sin(2.0 * np.pi * x[:, 0]),
         theta_box=[[-2.0, 2.0]],
     )
     toy = NamedSystem(

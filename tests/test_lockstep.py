@@ -3,8 +3,8 @@
 ``_nelder_mead`` below is the scalar search from one start that
 ``minimize_box`` ran, start after start, before its starts were
 advanced together.  Every start of the lockstep search must end on the
-oracle's parameter and value to the bit, and every batched model
-evaluation must equal the per-parameter ``eval`` to the bit.
+oracle's parameter and value to the bit, and every named model must
+equal its public formula at scalar parameters to the bit.
 """
 
 import copy
@@ -13,22 +13,25 @@ import numpy as np
 import pytest
 
 from predcal import (
-    ComputerModel,
     Dataset,
     KernelSpec,
     RngStream,
     calibrate_l2,
     calibrate_ls,
     calibrate_optpred,
+    ex1_eta,
+    ex2_eta,
+    ex3_eta,
     generate_dataset,
     get_system,
     gram,
+    ion_eta,
     minimize_box,
     normal,
     system_names,
     uniform,
 )
-from predcal import calibrate
+from predcal import calibrate, experiments
 from predcal.calibrate import MAX_NM_ITER, SIMPLEX_TOL, _box_fold, _nelder_mead_lockstep
 from predcal.linalg import solve_spd
 from predcal.regression import ridge_factor
@@ -231,42 +234,31 @@ def test_batched_objectives_equal_their_one_theta_forms(monkeypatch):
         assert _bits(opt_objective(thetas)[i]) == _bits(float(r @ solve_spd(factor, r)))
 
 
+# the named models' public formulas at a (p,) theta, parameters passed as scalars
+_FORMULAS = {
+    "ex1": lambda x, t: ex1_eta(x[:, 0], t[0]),
+    "ex2": lambda x, t: ex2_eta(x[:, 0], x[:, 1], t[0], t[1]),
+    "ex3": lambda x, t: ex3_eta(x[:, 0], t[0], t[1]),
+    "ion": lambda x, t: ion_eta(x[:, 0], t),
+}
+
+
 @pytest.mark.parametrize("name", system_names())
 def test_named_models_batched_eta_equals_per_theta_eval(name):
+    """Each named model is its scalar formula to the bit, at one theta or many."""
     system = get_system(name)
     model = system.model
     rng = np.random.default_rng(33)
-    x = rng.uniform(0.0, 1.0, size=(40, system.d))
     box = model.theta_box
     thetas = np.vstack([rng.uniform(box[:, 0], box[:, 1], size=(9, model.p)), box.T])
     if name == "ion":
         thetas = np.vstack([thetas, [10.0, 0.01, 10.0]])
-    want = [model.eval(x, t) for t in thetas]
-    assert _bits(model.eval_batch(x, thetas)) == _bits(want)
-    assert _bits(model.eval_batch(x, thetas[-1:])) == _bits(want[-1])
+    # a design and one PMSE scoring chunk (ion: fewer points, each a matrix exponential)
+    for m in (40, 4096 if name == "ion" else experiments._PMSE_CHUNK):
+        x = rng.uniform(0.0, 1.0, size=(m, system.d))
+        want = np.array([_FORMULAS[name](x, t) for t in thetas]).view(np.int64)
+        per_theta = np.array([model.eval(x, t) for t in thetas])
+        for got in (per_theta, model.eval_batch(x, thetas)):
+            assert np.array_equal(got.view(np.int64), want)
     with pytest.raises(ValueError, match=f"p={model.p}"):
         model.eval_batch(x, np.zeros((2, model.p + 1)))
-
-
-def test_model_without_batched_eta_loops_over_eval():
-    calls = []
-
-    def eta(x, t):
-        calls.append(t.copy())
-        return x[:, 0] * t[0] + t[1]
-
-    box = [[0.0, 1.0], [-1.0, 1.0]]
-    looped = ComputerModel(eta=eta, theta_box=box)
-    batched = ComputerModel(eta=eta, theta_box=box,
-                            eta_batch=lambda x, th: x[:, 0] * th[:, :1] + th[:, 1:])
-    x = uniform(RngStream(35), 1, size=12)
-    thetas = uniform(RngStream(36), 2, size=3)
-    out = looped.eval_batch(x, thetas)
-    assert len(calls) == 3 and out.shape == (3, 12)
-    assert _bits(out) == _bits(batched.eval_batch(x, thetas))
-    assert len(calls) == 3  # the batched model never calls eta
-
-    data = Dataset(x, np.sin(3.0 * x[:, 0]))
-    a = calibrate_ls(data, looped, starts=3, stream=RngStream(37))
-    b = calibrate_ls(data, batched, starts=3, stream=RngStream(37))
-    assert _bits(a.theta_hat) == _bits(b.theta_hat)

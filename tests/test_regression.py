@@ -184,7 +184,7 @@ def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
     d = Dataset(x, y)
     gm = gram(SPEC1, d.x, jitter=0.0)
     assert gm.jitter == 0.0
-    model = ComputerModel(eta=lambda p, t: t[0] * p[:, 0], theta_box=[[-1.0, 1.0]])
+    model = ComputerModel(eta=lambda p, th: th[:, :1] * p[:, 0], theta_box=[[-1.0, 1.0]])
     r = d.y - model.eval(d.x, [0.4])
     for lam in (1e-6, 1e-3, 1.0):
         m = gm.values + d.n * lam * np.eye(d.n)

@@ -52,7 +52,6 @@ from .kernels import (
     KernelSpec,
     gram,
     kernel_cross,
-    kernel_eval,
     rkhs_norm_sq_approx,
 )
 from .linalg import (

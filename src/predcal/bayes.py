@@ -23,8 +23,8 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .kernels import gram, kernel_cross
-from .linalg import solve_spd
-from .regression import DiscrepancyFit, predict_discrepancy, ridge_factor
+from .linalg import _as_points, solve_spd
+from .regression import DiscrepancyFit, ridge_factor
 
 __all__ = [
     "RankDeficientBasis",
@@ -58,7 +58,8 @@ class LinearComputerModel:
         return len(self.basis)
 
     def basis_matrix(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """The (m, p) matrix of basis values at an (m, d) array of points."""
+        x = _as_points(x)
         cols = [np.asarray(h(x), dtype=float).reshape(-1) for h in self.basis]
         t = np.column_stack(cols)
         if t.shape[0] != x.shape[0]:
@@ -96,10 +97,32 @@ def _basis_system(data, model, kernel, lam):
     return t, factor, w, 0.5 * (g + g.T)
 
 
-def posterior_mean(data, model, kernel, hyper, x):
-    """Posterior mean of the physical response at a batch ``(m, d)`` of points.
+def _solve(data, system, ridge):
+    """theta and the kernel coefficients c from a :func:`_basis_system`:
 
-    Returns an (m,) array; a single point ``(d,)`` is a one-row batch.
+        theta = (T^T M^{-1} T + ridge I)^{-1} T^T M^{-1} Y,
+        c     = M^{-1} (Y - T theta).
+
+    ``ridge`` is beta/alpha for the posterior mean and 0 for the
+    partial-spline limit, which needs T^T M^{-1} T nonsingular.
+
+    Raises
+    ------
+    RankDeficientBasis
+        If ridge is 0 and T^T M^{-1} T has a numerically zero eigenvalue
+        (below 1e-10).
+    """
+    t, factor, w, g = system
+    if ridge == 0:
+        eig0 = np.linalg.eigvalsh(g)[0]
+        if eig0 <= 1e-10:
+            raise RankDeficientBasis(f"smallest eigenvalue of T^T M^-1 T is {eig0:.3e}")
+    theta = np.linalg.solve(g + ridge * np.eye(g.shape[0]), w.T @ data.y)
+    return theta, solve_spd(factor, data.y - t @ theta)
+
+
+def posterior_mean(data, model, kernel, hyper, x):
+    """Posterior mean of the physical response at an (m, d) array of points; returns (m,).
 
     Evaluated in the p x p form of the module formula (Woodbury identity):
     with M = Sigma + n*lambda I,
@@ -110,13 +133,9 @@ def posterior_mean(data, model, kernel, hyper, x):
     The n x n matrix factored is M alone: adding (alpha/beta) T T^T to it
     would cost digits as alpha grows.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    t, factor, w, g = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
-    g = g + (hyper.beta / hyper.alpha) * np.eye(model.p)
-    theta = np.linalg.solve(g, w.T @ data.y)
-    coef = solve_spd(factor, data.y - t @ theta)
-
-    return model.basis_matrix(pts) @ theta + kernel_cross(kernel, pts, data.x) @ coef
+    system = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
+    theta, coef = _solve(data, system, hyper.beta / hyper.alpha)
+    return model.basis_matrix(x) @ theta + kernel_cross(kernel, x, data.x) @ coef
 
 
 def partial_spline_limit(data, model, kernel, lam):
@@ -140,24 +159,18 @@ def partial_spline_limit(data, model, kernel, lam):
     RankDeficientBasis
         If T^T M^{-1} T has a numerically zero eigenvalue (below 1e-10).
     """
-    t, factor, w, g = _basis_system(data, model, kernel, lam)
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= 1e-10:
-        raise RankDeficientBasis(
-            f"smallest eigenvalue of T^T M^-1 T is {eigs[0]:.3e}"
-        )
-    theta = np.linalg.solve(g, w.T @ data.y)
-    coef = solve_spd(factor, data.y - t @ theta)
-    fit = DiscrepancyFit(coef=coef, lam=float(lam), kernel=kernel, train_x=data.x)
-    return theta, fit
+    theta, coef = _solve(data, _basis_system(data, model, kernel, lam), 0.0)
+    return theta, DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)
 
 
 def verify_proposition_limit(data, model, kernel, alphas, beta, sigma2, test_points):
     """Deviation of the posterior mean from its diffuse-parameter limit.
 
     For each alpha in the increasing grid, computes the maximum absolute
-    difference over ``test_points`` between the posterior mean and the
-    partial-spline predictor at lambda = sigma2/(n beta).
+    difference over the (m, d) ``test_points`` between the posterior
+    mean and the partial-spline predictor at lambda = sigma2/(n beta).
+    One factored system and one set of basis and kernel values at the
+    test points serve the limit and every alpha.
 
     Returns
     -------
@@ -170,15 +183,17 @@ def verify_proposition_limit(data, model, kernel, alphas, beta, sigma2, test_poi
         raise ValueError("alpha grid is empty")
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
-    pts = np.atleast_2d(np.asarray(test_points, dtype=float))
 
-    lam = sigma2 / (data.n * beta)
-    theta, fit = partial_spline_limit(data, model, kernel, lam)
-    limit = model.basis_matrix(pts) @ theta + predict_discrepancy(fit, pts)
+    system = _basis_system(data, model, kernel, sigma2 / (data.n * beta))
+    h, k = model.basis_matrix(test_points), kernel_cross(kernel, test_points, data.x)
 
+    def mean_at(ridge):
+        theta, coef = _solve(data, system, ridge)
+        return h @ theta + k @ coef
+
+    limit = mean_at(0.0)
     devs = np.empty(alphas.size)
     for i, alpha in enumerate(alphas):
         hyper = BayesHyper(alpha=float(alpha), beta=beta, sigma2=sigma2)
-        post = posterior_mean(data, model, kernel, hyper, pts)
-        devs[i] = float(np.max(np.abs(post - limit)))
+        devs[i] = float(np.max(np.abs(mean_at(hyper.beta / hyper.alpha) - limit)))
     return devs

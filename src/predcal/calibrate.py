@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kernels import KernelSpec, gram
-from .linalg import solve_spd
+from .linalg import _as_box, _as_points, solve_spd
 from .regression import (
     DiscrepancyFit,
     fit_ridge,
@@ -89,14 +89,7 @@ class ComputerModel:
     theta_box: np.ndarray
 
     def __post_init__(self):
-        box = np.asarray(self.theta_box, dtype=float)
-        if box.ndim == 1:
-            box = box.reshape(1, 2)
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise ValueError("theta_box must have shape (p, 2)")
-        if np.any(box[:, 1] <= box[:, 0]):
-            raise ValueError("theta_box rows must satisfy high > low")
-        object.__setattr__(self, "theta_box", box)
+        object.__setattr__(self, "theta_box", _as_box(self.theta_box))
 
     @property
     def p(self):
@@ -111,9 +104,7 @@ class ComputerModel:
 
         Returns a (k, m) array; row i equals ``eval(x, thetas[i])``.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            raise ValueError(f"x must be an (m, d) array of input rows, got shape {x.shape}")
+        x = _as_points(x)
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.p:
             raise ValueError(f"theta rows must hold p={self.p} values, got shape {thetas.shape}")
@@ -267,9 +258,7 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     ValueError
         If an extra start is not a point of the box.
     """
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = box.reshape(1, 2)
+    box = _as_box(box)
     if starts < 1:
         raise ValueError("starts must be >= 1")
     p = box.shape[0]
@@ -407,7 +396,7 @@ def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_START
     return CalibrationResult(
         theta_hat=theta,
         method="OptPred-OneStep" if mode == "one_step" else "OptPred-Full",
-        discrepancy=DiscrepancyFit(coef=coef, lam=lam, kernel=kernel, train_x=data.x),
+        discrepancy=DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x),
         lambda_used=lam,
         objective_trace=trace,
         diagnostics={"theta_ls": ls.theta_hat},

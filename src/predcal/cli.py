@@ -129,7 +129,6 @@ def _cmd_predict(args):
         spec = payload["kernel"]
         fit = DiscrepancyFit(
             coef=np.asarray(payload["coef"], dtype=float),
-            lam=payload["lambda"],
             kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
             train_x=np.asarray(payload["train_x"], dtype=float),
         )

@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import DimensionMismatch, NotPositiveDefinite, cholesky, solve_spd
+from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_spd
 
 __all__ = [
     "DEFAULT_JITTER",
     "MAX_JITTER",
     "KernelSpec",
     "GramMatrix",
-    "kernel_eval",
     "kernel_cross",
     "gram",
     "rkhs_norm_sq_approx",
@@ -59,23 +58,9 @@ def _mat32(r, psi):
     return (1.0 + q) * np.exp(-q)
 
 
-def kernel_eval(spec, x, y):
-    """Evaluate K(x, y) for two single points of shape ``(dim,)``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape[0] != spec.dim or y.shape[0] != spec.dim:
-        raise DimensionMismatch("point dimension does not match kernel spec")
-    r = float(np.sqrt(np.sum((x - y) ** 2)))
-    return float(_mat32(r, spec.psi))
-
-
 def kernel_cross(spec, x, y):
     """Kernel matrix K(x_i, y_j) for two point sets, shapes (m,d) and (n,d)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if x.shape[1] != spec.dim or y.shape[1] != spec.dim:
-        raise DimensionMismatch("point dimension does not match kernel spec")
-    return _mat32(cdist(x, y), spec.psi)
+    return _mat32(cdist(_as_points(x, spec.dim), _as_points(y, spec.dim)), spec.psi)
 
 
 @dataclass(frozen=True)
@@ -91,14 +76,11 @@ def gram(spec, points, jitter=DEFAULT_JITTER):
 
     The matrix is not factored, and the jitter is used as given.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != spec.dim:
-        raise DimensionMismatch("design dimension does not match kernel spec")
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
     j = float(jitter)
-    values = kernel_cross(spec, points, points) + j * np.eye(points.shape[0])
-    return GramMatrix(values=values, jitter=j)
+    k = kernel_cross(spec, points, points)
+    return GramMatrix(values=k + j * np.eye(k.shape[0]), jitter=j)
 
 
 def _unit_grid(dim, grid_size):

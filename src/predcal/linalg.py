@@ -9,6 +9,11 @@ construction, and the one bare Gram matrix the package factors, the
 norm surrogate's grid in ``kernels``, escalates its own jitter.  The
 matrix exponential is scipy's ``expm``, taken over a whole stack of
 matrices in one call (the ion model passes one matrix per design point).
+
+The package's two shape rules live here too: a set of points is always
+an (m, d) array of rows, also for d = 1, and a parameter box always a
+(p, 2) array of [low, high] rows.  A 1-d array is refused, never read
+as one point or as one box row.
 """
 
 from __future__ import annotations
@@ -53,6 +58,25 @@ def _as_square_array(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     return a
+
+
+def _as_points(a, d=None):
+    """``a`` as a float (m, d) array of point rows, with d columns when ``d`` is given."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or (d is not None and a.shape[1] != d):
+        width = "d" if d is None else d
+        raise DimensionMismatch(f"points must form an (m, {width}) array, got shape {a.shape}")
+    return a
+
+
+def _as_box(box):
+    """``box`` as a float (p, 2) array of [low, high] rows with high > low."""
+    box = np.asarray(box, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(f"box must have shape (p, 2), got {box.shape}")
+    if not np.all(box[:, 1] > box[:, 0]):
+        raise ValueError("box rows must satisfy high > low")
+    return box
 
 
 def cholesky(a):

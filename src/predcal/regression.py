@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, gram, kernel_cross
-from .linalg import cholesky, solve_spd
+from .linalg import _as_points, cholesky, solve_spd
 
 __all__ = [
     "Dataset",
@@ -50,20 +50,15 @@ class AllDegenerate(Exception):
 class Dataset:
     """Design points in the unit cube and scalar responses.
 
-    ``x`` is coerced to shape (n, d); a 1-d array is treated as n points
-    in one dimension.  Coordinates must lie in [0, 1], and every entry of
-    ``x`` and ``y`` must be finite.
+    ``x`` is an (n, d) array of point rows, also for d = 1.  Coordinates
+    must lie in [0, 1], and every entry of ``x`` and ``y`` must be finite.
     """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim == 1:
-            x = x.reshape(-1, 1)
-        if x.ndim != 2:
-            raise ValueError("x must be a 1-d or 2-d array")
+        x = _as_points(self.x)
         y = np.asarray(self.y, dtype=float).reshape(-1)
         if y.shape[0] != x.shape[0]:
             raise ValueError("x and y lengths differ")
@@ -90,7 +85,6 @@ class DiscrepancyFit:
     """A fitted kernel expansion h(x) = sum_i coef_i K(train_x_i, x)."""
 
     coef: np.ndarray
-    lam: float
     kernel: KernelSpec
     train_x: np.ndarray
 
@@ -141,14 +135,11 @@ def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
     r = _residuals(data, eta_at_x)
     gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
     coef = solve_spd(ridge_factor(gm, lam), r)
-    return DiscrepancyFit(coef=coef, lam=float(lam), kernel=kernel, train_x=data.x)
+    return DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)
 
 
 def predict_discrepancy(fit, x):
-    """Evaluate the fitted expansion at a batch ``(m, d)`` of points; returns an (m,) array.
-
-    A single point ``(d,)`` is a one-row batch.
-    """
+    """Evaluate the fitted expansion at an (m, d) array of points; returns an (m,) array."""
     return kernel_cross(fit.kernel, x, fit.train_x) @ fit.coef
 
 
@@ -185,8 +176,8 @@ def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
         If tr(I - A) <= 1e-12 * n, where the score is numerically
         meaningless.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be > 0")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be finite and > 0")
     score = float(_gcv_curve(data, eta_at_x, kernel, [lam], gram_matrix)[0])
     if np.isnan(score):
         raise DegenerateTrace(f"tr(I - A) <= 1e-12 * n at lambda = {lam:.3e}")
@@ -201,6 +192,8 @@ def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
 
     Raises
     ------
+    ValueError
+        If the grid is empty or holds a value that is not finite and > 0.
     AllDegenerate
         If every grid value degenerates.
     """
@@ -209,6 +202,8 @@ def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
     grid = np.sort(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("lambda grid is empty")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError(f"lambda grid values must be finite and > 0, got {grid.tolist()}")
     score = _gcv_curve(data, eta_at_x, kernel, grid, gram_matrix)
     if np.all(np.isnan(score)):
         raise AllDegenerate("no lambda in the grid has a usable GCV denominator")

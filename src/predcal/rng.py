@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _as_box
+
 __all__ = ["RngStream", "uniform", "normal", "latin_hypercube"]
 
 _U64 = 2**64
@@ -51,32 +53,14 @@ class RngStream:
         """The underlying numpy ``Generator``; drawing from it advances this stream."""
         return self._gen
 
-    def clone(self):
-        """A fresh stream with the same key, rewound to the start of the sequence."""
-        return RngStream(self.seed, self.stream_id)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def uniform(stream, d, size=None):
-    """Draw points uniformly from the unit cube ``[0, 1]^d``.
-
-    Parameters
-    ----------
-    stream : RngStream
-    d : int
-        Dimension of each point.
-    size : int, optional
-        If given, draw ``size`` points and return an array of shape
-        ``(size, d)``; otherwise return a single point of shape ``(d,)``.
-        Drawing ``n`` points in one call yields the same numbers as ``n``
-        successive single-point draws.
-    """
+def uniform(stream, d, size):
+    """Draw ``size`` points uniformly from the unit cube ``[0, 1]^d``, a (size, d) array."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if size is None:
-        return stream.generator.random(d)
     return stream.generator.random((int(size), d))
 
 
@@ -109,12 +93,8 @@ def latin_hypercube(stream, k, box):
     """
     if k < 1:
         raise ValueError("point count must be >= 1")
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = box.reshape(1, 2)
+    box = _as_box(box)
     lo, hi = box[:, 0], box[:, 1]
-    if np.any(hi <= lo):
-        raise ValueError("box must be nondegenerate (high > low)")
     d = box.shape[0]
     pts = np.empty((k, d))
     for j in range(d):

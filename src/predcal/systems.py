@@ -216,6 +216,7 @@ def _read_csv(path, d=None):
     given, the first d columns are read and any after them ignored.  With
     ``d`` None the file is a dataset: the last column must be ``y``, the
     inputs are the columns before it, and every row must fill them all.
+    Every value must be finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -241,7 +242,10 @@ def _read_csv(path, d=None):
         raise ValueError(f"{path}: no data rows")
     if any(len(row) != ncols for row in rows):
         raise ValueError(f"{path}: inconsistent column count")
-    return np.asarray(rows, dtype=float)
+    arr = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{path}: values must be finite")
+    return arr
 
 
 def load_dataset_csv(path):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from predcal import (
+    BayesHyper,
     ComputerModel,
     Dataset,
     KernelSpec,
+    LinearComputerModel,
     ObjectiveNonFinite,
     RngStream,
     calibrate_l2,
@@ -17,10 +19,14 @@ from predcal import (
     calibrate_optpred,
     fit_ridge,
     gram,
+    kernel_cross,
     lagrangian_value,
+    latin_hypercube,
     minimize_box,
+    posterior_mean,
     predict_discrepancy,
     uniform,
+    verify_proposition_limit,
     weighted_objective,
 )
 from predcal.kernels import GramMatrix
@@ -99,17 +105,53 @@ def test_computer_model_validation():
         # eta returning the wrong number of outputs
         bad = ComputerModel(eta=lambda x, t: np.zeros(3), theta_box=[[0.0, 1.0]])
         bad.eval(np.zeros((2, 1)), [0.5])
-    # a 1-d x is refused, not read as one point
-    ex1 = get_system("ex1").model
-    with pytest.raises(ValueError, match=r"\(m, d\)"):
-        ex1.eval(np.array([0.1, 0.2, 0.3]), [0.2])
-    with pytest.raises(ValueError, match=r"\(m, d\)"):
-        ex1.eval_batch(np.array([0.1, 0.2, 0.3]), [[0.2]])
     # a theta of the wrong length is refused, not ignored or half read
     for name, theta in (("ex1", [0.3, 99.0]), ("ex2", [0.5]), ("ion", [1.0, 2.0])):
         system = get_system(name)
         with pytest.raises(ValueError, match=f"p={system.model.p}"):
             system.model.eval(np.full((2, system.d), 0.5), theta)
+
+
+_ONE_AXIS = np.array([0.1, 0.2, 0.3])
+_LINEAR = LinearComputerModel((lambda x: np.ones(len(x)), lambda x: x[:, 0]))
+
+
+def _ex1_data():
+    return generate_dataset(get_system("ex1"), 6, 0.1, RngStream(40))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Dataset(_ONE_AXIS, np.zeros(3)), r"\(m, d\)"),
+        (lambda: get_system("ex1").model.eval(_ONE_AXIS, [0.2]), r"\(m, d\)"),
+        (lambda: get_system("ex1").model.eval_batch(_ONE_AXIS, [[0.2]]), r"\(m, d\)"),
+        (lambda: kernel_cross(SPEC1, _ONE_AXIS, [[0.5]]), r"\(m, 1\)"),
+        (lambda: kernel_cross(SPEC1, [[0.5]], _ONE_AXIS), r"\(m, 1\)"),
+        (lambda: gram(SPEC1, _ONE_AXIS), r"\(m, 1\)"),
+        (lambda: predict_discrepancy(fit_ridge(_ex1_data(), None, SPEC1, 0.1), _ONE_AXIS),
+         r"\(m, 1\)"),
+        (lambda: _LINEAR.basis_matrix(_ONE_AXIS), r"\(m, d\)"),
+        (lambda: posterior_mean(_ex1_data(), _LINEAR, SPEC1, BayesHyper(1.0, 1.0, 0.1), _ONE_AXIS),
+         r"\(m, d\)"),
+        (lambda: verify_proposition_limit(_ex1_data(), _LINEAR, SPEC1, [1.0], 1.0, 0.1, _ONE_AXIS),
+         r"\(m, d\)"),
+        (lambda: ComputerModel(eta=lambda x, th: th[:, :1] * x[:, 0], theta_box=[0.0, 1.0]),
+         r"\(p, 2\)"),
+        (lambda: minimize_box(lambda t: t[:, 0] ** 2, [0.0, 1.0], 2, RngStream(41)), r"\(p, 2\)"),
+        (lambda: latin_hypercube(RngStream(41), 2, [0.0, 1.0]), r"\(p, 2\)"),
+    ],
+    ids=[
+        "Dataset", "ComputerModel.eval", "ComputerModel.eval_batch", "kernel_cross-x",
+        "kernel_cross-y", "gram", "predict_discrepancy", "basis_matrix", "posterior_mean",
+        "verify_proposition_limit", "ComputerModel-box", "minimize_box", "latin_hypercube",
+    ],
+)
+def test_one_axis_arrays_are_refused(call, message):
+    # points are (m, d) arrays and boxes (p, 2) arrays; a 1-d array is
+    # neither one point nor n points in one dimension, nor one box row
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_readme_model_calibrates():
@@ -266,7 +308,6 @@ def test_calibrate_optpred_discrepancy_is_the_ridge_fit_at_its_theta():
                                 stream=RngStream(19, 1))
         want = fit_ridge(data, sys1.model.eval(data.x, res.theta_hat), SPEC1, res.lambda_used)
         assert np.array_equal(res.discrepancy.coef, want.coef)
-        assert res.discrepancy.lam == res.lambda_used
 
 
 def test_calibrate_optpred_theta_step_never_worse_than_warm_start():

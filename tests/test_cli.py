@@ -120,6 +120,7 @@ def test_calibrate_predict_round_trip(tmp_path, capsys):
     payload = json.loads(fit_json.read_text())
     assert payload["model"] == "ex1"
     assert len(payload["coef"]) == 25
+    assert payload["lambda"] > 0
 
     pts_csv = tmp_path / "pts.csv"
     pts = np.linspace(0.0, 1.0, 9)
@@ -137,7 +138,6 @@ def test_calibrate_predict_round_trip(tmp_path, capsys):
     system = get_system("ex1")
     fit = DiscrepancyFit(
         coef=np.asarray(payload["coef"]),
-        lam=payload["lambda"],
         kernel=KernelSpec("matern32", payload["kernel"]["psi"], 1),
         train_x=np.asarray(payload["train_x"]),
     )
@@ -200,6 +200,22 @@ def test_predict_accepts_training_csv_and_rejects_bad_header(tmp_path, capsys):
     fit_json.write_text(json.dumps(payload))
     assert cli_main(["predict", "--fit", str(fit_json), "--points", str(data_csv)]) == 1
     assert "p=1" in capsys.readouterr().err
+
+
+def test_predict_rejects_nonfinite_points(tmp_path, capsys):
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=10)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls",
+         "--out", str(fit_json)]
+    ) == 0
+    pts_csv = tmp_path / "pts.csv"
+    for bad in ("nan", "inf", "-inf"):
+        pts_csv.write_text(f"x1\n0.25\n{bad}\n")
+        capsys.readouterr()
+        assert cli_main(["predict", "--fit", str(fit_json), "--points", str(pts_csv)]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 def test_calibrate_dimension_mismatch(tmp_path, capsys):

@@ -211,7 +211,7 @@ def test_predict_shares_the_kernel_matrix_and_matches_the_terms(monkeypatch):
     preds, _ = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
     np_fit, ls = preds["NP"].fit, preds["LSCal"]
     # a fit on another design needs a kernel matrix of its own
-    head = DiscrepancyFit(np_fit.coef[:5], np_fit.lam, np_fit.kernel, data.x[:5].copy())
+    head = DiscrepancyFit(np_fit.coef[:5], np_fit.kernel, data.x[:5].copy())
     preds["head"] = Predictor(None, head)
     x = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
     calls = []

@@ -13,7 +13,6 @@ from predcal import (
     cholesky,
     gram,
     kernel_cross,
-    kernel_eval,
     rkhs_norm_sq_approx,
     uniform,
 )
@@ -32,35 +31,36 @@ def test_kernel_spec_validation():
         KernelSpec("matern32", 0.3, 0)
 
 
-def test_kernel_eval_closed_forms():
-    spec = KernelSpec("matern32", 0.25, 1)
-    assert kernel_eval(spec, [0.4], [0.4]) == 1.0
+def test_kernel_cross_closed_forms():
+    k = kernel_cross(KernelSpec("matern32", 0.25, 1), [[0.4], [0.0]], [[0.4], [0.25]])
+    assert k[0, 0] == 1.0
     # r = psi gives 2/e
-    assert kernel_eval(spec, [0.0], [0.25]) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
+    assert k[1, 1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
     # psi = 1, r = 3 gives 4 e^{-3}
-    spec3 = KernelSpec("matern32", 1.0, 1)
-    assert kernel_eval(spec3, [0.0], [3.0]) == pytest.approx(4.0 * math.exp(-3.0), rel=1e-14)
+    k3 = kernel_cross(KernelSpec("matern32", 1.0, 1), [[0.0]], [[3.0]])
+    assert k3[0, 0] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-14)
 
 
-def test_kernel_eval_euclidean_distance_in_2d():
+def test_kernel_cross_euclidean_distance_in_2d():
     spec = KernelSpec("matern32", 0.5, 2)
     r = math.sqrt(0.3**2 + 0.4**2)
     want = (1.0 + r / 0.5) * math.exp(-r / 0.5)
-    assert kernel_eval(spec, [0.0, 0.0], [0.3, 0.4]) == pytest.approx(want, rel=1e-14)
+    assert kernel_cross(spec, [[0.0, 0.0]], [[0.3, 0.4]])[0, 0] == pytest.approx(want, rel=1e-14)
 
 
-def test_kernel_eval_symmetry_on_sampled_pairs():
+def test_kernel_cross_symmetry_on_sampled_pairs():
     spec = KernelSpec("matern32", 0.3, 2)
     pts = uniform(RngStream(17), 2, size=20)
-    for i in range(0, 20, 2):
-        x, y = pts[i], pts[i + 1]
-        assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+    x, y = pts[0::2], pts[1::2]
+    assert np.array_equal(kernel_cross(spec, x, y), kernel_cross(spec, y, x).T)
 
 
-def test_kernel_eval_dimension_mismatch():
+def test_kernel_cross_dimension_mismatch():
     spec = KernelSpec("matern32", 0.3, 2)
     with pytest.raises(DimensionMismatch):
-        kernel_eval(spec, [0.1], [0.2])
+        kernel_cross(spec, [[0.1]], [[0.2]])
+    with pytest.raises(DimensionMismatch):
+        kernel_cross(spec, [[0.1, 0.2]], [[0.2]])
 
 
 def test_gram_single_point_and_diagonal():
@@ -76,7 +76,8 @@ def test_gram_matches_elementwise_kernel_oracle():
     gm = gram(spec, pts, jitter=0.0)
     for i in range(3):
         for j in range(3):
-            want = kernel_eval(spec, pts[i], pts[j]) + (0.0 if i != j else gm.jitter)
+            r = abs(pts[i, 0] - pts[j, 0])
+            want = (1.0 + r / 0.4) * math.exp(-r / 0.4) + (0.0 if i != j else gm.jitter)
             assert gm.values[i, j] == pytest.approx(want, abs=1e-15)
 
 
@@ -95,7 +96,7 @@ def test_kernel_cross_shape_and_consistency():
     y = np.array([[0.3], [0.7], [0.9]])
     k = kernel_cross(spec, x, y)
     assert k.shape == (2, 3)
-    assert k[1, 2] == pytest.approx(kernel_eval(spec, [0.2], [0.9]), rel=1e-15)
+    assert k[1, 2] == pytest.approx((1.0 + 0.7 / 0.3) * math.exp(-0.7 / 0.3), rel=1e-14)
 
 
 def test_norm_surrogate_zero_function():

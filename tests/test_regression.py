@@ -33,21 +33,24 @@ def _random_instance(seed, n, psi=0.3):
 
 
 def test_dataset_coercion_and_validation():
-    d = Dataset(np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
-    assert d.x.shape == (3, 1)
+    d = Dataset([[0.1], [0.5], [0.9]], [1.0, 2.0, 3.0])
+    assert d.x.shape == (3, 1) and d.x.dtype == float
     assert d.n == 3 and d.d == 1
+    # a 1-d x is refused, not read as n points in one dimension
+    with pytest.raises(ValueError, match=r"\(m, d\)"):
+        Dataset(np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
-        Dataset(np.array([0.1, 1.5]), np.array([1.0, 2.0]))
+        Dataset(np.array([[0.1], [1.5]]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        Dataset(np.array([0.1, 0.5]), np.array([1.0]))
+        Dataset(np.array([[0.1], [0.5]]), np.array([1.0]))
     for x, y in [([0.1, np.nan], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf]), ([0.1, 0.5], [-np.inf, 2.0])]:
         with pytest.raises(ValueError, match="finite"):
-            Dataset(np.array(x), np.array(y))
+            Dataset(np.array(x).reshape(-1, 1), np.array(y))
 
 
 def test_fit_ridge_single_point_scalar_solve():
     # Sigma = [1] (no jitter), lambda = 1: c = y / (1 + 1)
-    d = Dataset(np.array([0.5]), np.array([3.0]))
+    d = Dataset(np.array([[0.5]]), np.array([3.0]))
     gm = gram(SPEC1, d.x, jitter=0.0)
     fit = fit_ridge(d, None, SPEC1, 1.0, gram_matrix=gm)
     assert fit.coef[0] == pytest.approx(1.5, rel=1e-12)
@@ -105,12 +108,12 @@ def test_monotone_shrinkage_in_lambda():
 
 
 def test_predict_discrepancy_closed_cases():
-    d = Dataset(np.array([0.5]), np.array([1.0]))
+    d = Dataset(np.array([[0.5]]), np.array([1.0]))
     fit = fit_ridge(d, None, SPEC1, 1.0)
     fit.coef = np.array([1.0])
-    assert predict_discrepancy(fit, np.array([0.5])) == pytest.approx(1.0)
+    assert predict_discrepancy(fit, np.array([[0.5]])) == pytest.approx(1.0)
     fit.coef = np.array([0.0])
-    assert predict_discrepancy(fit, np.array([0.1])) == 0.0
+    assert predict_discrepancy(fit, np.array([[0.1]])) == 0.0
 
 
 def test_predict_discrepancy_training_matrix_oracle():
@@ -148,12 +151,12 @@ def test_gcv_matches_dense_inverse_oracle():
     # one well-conditioned case, then two where Sigma + n*lambda I reaches
     # cond ~1e8 at the grid floor: psi = 1 at n = 200, and 20 pairs of
     # design points 1e-4 apart
-    pairs = np.repeat(np.linspace(0.05, 0.95, 20), 2) + np.tile([0.0, 1e-4], 20)
+    pairs = (np.repeat(np.linspace(0.05, 0.95, 20), 2) + np.tile([0.0, 1e-4], 20))[:, None]
     noise = 0.3 * RngStream(5).generator.standard_normal(40)
     cases = [
         (_random_instance(11, 6), SPEC1, (1e-3, 0.1, 2.0)),
         (_random_instance(11, 200), KernelSpec("matern32", 1.0, 1), (1e-8, 1e-5, 1e-2)),
-        (Dataset(pairs, np.sin(3.0 * pairs) + noise), SPEC1, (1e-8, 1e-5, 1e-2)),
+        (Dataset(pairs, np.sin(3.0 * pairs[:, 0]) + noise), SPEC1, (1e-8, 1e-5, 1e-2)),
     ]
     for d, spec, lams in cases:
         gm = gram(spec, d.x)
@@ -179,8 +182,8 @@ def test_select_lambda_is_largest_dense_inverse_near_minimizer():
 def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
     # Sigma is singular (every design point appears twice, no jitter), but
     # Sigma + n*lambda I is positive definite for lambda > 0
-    x = np.repeat(np.linspace(0.05, 0.95, 12), 2)
-    y = np.sin(3.0 * x) + 0.3 * RngStream(19).generator.standard_normal(24)
+    x = np.repeat(np.linspace(0.05, 0.95, 12), 2)[:, None]
+    y = np.sin(3.0 * x[:, 0]) + 0.3 * RngStream(19).generator.standard_normal(24)
     d = Dataset(x, y)
     gm = gram(SPEC1, d.x, jitter=0.0)
     assert gm.jitter == 0.0
@@ -230,6 +233,17 @@ def test_select_lambda_all_degenerate():
     d = _random_instance(16, 8)
     with pytest.raises(AllDegenerate):
         select_lambda_gcv(d, None, SPEC1, grid=[1e-30, 1e-28])
+
+
+def test_lambda_must_be_finite_and_positive():
+    # on this dataset GCV would pick -0.01 out of [-0.01, 1e-8]
+    data = generate_dataset(get_system("ex1"), 20, 0.3, RngStream(1, 1))
+    for grid in ([-0.01, 1e-8], [0.0, 0.1], [0.1, np.inf], [np.nan, 0.1]):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            select_lambda_gcv(data, None, SPEC1, grid=grid)
+    for lam in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            gcv_score(data, None, SPEC1, lam)
 
 
 def test_select_lambda_interior_on_smooth_instance():

@@ -299,10 +299,12 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
 
     The response is first smoothed with a GCV-tuned ridge fit; the
     parameter then minimizes the Monte Carlo estimate of the L2 distance
-    between that fit and the computer model over the (uniform) input
-    distribution.  The Monte Carlo draw is taken once and held fixed
-    through the search.
+    between that fit and the computer model over the uniform input
+    distribution on the unit cube, so the design must lie in [0, 1]^d.
+    The Monte Carlo draw is taken once and held fixed through the search.
     """
+    if np.any(data.x < 0.0) or np.any(data.x > 1.0):
+        raise ValueError("L2 calibration needs design coordinates in [0, 1]")
     gm = gram(kernel, data.x)
     lam = select_lambda_gcv(data, None, kernel, gram_matrix=gm)
     zhat_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)

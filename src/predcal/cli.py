@@ -57,6 +57,10 @@ def _finite_positive(text):
     return value
 
 
+def _psi_or_cv5(text):
+    return text if text == "cv5" else _finite_positive(text)
+
+
 def _write_csv(path, header, rows):
     text = csv_text(header, rows)
     if path:
@@ -82,7 +86,10 @@ def _cmd_calibrate(args):
         raise ValueError(
             f"dataset has {data.d} input column(s), model {args.model!r} expects {system.d}"
         )
-    kernel = choose_kernel(data, args.psi, RngStream(args.seed, 1))
+    # LS fits no discrepancy, so it has no kernel to choose
+    kernel = None
+    if args.method != "ls":
+        kernel = choose_kernel(data, args.psi, RngStream(args.seed, 1))
     stream = RngStream(args.seed, 2)
 
     if args.method == "ls":
@@ -100,7 +107,7 @@ def _cmd_calibrate(args):
     print("theta=" + ",".join(_FMT % t for t in result.theta_hat))
     lam = result.lambda_used if result.lambda_used is not None else float("nan")
     print(f"lambda={_FMT % lam}")
-    print(f"psi={_FMT % kernel.psi}")
+    print(f"psi={_FMT % (kernel.psi if kernel is not None else float('nan'))}")
 
     if args.out:
         fit = result.discrepancy
@@ -109,7 +116,7 @@ def _cmd_calibrate(args):
             "method": result.method,
             "theta": [float(t) for t in result.theta_hat],
             "lambda": result.lambda_used,
-            "kernel": {"family": kernel.family, "psi": kernel.psi, "dim": kernel.dim},
+            "kernel": dataclasses.asdict(kernel) if kernel is not None else None,
             "train_x": fit.train_x.tolist() if fit is not None else None,
             "coef": fit.coef.tolist() if fit is not None else None,
         }
@@ -220,7 +227,8 @@ def _build_parser():
     p.add_argument("--method", required=True, choices=("ls", "l2", "optpred"))
     p.add_argument("--mode", choices=("one_step", "full"), default="one_step",
                    help="optpred iteration mode")
-    p.add_argument("--psi", default="cv5", help="kernel scale, or 'cv5' to cross-validate")
+    p.add_argument("--psi", type=_psi_or_cv5, default="cv5",
+                   help="kernel scale, or 'cv5' to cross-validate")
     p.add_argument("--starts", type=int, default=10)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the fit as JSON for `predict`")
@@ -235,7 +243,7 @@ def _build_parser():
     p = sub.add_parser("profile", help="discrepancy-norm profile over theta")
     p.add_argument("--model", default="ex1", choices=system_names())
     p.add_argument("--norm", required=True, choices=("l2", "rkhs"))
-    p.add_argument("--psi", type=float, default=DEFAULT_PROFILE_PSI,
+    p.add_argument("--psi", type=_finite_positive, default=DEFAULT_PROFILE_PSI,
                    help="kernel scale for the rkhs norm")
     p.add_argument("--step", type=_finite_positive, default=1e-3, help="theta grid step")
     p.add_argument("--grid", type=int, default=PROFILE_GRID_1D,
@@ -246,9 +254,9 @@ def _build_parser():
     p = sub.add_parser("proposition", help="posterior-mean convergence table")
     p.add_argument("--n", type=int, required=True, help="design size")
     p.add_argument("--alpha-grid", default="1,100,10000,1000000,100000000")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=0.25)
-    p.add_argument("--psi", type=float, default=0.3)
+    p.add_argument("--beta", type=_finite_positive, default=1.0)
+    p.add_argument("--sigma2", type=_finite_positive, default=0.25)
+    p.add_argument("--psi", type=_finite_positive, default=0.3)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_proposition)

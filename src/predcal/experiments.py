@@ -38,7 +38,14 @@ import scipy
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
 from .kernels import KernelSpec, gram, kernel_cross
-from .regression import Dataset, DiscrepancyFit, fit_ridge, predict_discrepancy, select_lambda_gcv
+from .regression import (
+    Dataset,
+    DiscrepancyFit,
+    _residuals,
+    fit_ridge,
+    predict_discrepancy,
+    select_lambda_gcv,
+)
 from .rng import RngStream, uniform
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
@@ -149,10 +156,7 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
         raise ValueError("psi grid is empty")
     if data.n < 5:
         raise ValueError("five-fold cross-validation needs at least 5 points")
-    if eta_at_x is None:
-        resid = data.y
-    else:
-        resid = data.y - np.asarray(eta_at_x, dtype=float).reshape(-1)
+    resid = _residuals(data, eta_at_x)
 
     perm = stream.generator.permutation(data.n)
     folds = np.array_split(perm, 5)

@@ -3,11 +3,12 @@
 The kernel is K(x, y) = (1 + r/psi) * exp(-r/psi) with r the Euclidean
 distance and psi > 0 the length scale.
 
-Gram matrices are returned unfactored, with a small diagonal jitter that
-is used as given: ridge solves factor Sigma + n*lambda I, which the
+Gram matrices are returned unfactored, with the constant diagonal jitter
+``DEFAULT_JITTER``: ridge solves factor Sigma + n*lambda I, which the
 n*lambda term keeps positive definite (``regression.ridge_factor``).
-Only the norm surrogate factors a bare Gram matrix, and there the jitter
-escalates by factors of 10 up to a hard cap before giving up.
+Only the norm surrogate factors a bare Gram matrix; there the jitter
+starts at ``DEFAULT_JITTER`` and escalates by factors of 10 up to
+``MAX_JITTER`` before giving up.
 """
 
 from __future__ import annotations
@@ -71,16 +72,10 @@ class GramMatrix:
     jitter: float
 
 
-def gram(spec, points, jitter=DEFAULT_JITTER):
-    """Build the kernel matrix of a design plus a diagonal jitter.
-
-    The matrix is not factored, and the jitter is used as given.
-    """
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
-    j = float(jitter)
+def gram(spec, points):
+    """The kernel matrix of a design plus ``DEFAULT_JITTER`` on its diagonal, unfactored."""
     k = kernel_cross(spec, points, points)
-    return GramMatrix(values=k + j * np.eye(k.shape[0]), jitter=j)
+    return GramMatrix(k + DEFAULT_JITTER * np.eye(k.shape[0]), DEFAULT_JITTER)
 
 
 def _unit_grid(dim, grid_size):
@@ -91,23 +86,21 @@ def _unit_grid(dim, grid_size):
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_factor(spec, grid_size, jitter):
+def _grid_factor(spec, grid_size):
     """The grid and the Cholesky factor of its jittered Gram matrix, both read-only.
 
     Cached, since a profile evaluates many functions on one grid.  The
     jitter escalates as described in :func:`rkhs_norm_sq_approx`.
     """
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
     pts = _unit_grid(spec.dim, grid_size)
     base = kernel_cross(spec, pts, pts)
-    j = float(jitter)
+    j = DEFAULT_JITTER
     while True:
         try:
             factor = cholesky(base + j * np.eye(pts.shape[0]))
             break
         except NotPositiveDefinite:
-            j = DEFAULT_JITTER if j == 0 else j * 10.0
+            j *= 10.0
             if j > MAX_JITTER:
                 raise NotPositiveDefinite(
                     f"Gram matrix not factorizable even at jitter {MAX_JITTER}"
@@ -118,17 +111,17 @@ def _grid_factor(spec, grid_size, jitter):
     return pts, factor
 
 
-def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
+def rkhs_norm_sq_approx(spec, g, grid_size):
     """Grid surrogate for the squared RKHS norm of a function.
 
     Evaluates ``g`` on a uniform grid G of the unit cube and returns the
     quadratic form g(G)^T (Sigma_G + jitter I)^{-1} g(G), the squared norm
     of the minimum-norm interpolant of g on G.  The value is a lower bound
     of the true squared norm and is nondecreasing under grid refinement.
-    If Sigma_G + jitter I does not factor, the jitter escalates by factors
-    of 10 (starting from ``DEFAULT_JITTER`` when 0 was requested) up to
-    ``MAX_JITTER``.  The factor is reused while ``(spec, grid_size,
-    jitter)`` stay the same, and so is the grid.
+    The jitter is ``DEFAULT_JITTER``; if Sigma_G + jitter I does not
+    factor, it escalates by factors of 10 up to ``MAX_JITTER``.  The
+    factor is reused while ``(spec, grid_size)`` stay the same, and so is
+    the grid.
 
     Parameters
     ----------
@@ -146,7 +139,7 @@ def rkhs_norm_sq_approx(spec, g, grid_size, jitter=DEFAULT_JITTER):
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    pts, factor = _grid_factor(spec, grid_size, jitter)
+    pts, factor = _grid_factor(spec, grid_size)
     vals = np.asarray(g(pts), dtype=float).reshape(-1)
     if vals.shape[0] != pts.shape[0]:
         raise DimensionMismatch("g must return one value per grid point")

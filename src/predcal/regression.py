@@ -9,7 +9,8 @@ kernel's Hilbert space:
 By the representer theorem the minimizer is h(x) = sum_i c_i K(X_i, x)
 with coefficients solving (Sigma + n*lambda I) c = r, Sigma the Gram
 matrix of the design.  The smoothing level is picked by generalized
-cross-validation over a fixed grid.
+cross-validation over the constant grid ``DEFAULT_LAMBDA_GRID``, and the
+Gram matrix carries the constant jitter ``kernels.DEFAULT_JITTER``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class AllDegenerate(Exception):
 
 @dataclass
 class Dataset:
-    """Design points in the unit cube and scalar responses.
+    """Design points and scalar responses.
 
-    ``x`` is an (n, d) array of point rows, also for d = 1.  Coordinates
-    must lie in [0, 1], and every entry of ``x`` and ``y`` must be finite.
+    ``x`` is an (n, d) array of point rows, also for d = 1.  Every entry
+    of ``x`` and ``y`` must be finite.
     """
 
     x: np.ndarray
@@ -66,8 +67,6 @@ class Dataset:
             raise ValueError("dataset must contain at least one point")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("design points and responses must be finite")
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise ValueError("design coordinates must lie in [0, 1]")
         self.x = x
         self.y = y
 
@@ -184,28 +183,19 @@ def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
     return score
 
 
-def select_lambda_gcv(data, eta_at_x, kernel, grid=None, gram_matrix=None):
-    """Pick the smoothing level minimizing GCV over a grid.
+def select_lambda_gcv(data, eta_at_x, kernel, *, gram_matrix=None):
+    """Pick the smoothing level in ``DEFAULT_LAMBDA_GRID`` minimizing GCV.
 
     Ties are broken toward the larger lambda (more smoothing).  Grid
     values whose denominator trace degenerates are skipped.
 
     Raises
     ------
-    ValueError
-        If the grid is empty or holds a value that is not finite and > 0.
     AllDegenerate
         If every grid value degenerates.
     """
-    if grid is None:
-        grid = DEFAULT_LAMBDA_GRID
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("lambda grid is empty")
-    if not np.all(np.isfinite(grid) & (grid > 0)):
-        raise ValueError(f"lambda grid values must be finite and > 0, got {grid.tolist()}")
-    score = _gcv_curve(data, eta_at_x, kernel, grid, gram_matrix)
+    score = _gcv_curve(data, eta_at_x, kernel, DEFAULT_LAMBDA_GRID, gram_matrix)
     if np.all(np.isnan(score)):
         raise AllDegenerate("no lambda in the grid has a usable GCV denominator")
     # ascending grid: the last of the exact ties is the largest lambda
-    return float(grid[np.flatnonzero(score == np.nanmin(score))[-1]])
+    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == np.nanmin(score))[-1]])

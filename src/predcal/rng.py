@@ -64,12 +64,11 @@ def uniform(stream, d, size):
     return stream.generator.random((int(size), d))
 
 
-def normal(stream, sigma, size=None):
-    """Draw from ``N(0, sigma^2)``.  ``sigma = 0`` returns exact zeros."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    z = stream.generator.standard_normal(size)
-    return sigma * z
+def normal(stream, sigma, size):
+    """Draw ``size`` values from ``N(0, sigma^2)``.  ``sigma = 0`` returns exact zeros."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and >= 0")
+    return sigma * stream.generator.standard_normal(size)
 
 
 def latin_hypercube(stream, k, box):

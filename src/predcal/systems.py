@@ -130,8 +130,6 @@ def ion_eta(x, theta):
     ``theta`` holds the three positive transition rates.  A (k, 3) array
     of rate rows gives a (k,) + x.shape result, from one matrix
     exponential call over the whole stack.
-    A ``Dataset`` keeps inputs in [0, 1], so ion data covers log times
-    0 to 1, i.e. times 1 to e.
     """
     theta = np.asarray(theta, dtype=float)
     a = _ion_generator(theta).reshape(theta.shape[:-1] + (1,) * np.ndim(x) + (4, 4))
@@ -251,8 +249,9 @@ def _read_csv(path, d=None):
 def load_dataset_csv(path):
     """Read a dataset from CSV with header ``x1,...,xd,y``.
 
-    A single input column may also be named plain ``x``.  Coordinates
-    must lie in [0, 1] (rescale inputs before writing the file).
+    A single input column may also be named plain ``x``.  Inputs may take
+    any finite value, but L2 calibration needs them in the unit cube
+    (rescale them before writing the file).
     """
     arr = _read_csv(path)
     return Dataset(x=arr[:, :-1], y=arr[:, -1])

@@ -230,11 +230,64 @@ def test_calibrate_dimension_mismatch(tmp_path, capsys):
 def test_calibrate_rejects_nonpositive_or_infinite_psi(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)
-    for psi in ("inf", "0", "-0.3"):
-        assert cli_main(
-            ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls", "--psi", psi]
-        ) == 1
+    for psi in ("inf", "0", "-0.3", "nan", "cv4"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(
+                ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls",
+                 "--psi", psi]
+            )
+        assert exc.value.code == 2
         assert "psi" in capsys.readouterr().err
+
+
+def test_positive_real_flags_are_usage_errors(capsys):
+    # each of these once failed at run time with status 1
+    cases = [
+        ["profile", "--norm", "rkhs", "--psi", "0"],
+        ["profile", "--norm", "rkhs", "--psi", "nan"],
+        ["proposition", "--n", "5", "--beta", "inf"],
+        ["proposition", "--n", "5", "--beta", "0"],
+        ["proposition", "--n", "5", "--psi", "inf"],
+        ["proposition", "--n", "5", "--sigma2", "-1"],
+        ["proposition", "--n", "5", "--sigma2", "0"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2, argv
+        assert argv[-2] in capsys.readouterr().err
+
+
+def test_calibrate_ls_chooses_no_kernel(tmp_path, capsys):
+    # three rows are too few for five-fold psi cross-validation, which LS never uses
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=3)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls",
+         "--starts", "2", "--out", str(fit_json)]
+    ) == 0
+    text = capsys.readouterr().out
+    assert "psi=nan\n" in text and "lambda=nan\n" in text
+    payload = json.loads(fit_json.read_text())
+    assert payload["kernel"] is None and payload["coef"] is None
+
+
+def test_calibrate_ion_ls_at_any_log_time(tmp_path, capsys):
+    # ion inputs are log times, which need not lie in [0, 1]
+    x = np.array([[-1.0], [0.5], [1.5]])
+    y = get_system("ion").model.eval(x, [2.5, 1.2, 0.8])
+    data_csv = tmp_path / "ion.csv"
+    rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x[:, 0], y))
+    data_csv.write_text("x,y\n" + rows)
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ion", "--method", "ls",
+         "--starts", "2"]
+    ) == 0
+    text = capsys.readouterr().out
+    assert "method=LS" in text
+    theta = [float(v) for v in text.split("theta=")[1].split("\n")[0].split(",")]
+    assert len(theta) == 3 and all(np.isfinite(theta))
 
 
 def test_experiment_subcommand_matches_library(tmp_path):

@@ -159,6 +159,14 @@ def test_cv5_validation():
         cv5_select_psi(data10, "matern32", [], None, RngStream(63, 1))
 
 
+def test_cv5_refuses_model_values_of_the_wrong_length():
+    # one model value for 20 points is refused, as select_lambda_gcv refuses it,
+    # not broadcast across the design
+    data = generate_dataset(get_system("ex1"), 20, 0.3, RngStream(65))
+    with pytest.raises(ValueError, match="one value per design point"):
+        cv5_select_psi(data, "matern32", default_psi_grid(1), np.array([0.7]), RngStream(65, 1))
+
+
 def test_pmse_exact_predictor():
     got = pmse({"exact": _affine(1.0, 0.0)}, _AFFINE, 2000, RngStream(64))
     assert got == {"exact": 0.0}

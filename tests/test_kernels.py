@@ -8,7 +8,10 @@ import pytest
 from predcal import (
     DEFAULT_JITTER,
     DimensionMismatch,
+    GramMatrix,
     KernelSpec,
+    MAX_JITTER,
+    NotPositiveDefinite,
     RngStream,
     cholesky,
     gram,
@@ -73,12 +76,12 @@ def test_gram_single_point_and_diagonal():
 def test_gram_matches_elementwise_kernel_oracle():
     spec = KernelSpec("matern32", 0.4, 1)
     pts = np.array([[0.1], [0.35], [0.9]])
-    gm = gram(spec, pts, jitter=0.0)
-    for i in range(3):
-        for j in range(3):
-            r = abs(pts[i, 0] - pts[j, 0])
-            want = (1.0 + r / 0.4) * math.exp(-r / 0.4) + (0.0 if i != j else gm.jitter)
-            assert gm.values[i, j] == pytest.approx(want, abs=1e-15)
+    for gm in (GramMatrix(kernel_cross(spec, pts, pts), 0.0), gram(spec, pts)):
+        for i in range(3):
+            for j in range(3):
+                r = abs(pts[i, 0] - pts[j, 0])
+                want = (1.0 + r / 0.4) * math.exp(-r / 0.4) + (0.0 if i != j else gm.jitter)
+                assert gm.values[i, j] == pytest.approx(want, abs=1e-15)
 
 
 def test_gram_positive_definite_on_random_designs():
@@ -133,15 +136,38 @@ def test_norm_surrogate_constant_function_closed_form():
         assert val == pytest.approx(exact, rel=5e-3)
 
 
-def test_norm_surrogate_escalates_jitter_on_singular_grid():
+def _refusing_cholesky(min_jitter):
+    """A cholesky that refuses any matrix whose diagonal jitter is below ``min_jitter``."""
+
+    def refusing(a):
+        # every Matern-3/2 diagonal entry is 1, so the jitter is diag - 1
+        if np.min(np.diag(a)) - 1.0 < min_jitter:
+            raise NotPositiveDefinite("refused by the test")
+        return cholesky(a)
+
+    return refusing
+
+
+def test_norm_surrogate_escalates_jitter_on_singular_grid(monkeypatch):
     # at psi = 1e8 every kernel entry on [0,1] is 1 to within an ulp, so the
-    # bare grid matrix is the singular all-ones matrix J; the first jitter
-    # that factors is DEFAULT_JITTER, and 1^T (J + eps I)^{-1} 1 = m / (m + eps)
+    # grid matrix is the all-ones matrix J; with factorizations refused below
+    # a jitter of 5e-7 the jitter escalates from DEFAULT_JITTER to 1e-6, and
+    # 1^T (J + eps I)^{-1} 1 = m / (m + eps)
     spec = KernelSpec("matern32", 1e8, 1)
     pts = np.linspace(0.0, 1.0, 50).reshape(-1, 1)
     assert np.max(np.abs(kernel_cross(spec, pts, pts) - 1.0)) <= 2.3e-16
-    val = rkhs_norm_sq_approx(spec, lambda x: np.ones(len(x)), 50, jitter=0.0)
-    assert val == pytest.approx(50.0 / (50.0 + DEFAULT_JITTER), rel=1e-9)
+    one = lambda x: np.ones(len(x))
+    kernels._grid_factor.cache_clear()
+    try:
+        monkeypatch.setattr(kernels, "cholesky", _refusing_cholesky(5e-7))
+        val = rkhs_norm_sq_approx(spec, one, 50)
+        assert val == pytest.approx(50.0 / (50.0 + 1e-6), rel=1e-9)
+        kernels._grid_factor.cache_clear()
+        monkeypatch.setattr(kernels, "cholesky", _refusing_cholesky(np.inf))
+        with pytest.raises(NotPositiveDefinite, match=f"even at jitter {MAX_JITTER}"):
+            rkhs_norm_sq_approx(spec, one, 50)
+    finally:
+        kernels._grid_factor.cache_clear()
 
 
 def test_norm_surrogate_matches_dense_solve_across_grid_sizes():
@@ -154,7 +180,7 @@ def test_norm_surrogate_matches_dense_solve_across_grid_sizes():
         want = vals @ np.linalg.solve(gram(spec, pts).values, vals)
         assert rkhs_norm_sq_approx(spec, g, m) == pytest.approx(want, rel=1e-8)
     # the cached grid and factor are shared by every caller, so they cannot be written
-    pts, factor = _grid_factor(spec, 200, DEFAULT_JITTER)
+    pts, factor = _grid_factor(spec, 200)
     assert not pts.flags.writeable and not factor.l.flags.writeable
 
 

@@ -59,7 +59,19 @@ def test_normal_determinism():
 
 def test_normal_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        normal(RngStream(1), -0.1)
+        normal(RngStream(1), -0.1, size=3)
+
+
+def test_normal_rejects_nonfinite_sigma():
+    # NaN fails no comparison with 0, so it needs its own check
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            normal(RngStream(1), sigma, size=3)
+
+
+def test_normal_requires_size():
+    with pytest.raises(TypeError):
+        normal(RngStream(1), 1.0)
 
 
 def test_latin_hypercube_single_point_unit_box():

@@ -8,8 +8,10 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
 from predcal import (
+    KernelSpec,
     NoTruthAvailable,
     RngStream,
+    calibrate_l2,
     ex1_eta,
     ex1_zeta,
     ex2_eta,
@@ -257,10 +259,14 @@ def test_load_dataset_csv_errors(tmp_path):
     too_wide.write_text("x,y\n0.1,2.0,5.0\n")
     with pytest.raises(ValueError, match="column count"):
         load_dataset_csv(too_wide)
+    # inputs outside the unit cube load; L2 calibration is what refuses them
     out_of_box = tmp_path / "e.csv"
-    out_of_box.write_text("x,y\n1.5,0.0\n")
-    with pytest.raises(ValueError):
-        load_dataset_csv(out_of_box)
+    out_of_box.write_text("x,y\n1.5,0.0\n0.5,1.0\n")
+    off_cube = load_dataset_csv(out_of_box)
+    assert np.array_equal(off_cube.x, [[1.5], [0.5]])
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        calibrate_l2(off_cube, get_system("ex1").model, KernelSpec("matern32", 0.3, 1),
+                     stream=RngStream(1))
     not_finite = tmp_path / "g.csv"
     not_finite.write_text("x,y\n0.1,1.0\n0.2,nan\n")
     with pytest.raises(ValueError, match="finite"):

@@ -51,6 +51,7 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     gram,
+    kernel_apply,
     kernel_cross,
     rkhs_norm_sq_approx,
 )

@@ -22,7 +22,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .kernels import gram, kernel_cross
+from .kernels import gram, kernel_apply, kernel_cross
 from .linalg import _as_points, solve_spd
 from .regression import DiscrepancyFit, ridge_factor
 
@@ -135,7 +135,7 @@ def posterior_mean(data, model, kernel, hyper, x):
     """
     system = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
     theta, coef = _solve(data, system, hyper.beta / hyper.alpha)
-    return model.basis_matrix(x) @ theta + kernel_cross(kernel, x, data.x) @ coef
+    return model.basis_matrix(x) @ theta + kernel_apply(kernel, x, data.x, coef)
 
 
 def partial_spline_limit(data, model, kernel, lam):

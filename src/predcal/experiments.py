@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
-from .kernels import KernelSpec, gram, kernel_cross
+from .kernels import KernelSpec, gram, kernel_apply, kernel_cross
 from .regression import (
     Dataset,
     DiscrepancyFit,
@@ -81,7 +81,7 @@ _PHASE_L2 = 3
 _PHASE_OPTPRED = 4
 _PHASE_TEST = 5
 
-# test points scored per block; bounds the (block, n) kernel matrix
+# test points scored per block; bounds the (block, n) kernel matrix at d > 1
 _PMSE_CHUNK = 32768
 
 # the integer fields of ExperimentConfig
@@ -212,19 +212,24 @@ class Predictor:
 def predict(model, predictors, x):
     """Evaluate a mapping of name -> Predictor at the points ``x`` (m, d).
 
-    Returns a mapping of name -> (m,) array.  Fits that share a kernel
-    and a training design share one kernel matrix; each still takes its
-    own matrix-vector product.
+    Returns a mapping of name -> (m,) array.  At d = 1 each fit is
+    applied by ``kernel_apply``'s sweeps and no kernel matrix is formed.
+    At d > 1 fits that share a kernel and a training design share one
+    kernel matrix; each still takes its own matrix-vector product.
     """
     cross = {}
     out = {}
     for name, p in predictors.items():
         value = None if p.theta is None else model.eval(x, p.theta)
         if p.fit is not None:
-            key = (p.fit.kernel, id(p.fit.train_x))
-            if key not in cross:
-                cross[key] = kernel_cross(p.fit.kernel, x, p.fit.train_x)
-            h = cross[key] @ p.fit.coef
+            fit = p.fit
+            if fit.kernel.dim == 1:
+                h = kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
+            else:
+                key = (fit.kernel, id(fit.train_x))
+                if key not in cross:
+                    cross[key] = kernel_cross(fit.kernel, x, fit.train_x)
+                h = cross[key] @ fit.coef
             value = h if value is None else value + h
         out[name] = value
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram, kernel_cross
+from .kernels import KernelSpec, gram, kernel_apply
 from .linalg import _as_points, cholesky, solve_spd
 
 __all__ = [
@@ -139,7 +139,7 @@ def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
 
 def predict_discrepancy(fit, x):
     """Evaluate the fitted expansion at an (m, d) array of points; returns an (m,) array."""
-    return kernel_cross(fit.kernel, x, fit.train_x) @ fit.coef
+    return kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
 
 
 def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):

@@ -24,8 +24,9 @@ from predcal import (
     predict,
     predict_discrepancy,
     run_experiment,
+    uniform,
 )
-from predcal import experiments
+from predcal import experiments, kernels
 from predcal.experiments import _stream
 from predcal.systems import NamedSystem
 
@@ -211,17 +212,29 @@ def test_pmse_of_a_mapping_scores_each_predictor_as_alone():
         assert alone.hex() == together[name].hex(), name
 
 
-def test_predict_shares_the_kernel_matrix_and_matches_the_terms(monkeypatch):
-    sys1 = get_system("ex1")
-    data = generate_dataset(sys1, 20, 0.3, RngStream(73))
-    cfg = _toy_cfg(n=20, methods=("NP", "LSCal"))
+def _np_lscal_and_head(system_id):
+    """NP and LSCal on one design, plus a fit on that design's first five points."""
+    system = get_system(system_id)
+    data = generate_dataset(system, 20, 0.3, RngStream(73))
+    cfg = _toy_cfg(system=system_id, n=20, methods=("NP", "LSCal"))
     streams = {"ls": RngStream(73, 2), "l2": RngStream(73, 3), "optpred": RngStream(73, 4)}
-    preds, _ = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
-    np_fit, ls = preds["NP"].fit, preds["LSCal"]
-    # a fit on another design needs a kernel matrix of its own
-    head = DiscrepancyFit(np_fit.coef[:5], np_fit.kernel, data.x[:5].copy())
-    preds["head"] = Predictor(None, head)
-    x = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
+    kernel = KernelSpec("matern32", 0.3, system.d)
+    preds, _ = build_predictors(data, system, kernel, cfg, streams)
+    np_fit = preds["NP"].fit
+    preds["head"] = Predictor(None, DiscrepancyFit(np_fit.coef[:5], kernel, data.x[:5].copy()))
+    return system, preds
+
+
+def _assert_predict_matches_the_terms(system, preds, x):
+    got = predict(system.model, preds, x)
+    assert np.array_equal(got["NP"], predict_discrepancy(preds["NP"].fit, x))
+    ls = preds["LSCal"]
+    want = system.model.eval(x, ls.theta) + predict_discrepancy(ls.fit, x)
+    assert np.array_equal(got["LSCal"], want)
+    assert np.array_equal(got["head"], predict_discrepancy(preds["head"].fit, x))
+
+
+def _record_kernel_cross(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -229,12 +242,28 @@ def test_predict_shares_the_kernel_matrix_and_matches_the_terms(monkeypatch):
         return kernel_cross(*args)
 
     monkeypatch.setattr(experiments, "kernel_cross", counted)
-    got = predict(sys1.model, preds, x)
-    assert len(calls) == 2  # NP and LSCal both hold data.x under one kernel
-    assert np.array_equal(got["NP"], predict_discrepancy(np_fit, x))
-    want = sys1.model.eval(x, ls.theta) + predict_discrepancy(ls.fit, x)
-    assert np.array_equal(got["LSCal"], want)
-    assert np.array_equal(got["head"], predict_discrepancy(head, x))
+    monkeypatch.setattr(kernels, "kernel_cross", counted)
+    return calls
+
+
+def test_predict_shares_the_kernel_matrix_in_2d_and_matches_the_terms(monkeypatch):
+    system, preds = _np_lscal_and_head("ex2")
+    x = uniform(RngStream(74), 2, size=17)
+    calls = _record_kernel_cross(monkeypatch)
+    predict(system.model, preds, x)
+    # NP and LSCal both hold the design under one kernel; the head fit
+    # on another design needs a kernel matrix of its own
+    assert len(calls) == 2
+    _assert_predict_matches_the_terms(system, preds, x)
+
+
+def test_predict_in_1d_forms_no_kernel_matrix_and_matches_the_terms(monkeypatch):
+    system, preds = _np_lscal_and_head("ex1")
+    x = np.linspace(0.0, 1.0, 17).reshape(-1, 1)
+    calls = _record_kernel_cross(monkeypatch)
+    predict(system.model, preds, x)
+    assert calls == []
+    _assert_predict_matches_the_terms(system, preds, x)
 
 
 def test_pmse_errors():

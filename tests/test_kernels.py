@@ -15,6 +15,7 @@ from predcal import (
     RngStream,
     cholesky,
     gram,
+    kernel_apply,
     kernel_cross,
     rkhs_norm_sq_approx,
     uniform,
@@ -64,6 +65,65 @@ def test_kernel_cross_dimension_mismatch():
         kernel_cross(spec, [[0.1]], [[0.2]])
     with pytest.raises(DimensionMismatch):
         kernel_cross(spec, [[0.1, 0.2]], [[0.2]])
+
+
+def _sweep_case(n):
+    """An unsorted n-point design with an exact duplicate node (n >= 2), its
+    coefficients, and queries on the nodes, inside and outside [0, 1]."""
+    rng = np.random.default_rng(n)
+    design = rng.random((n, 1))
+    if n > 1:
+        design[-1] = design[0]
+    coef = rng.standard_normal(n)
+    queries = np.concatenate(
+        [design, rng.uniform(-0.2, 1.2, (500, 1)), [[-50.0], [0.0], [1.0], [50.0]]]
+    )
+    return design, coef, queries
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 50, 400])
+@pytest.mark.parametrize("psi", [1e-3, 0.05, 0.3, 1.0, 1e8])
+def test_kernel_apply_matches_the_dense_product_in_1d(psi, n):
+    spec = KernelSpec("matern32", psi, 1)
+    design, coef, queries = _sweep_case(n)
+    dense = kernel_cross(spec, queries, design) @ coef
+    got = kernel_apply(spec, queries, design, coef)
+    assert got.shape == (queries.shape[0],)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.sum(np.abs(coef))
+
+
+@pytest.mark.parametrize("psi", [1e-3, 0.3, 1e8])
+def test_kernel_apply_is_bitwise_chunk_invariant(psi):
+    # PMSE scoring applies fits block by block; the blocks must give the
+    # bits of one whole call
+    spec = KernelSpec("matern32", psi, 1)
+    design, coef, queries = _sweep_case(50)
+    whole = kernel_apply(spec, queries, design, coef)
+    for k in (1, 7, 300, queries.shape[0] - 1):
+        parts = [kernel_apply(spec, queries[:k], design, coef),
+                 kernel_apply(spec, queries[k:], design, coef)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_kernel_apply_is_the_dense_product_in_2d():
+    spec = KernelSpec("matern32", 0.4, 2)
+    design = uniform(RngStream(41), 2, size=30)
+    queries = uniform(RngStream(42), 2, size=60)
+    coef = np.random.default_rng(43).standard_normal(30)
+    want = kernel_cross(spec, queries, design) @ coef
+    assert np.array_equal(kernel_apply(spec, queries, design, coef), want)
+
+
+def test_kernel_apply_checks_shapes():
+    spec = KernelSpec("matern32", 0.3, 1)
+    design = np.array([[0.2], [0.6]])
+    with pytest.raises(DimensionMismatch, match="one value per design point"):
+        kernel_apply(spec, [[0.5]], design, [1.0, 2.0, 3.0])
+    for bad_x, bad_design in (([0.5], design), ([[0.5]], [0.2, 0.6]), ([[0.5, 0.5]], design)):
+        with pytest.raises(DimensionMismatch):
+            kernel_apply(spec, bad_x, bad_design, [1.0, 2.0])
+    assert kernel_apply(spec, np.empty((0, 1)), design, [1.0, 2.0]).shape == (0,)
 
 
 def test_gram_single_point_and_diagonal():

@@ -65,7 +65,6 @@ from .linalg import (
 )
 from .regression import (
     DEFAULT_LAMBDA_GRID,
-    AllDegenerate,
     Dataset,
     DegenerateTrace,
     DiscrepancyFit,

@@ -305,9 +305,8 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     """
     if np.any(data.x < 0.0) or np.any(data.x > 1.0):
         raise ValueError("L2 calibration needs design coordinates in [0, 1]")
-    gm = gram(kernel, data.x)
-    lam = select_lambda_gcv(data, None, kernel, gram_matrix=gm)
-    zhat_fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
+    lam = select_lambda_gcv(data, None, kernel)
+    zhat_fit = fit_ridge(data, None, kernel, lam)
     draw = uniform(stream, data.d, size=L2_MC_POINTS)
     zhat = predict_discrepancy(zhat_fit, draw)
 
@@ -331,7 +330,7 @@ def _weighted_misfit(data, model, factor):
     return misfit
 
 
-def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
+def weighted_objective(data, model, kernel, lam, theta):
     """The prediction-weighted misfit r^T (Sigma + n*lambda I)^{-1} r
     with r = Y - eta(X, theta).
 
@@ -339,8 +338,7 @@ def weighted_objective(data, model, kernel, lam, theta, gram_matrix=None):
     of the penalized joint objective at fixed theta, so driving it down
     drives down the best achievable penalized fit.
     """
-    gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    misfit = _weighted_misfit(data, model, ridge_factor(gm, lam))
+    misfit = _weighted_misfit(data, model, ridge_factor(gram(kernel, data.x), lam))
     return float(misfit(np.reshape(theta, (1, -1)))[0])
 
 
@@ -375,14 +373,13 @@ def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_START
     if mode not in ("one_step", "full"):
         raise ValueError("mode must be 'one_step' or 'full'")
 
-    gm = gram(kernel, data.x)
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
     theta = ls.theta_hat
-    lam = select_lambda_gcv(data, model.eval(data.x, theta), kernel, gram_matrix=gm)
+    lam = select_lambda_gcv(data, model.eval(data.x, theta), kernel)
 
     # the smoothing level is frozen: one factorization serves every theta
     # and the final discrepancy fit
-    factor = ridge_factor(gm, lam)
+    factor = ridge_factor(gram(kernel, data.x), lam)
     wobj = _weighted_misfit(data, model, factor)
 
     trace = [lam * float(wobj(theta[None])[0])]

@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
-from .kernels import KernelSpec, gram, kernel_apply, kernel_cross
+from .kernels import KernelSpec, kernel_apply, kernel_cross
 from .regression import (
     Dataset,
     DiscrepancyFit,
@@ -170,9 +170,8 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
             mask = np.ones(data.n, dtype=bool)
             mask[fold] = False
             train = Dataset(x=data.x[mask], y=resid[mask])
-            gm = gram(spec, train.x)
-            lam = select_lambda_gcv(train, None, spec, gram_matrix=gm)
-            fit = fit_ridge(train, None, spec, lam, gram_matrix=gm)
+            lam = select_lambda_gcv(train, None, spec)
+            fit = fit_ridge(train, None, spec, lam)
             pred = predict_discrepancy(fit, data.x[fold])
             err += float(np.sum((resid[fold] - pred) ** 2))
         if err <= best_err:  # ascending grid: ties keep the larger scale
@@ -276,11 +275,10 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     model = system.model
     predictors = {}
     info = {"psi": kernel.psi}
-    gm = gram(kernel, data.x) if {"NP", "LSCal"} & set(config.methods) else None
 
     if "NP" in config.methods:
-        lam = select_lambda_gcv(data, None, kernel, gram_matrix=gm)
-        fit = fit_ridge(data, None, kernel, lam, gram_matrix=gm)
+        lam = select_lambda_gcv(data, None, kernel)
+        fit = fit_ridge(data, None, kernel, lam)
         predictors["NP"] = Predictor(None, fit)
         info["np_lambda"] = lam
 
@@ -292,8 +290,8 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     if "LSCal" in config.methods:
         res = calibrate_ls(data, model, starts=config.starts, stream=streams["ls"])
         eta0 = model.eval(data.x, res.theta_hat)
-        lam = select_lambda_gcv(data, eta0, kernel, gram_matrix=gm)
-        fit = fit_ridge(data, eta0, kernel, lam, gram_matrix=gm)
+        lam = select_lambda_gcv(data, eta0, kernel)
+        fit = fit_ridge(data, eta0, kernel, lam)
         predictors["LSCal"] = Predictor(res.theta_hat, fit)
         info["theta_ls"] = res.theta_hat
         info["ls_lambda"] = lam

@@ -11,6 +11,8 @@ with coefficients solving (Sigma + n*lambda I) c = r, Sigma the Gram
 matrix of the design.  The smoothing level is picked by generalized
 cross-validation over the constant grid ``DEFAULT_LAMBDA_GRID``, and the
 Gram matrix carries the constant jitter ``kernels.DEFAULT_JITTER``.
+Every entry point takes the data and builds that Gram matrix itself;
+only ``ridge_factor`` takes a Gram matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "Dataset",
     "DiscrepancyFit",
     "DegenerateTrace",
-    "AllDegenerate",
     "DEFAULT_LAMBDA_GRID",
     "ridge_factor",
     "fit_ridge",
@@ -41,10 +42,6 @@ DEFAULT_LAMBDA_GRID = np.logspace(-8.0, 1.0, 60)
 
 class DegenerateTrace(Exception):
     """GCV denominator trace is numerically zero (lambda too small)."""
-
-
-class AllDegenerate(Exception):
-    """Every lambda in the grid produced a degenerate GCV denominator."""
 
 
 @dataclass
@@ -94,6 +91,8 @@ def _residuals(data, eta_at_x):
     eta = np.asarray(eta_at_x, dtype=float).reshape(-1)
     if eta.shape[0] != data.n:
         raise ValueError("eta_at_x must hold one value per design point")
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("eta_at_x must be finite")
     return data.y - eta
 
 
@@ -115,25 +114,22 @@ def ridge_factor(gram_matrix, lam):
     return cholesky(gram_matrix.values + n * lam * np.eye(n))
 
 
-def fit_ridge(data, eta_at_x, kernel, lam, gram_matrix=None):
+def fit_ridge(data, eta_at_x, kernel, lam):
     """Fit the discrepancy expansion at a fixed smoothing level.
 
     Parameters
     ----------
     data : Dataset
     eta_at_x : array_like or None
-        Computer-model values at the design points; None means zeros, in
-        which case the fit smooths the responses themselves.
+        Finite computer-model values at the design points; None means
+        zeros, in which case the fit smooths the responses themselves.
     kernel : KernelSpec
+        Builds the Gram matrix of ``data.x``.
     lam : float
         Smoothing level, > 0.
-    gram_matrix : GramMatrix, optional
-        Precomputed Gram matrix of ``data.x`` (saves rebuilding it when
-        several fits share one design).
     """
     r = _residuals(data, eta_at_x)
-    gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    coef = solve_spd(ridge_factor(gm, lam), r)
+    coef = solve_spd(ridge_factor(gram(kernel, data.x), lam), r)
     return DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)
 
 
@@ -142,18 +138,21 @@ def predict_discrepancy(fit, x):
     return kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
 
 
-def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):
-    """GCV scores over an array of lambdas, NaN where tr(I - A) <= 1e-12 * n.
+def _gcv_curve(data, eta_at_x, kernel, lams):
+    """GCV scores over an array of lambdas, NaN where tr(I - A) <= 1e-12 * n."""
+    return _gcv_scores(gram(kernel, data.x).values, _residuals(data, eta_at_x), lams)
+
+
+def _gcv_scores(sigma, r, lams):
+    """Array core of ``_gcv_curve``: GCV of residuals r against the (n, n) matrix sigma.
 
     One eigendecomposition Sigma = U diag(w) U^T serves every lambda: with
     z = U^T r and s = n*lambda / (w + n*lambda), I - A = U diag(s) U^T, so
     (1/n)||r - A r||^2 = sum(s^2 z^2) / n and tr(I - A) = sum(s) (Golub,
     Heath & Wahba 1979).
     """
-    r = _residuals(data, eta_at_x)
-    gm = gram_matrix if gram_matrix is not None else gram(kernel, data.x)
-    n = data.n
-    w, u = np.linalg.eigh(gm.values)
+    n = r.shape[0]
+    w, u = np.linalg.eigh(sigma)
     z2 = (u.T @ r) ** 2
     nlam = n * np.asarray(lams, dtype=float)[:, None]
     s = nlam / (w + nlam)
@@ -163,7 +162,7 @@ def _gcv_curve(data, eta_at_x, kernel, lams, gram_matrix=None):
     return score
 
 
-def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
+def gcv_score(data, eta_at_x, kernel, lam):
     """Generalized cross-validation score of one smoothing level.
 
     GCV(lambda) = [ (1/n) ||r - A r||^2 ] / [ (1/n) tr(I - A) ]^2 with
@@ -177,25 +176,20 @@ def gcv_score(data, eta_at_x, kernel, lam, gram_matrix=None):
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and > 0")
-    score = float(_gcv_curve(data, eta_at_x, kernel, [lam], gram_matrix)[0])
+    score = float(_gcv_curve(data, eta_at_x, kernel, [lam])[0])
     if np.isnan(score):
         raise DegenerateTrace(f"tr(I - A) <= 1e-12 * n at lambda = {lam:.3e}")
     return score
 
 
-def select_lambda_gcv(data, eta_at_x, kernel, *, gram_matrix=None):
+def select_lambda_gcv(data, eta_at_x, kernel):
     """Pick the smoothing level in ``DEFAULT_LAMBDA_GRID`` minimizing GCV.
 
-    Ties are broken toward the larger lambda (more smoothing).  Grid
-    values whose denominator trace degenerates are skipped.
-
-    Raises
-    ------
-    AllDegenerate
-        If every grid value degenerates.
+    Ties are broken toward the larger lambda (more smoothing).  No grid
+    value has a degenerate trace: the jittered Gram matrix has
+    eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
+    about 1e-8 at the grid floor, far above the 1e-12 cut.
     """
-    score = _gcv_curve(data, eta_at_x, kernel, DEFAULT_LAMBDA_GRID, gram_matrix)
-    if np.all(np.isnan(score)):
-        raise AllDegenerate("no lambda in the grid has a usable GCV denominator")
+    score = _gcv_curve(data, eta_at_x, kernel, DEFAULT_LAMBDA_GRID)
     # ascending grid: the last of the exact ties is the largest lambda
-    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == np.nanmin(score))[-1]])
+    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == score.min())[-1]])

@@ -25,10 +25,12 @@ from predcal import (
     minimize_box,
     posterior_mean,
     predict_discrepancy,
+    ridge_factor,
     uniform,
     verify_proposition_limit,
     weighted_objective,
 )
+from predcal.calibrate import _weighted_misfit
 from predcal.kernels import GramMatrix
 from predcal.systems import generate_dataset, get_system
 
@@ -257,7 +259,7 @@ def test_weighted_objective_scalar_weight_when_kernel_vanishes():
     gm = GramMatrix(values=jitter * np.eye(6), jitter=jitter)
     model = ComputerModel(eta=lambda x, th: np.zeros((len(th), len(x))), theta_box=[[0.0, 1.0]])
     lam = 0.3
-    got = weighted_objective(data, model, SPEC1, lam, [0.5], gram_matrix=gm)
+    got = _weighted_misfit(data, model, ridge_factor(gm, lam))(np.array([[0.5]]))[0]
     want = float(y @ y) / (6 * lam + jitter)
     assert got == pytest.approx(want, rel=1e-12)
 

@@ -250,6 +250,12 @@ def test_positive_real_flags_are_usage_errors(capsys):
         ["proposition", "--n", "5", "--psi", "inf"],
         ["proposition", "--n", "5", "--sigma2", "-1"],
         ["proposition", "--n", "5", "--sigma2", "0"],
+        # integer flags below their floor
+        ["calibrate", "--data", "d.csv", "--model", "ex1", "--method", "ls", "--starts", "0"],
+        ["profile", "--norm", "rkhs", "--grid", "1"],
+        ["experiment", "--config", "c.cfg", "--threads", "-1"],
+        ["proposition", "--n", "0"],
+        ["proposition", "--n", "2"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
@@ -323,6 +329,8 @@ def test_experiment_seed_override_changes_report(tmp_path):
 
 def test_proposition_subcommand(tmp_path):
     out = tmp_path / "prop.csv"
+    # three points are the fewest that pin the quadratic basis
+    assert cli_main(["proposition", "--n", "3", "--out", str(out)]) == 0
     assert cli_main(["proposition", "--n", "15", "--out", str(out)]) == 0
     header, arr = _read_csv(out)
     assert header == "alpha,max_deviation"

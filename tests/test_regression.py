@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from predcal import (
-    AllDegenerate,
     ComputerModel,
     DEFAULT_LAMBDA_GRID,
     Dataset,
@@ -20,11 +19,14 @@ from predcal import (
     gram,
     kernel_cross,
     predict_discrepancy,
+    ridge_factor,
     select_lambda_gcv,
+    solve_spd,
     uniform,
-    weighted_objective,
 )
+from predcal.calibrate import _weighted_misfit
 from predcal.experiments import _stream
+from predcal.regression import _gcv_curve, _gcv_scores
 from predcal.systems import generate_dataset, get_system
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
@@ -60,8 +62,8 @@ def test_fit_ridge_single_point_scalar_solve():
     # Sigma = [1] (no jitter), lambda = 1: c = y / (1 + 1)
     d = Dataset(np.array([[0.5]]), np.array([3.0]))
     gm = GramMatrix(kernel_cross(SPEC1, d.x, d.x), 0.0)
-    fit = fit_ridge(d, None, SPEC1, 1.0, gram_matrix=gm)
-    assert fit.coef[0] == pytest.approx(1.5, rel=1e-12)
+    coef = solve_spd(ridge_factor(gm, 1.0), d.y)
+    assert coef[0] == pytest.approx(1.5, rel=1e-12)
 
 
 def test_fit_ridge_total_shrinkage_at_huge_lambda():
@@ -77,7 +79,7 @@ def test_fit_ridge_matches_normal_equations_oracle():
     lam = 0.05
     gm = gram(SPEC1, d.x)
     s = gm.values
-    fit = fit_ridge(d, None, SPEC1, lam, gram_matrix=gm)
+    fit = fit_ridge(d, None, SPEC1, lam)
     lhs = s @ s / d.n + lam * s
     rhs = s @ d.y / d.n
     oracle = np.linalg.solve(lhs, rhs)
@@ -98,7 +100,7 @@ def test_fit_objective_never_beats_zero_function():
         d = _random_instance(seed, 15)
         gm = gram(SPEC1, d.x)
         for lam in (1e-4, 0.1, 10.0):
-            fit = fit_ridge(d, None, SPEC1, lam, gram_matrix=gm)
+            fit = fit_ridge(d, None, SPEC1, lam)
             fitted = gm.values @ fit.coef
             obj = np.mean((d.y - fitted) ** 2) + lam * fit.coef @ gm.values @ fit.coef
             assert obj <= np.mean(d.y**2) + 1e-12
@@ -110,7 +112,7 @@ def test_monotone_shrinkage_in_lambda():
     lams = np.logspace(-6, 2, 17)
     norms = []
     for lam in lams:
-        fit = fit_ridge(d, None, SPEC1, lam, gram_matrix=gm)
+        fit = fit_ridge(d, None, SPEC1, lam)
         norms.append(float(fit.coef @ gm.values @ fit.coef))
     assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
 
@@ -169,7 +171,7 @@ def test_gcv_matches_dense_inverse_oracle():
     for d, spec, lams in cases:
         gm = gram(spec, d.x)
         for lam in lams:
-            got = gcv_score(d, None, spec, lam, gram_matrix=gm)
+            got = gcv_score(d, None, spec, lam)
             assert got == pytest.approx(_dense_gcv(gm.values, d.y, lam), rel=1e-8)
 
 
@@ -184,7 +186,7 @@ def test_select_lambda_is_largest_dense_inverse_near_minimizer():
         gm = gram(spec, d.x)
         scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
         want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
-        assert select_lambda_gcv(d, None, spec, gram_matrix=gm) == want
+        assert select_lambda_gcv(d, None, spec) == want
 
 
 def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
@@ -198,15 +200,18 @@ def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
     r = d.y - model.eval(d.x, [0.4])
     for lam in (1e-6, 1e-3, 1.0):
         m = gm.values + d.n * lam * np.eye(d.n)
-        coef = fit_ridge(d, None, SPEC1, lam, gram_matrix=gm).coef
+        factor = ridge_factor(gm, lam)
+        coef = solve_spd(factor, d.y)
         want = np.linalg.solve(m, d.y)
         assert np.all(np.isfinite(coef))
         assert np.linalg.norm(coef - want) <= 1e-8 * np.linalg.norm(want)
-        got = weighted_objective(d, model, SPEC1, lam, [0.4], gram_matrix=gm)
+        got = _weighted_misfit(d, model, factor)(np.array([[0.4]]))[0]
         assert got == pytest.approx(r @ np.linalg.solve(m, r), rel=1e-8)
     scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
     want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
-    assert select_lambda_gcv(d, None, SPEC1, gram_matrix=gm) == want
+    # select_lambda_gcv's rule on the array core: the largest lambda at the minimum
+    got = _gcv_scores(gm.values, d.y, DEFAULT_LAMBDA_GRID)
+    assert DEFAULT_LAMBDA_GRID[np.flatnonzero(got == got.min())[-1]] == want
 
 
 def test_gcv_degenerate_trace_raises():
@@ -231,18 +236,42 @@ def test_select_lambda_tie_goes_to_larger():
     assert lam == DEFAULT_LAMBDA_GRID[-1]
 
 
-def test_select_lambda_all_degenerate():
-    # next to a 1e30 * I Gram matrix, n * lambda is negligible at every grid
-    # value, so tr(I - A) is numerically zero throughout
+def test_every_grid_score_is_finite_on_jittered_gram_matrices():
+    # the jittered Gram matrix has eigenvalues in (0, n(1 + jitter)], so
+    # tr(I - A) / n stays near 1e-8 or above at the grid floor, even for a
+    # design of n coincident points (Sigma = 1 1^T + jitter I)
+    rng = np.random.default_rng(16)
+    for n in (2, 50, 400):
+        y = rng.standard_normal(n)
+        designs = (np.full((n, 1), 0.5), rng.random((n, 1)))
+        for x in designs:
+            for psi in (1e-3, 1e8):
+                spec = KernelSpec("matern32", psi, 1)
+                score = _gcv_curve(Dataset(x, y), None, spec, DEFAULT_LAMBDA_GRID)
+                assert score.shape == (60,) and np.all(np.isfinite(score)), (n, psi)
+
+
+def test_positional_parameters_the_benchmark_tracer_reads():
+    # bench/tracing.py reads a fourth positional argument of select_lambda_gcv
+    # as a lambda grid, and a third of gram as a jitter
+    expected = ((select_lambda_gcv, ["data", "eta_at_x", "kernel"]), (gram, ["spec", "points"]))
+    for fn, names in expected:
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params] == names
+        assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+
+
+def test_non_finite_model_values_are_refused():
     d = _random_instance(16, 8)
-    with pytest.raises(AllDegenerate):
-        select_lambda_gcv(d, None, SPEC1, gram_matrix=GramMatrix(1e30 * np.eye(d.n), 0.0))
-
-
-def test_select_lambda_takes_gram_matrix_by_keyword_only():
-    # bench/tracing.py reads a fourth positional argument as a lambda grid
-    param = inspect.signature(select_lambda_gcv).parameters["gram_matrix"]
-    assert param.kind is inspect.Parameter.KEYWORD_ONLY
+    for bad in (np.nan, np.inf):
+        eta = np.zeros(d.n)
+        eta[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            select_lambda_gcv(d, eta, SPEC1)
+        with pytest.raises(ValueError, match="finite"):
+            gcv_score(d, eta, SPEC1, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            fit_ridge(d, eta, SPEC1, 0.1)
 
 
 def test_lambda_must_be_finite_and_positive():

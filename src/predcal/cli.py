@@ -57,11 +57,11 @@ def _finite_positive(text):
     return value
 
 
-def _int_at_least(low):
+def _int_in(low, high=math.inf):
     def integer(text):  # argparse reports a non-integer as "invalid integer value"
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{low}, {high}), got {text!r}")
         return value
 
     return integer
@@ -226,8 +226,8 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="run a replicated prediction experiment")
     p.add_argument("--config", required=True, help="key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--threads", type=_int_at_least(0), default=1, help="worker count, 0 = auto")
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=None, help="override the config seed")
+    p.add_argument("--threads", type=_int_in(0), default=1, help="worker count, 0 = auto")
     p.add_argument("--out", default=None, help="report CSV path (default: config out or stdout)")
     p.set_defaults(func=_cmd_experiment)
 
@@ -239,8 +239,8 @@ def _build_parser():
                    help="optpred iteration mode")
     p.add_argument("--psi", type=_psi_or_cv5, default="cv5",
                    help="kernel scale, or 'cv5' to cross-validate")
-    p.add_argument("--starts", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--starts", type=_int_in(1), default=10)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the fit as JSON for `predict`")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -256,19 +256,19 @@ def _build_parser():
     p.add_argument("--psi", type=_finite_positive, default=DEFAULT_PROFILE_PSI,
                    help="kernel scale for the rkhs norm")
     p.add_argument("--step", type=_finite_positive, default=1e-3, help="theta grid step")
-    p.add_argument("--grid", type=_int_at_least(2), default=PROFILE_GRID_1D,
+    p.add_argument("--grid", type=_int_in(2), default=PROFILE_GRID_1D,
                    help="interpolation grid size for the rkhs norm")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("proposition", help="posterior-mean convergence table")
-    p.add_argument("--n", type=_int_at_least(3), required=True,
+    p.add_argument("--n", type=_int_in(3), required=True,
                    help="design size, at least the 3 terms of the quadratic basis")
     p.add_argument("--alpha-grid", default="1,100,10000,1000000,100000000")
     p.add_argument("--beta", type=_finite_positive, default=1.0)
     p.add_argument("--sigma2", type=_finite_positive, default=0.25)
     p.add_argument("--psi", type=_finite_positive, default=0.3)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(0, 2**64), default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_proposition)
 

@@ -1,16 +1,16 @@
 """Replicated prediction experiments over the named systems.
 
 A run draws ``replicates`` independent datasets per noise level, builds
-the requested predictors on each, and scores them by mean squared
-prediction error against the noiseless truth on a fresh Monte Carlo
+the requested predictors on each, and scores them all by mean squared
+prediction error against the noiseless truth on one fresh Monte Carlo
 sample.  Per-replicate randomness comes from streams keyed by
-(noise index, replicate, phase), so results are bit-identical no matter
-how replicates are scheduled, and adding replicates never changes the
+(noise index, replicate, phase), so the draws are the same however the
+replicates are scheduled, and adding replicates never changes the
 ones already run.
 
-Each fitted predictor is a ``Predictor(theta, fit)`` record: the
-computer model at ``theta`` plus the discrepancy expansion ``fit``, either
-term absent when None.  Predictor names:
+Each fitted predictor is a ``Predictor(theta, fit)`` record, evaluated by
+``predict``: the computer model at ``theta`` plus the discrepancy
+expansion ``fit``, either term absent when None.  Predictor names:
 
 * ``NoBiasCorr`` -- computer model at the L2-calibrated parameter, no
   discrepancy correction.
@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
-from .kernels import KernelSpec, kernel_apply, kernel_cross
+from .kernels import KernelSpec, kernel_apply
 from .regression import (
     Dataset,
     DiscrepancyFit,
@@ -211,26 +211,25 @@ class Predictor:
 def predict(model, predictors, x):
     """Evaluate a mapping of name -> Predictor at the points ``x`` (m, d).
 
-    Returns a mapping of name -> (m,) array.  At d = 1 each fit is
-    applied by ``kernel_apply``'s sweeps and no kernel matrix is formed.
-    At d > 1 fits that share a kernel and a training design share one
-    kernel matrix; each still takes its own matrix-vector product.
+    Returns a mapping of name -> (m,) array.  All model terms come from
+    one ``eval_batch`` call, and the fits that share a kernel and a
+    training design from one ``kernel_apply`` call, one coefficient column
+    each; every value has the bits of its terms evaluated alone.
     """
-    cross = {}
-    out = {}
+    out = dict.fromkeys(predictors)
+    modelled = [name for name, p in predictors.items() if p.theta is not None]
+    if modelled:
+        thetas = np.reshape([predictors[name].theta for name in modelled], (len(modelled), -1))
+        out.update(zip(modelled, model.eval_batch(x, thetas)))
+    groups = {}
     for name, p in predictors.items():
-        value = None if p.theta is None else model.eval(x, p.theta)
         if p.fit is not None:
-            fit = p.fit
-            if fit.kernel.dim == 1:
-                h = kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
-            else:
-                key = (fit.kernel, id(fit.train_x))
-                if key not in cross:
-                    cross[key] = kernel_cross(fit.kernel, x, fit.train_x)
-                h = cross[key] @ fit.coef
-            value = h if value is None else value + h
-        out[name] = value
+            groups.setdefault((p.fit.kernel, id(p.fit.train_x)), []).append(name)
+    for names in groups.values():
+        fits = [predictors[name].fit for name in names]
+        h = kernel_apply(fits[0].kernel, x, fits[0].train_x, np.column_stack([f.coef for f in fits]))
+        for name, col in zip(names, h.T):
+            out[name] = col if out[name] is None else out[name] + col
     return out
 
 
@@ -250,11 +249,10 @@ def pmse(predictors, system, mc_test_points, stream):
     x = uniform(stream, system.d, size=mc_test_points)
     sq = {name: np.empty(mc_test_points) for name in predictors}
     for lo in range(0, mc_test_points, _PMSE_CHUNK):
-        hi = min(lo + _PMSE_CHUNK, mc_test_points)
-        truth = system.zeta(x[lo:hi])
-        for name, pred in predict(system.model, predictors, x[lo:hi]).items():
-            diff = pred - truth
-            sq[name][lo:hi] = diff * diff
+        block = slice(lo, lo + _PMSE_CHUNK)
+        truth = system.zeta(x[block])
+        for name, pred in predict(system.model, predictors, x[block]).items():
+            sq[name][block] = np.square(pred - truth)
     return {name: float(np.mean(v)) for name, v in sq.items()}
 
 
@@ -379,13 +377,13 @@ def _one_blas_thread():
 def run_experiment(config, threads=1, optpred_mode="one_step"):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
-    ``threads`` caps the worker processes (0 means one per CPU), each with
-    one BLAS thread; no more start than there are cells, since a pool
-    starts all of them at once, and a single worker runs in this process.
-    Results are keyed by replicate index, so the output is identical for
-    any worker count.  Any replicate failure aborts the run with the
-    replicate index in the message.  When OptCal runs, the
-    report's ``traces`` hold each replicate's OptPred objective trace.
+    ``threads`` caps the worker processes (0 means one per CPU), each with one
+    BLAS thread; no more start than there are cells, since a pool starts all
+    of them at once.  Results are keyed by replicate index, so every pool size
+    gives the same output; a single worker runs in this process with its BLAS
+    threads, whose count can move the last bits of results built from larger
+    matrices.  A replicate failure aborts the run with its index in the
+    message.  When OptCal runs, ``traces`` hold each replicate's OptPred trace.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")

@@ -95,35 +95,42 @@ def _one_sided_sums(t, c, psi):
 
 
 def kernel_apply(spec, x, train_x, coef):
-    """The expansion K(x, train_x) @ coef at (m, d) points ``x``; returns (m,).
+    """The expansion K(x, train_x) @ coef at (m, d) points ``x``; returns (m,) or (m, k).
 
-    ``train_x`` is the (n, d) design and ``coef`` its n coefficients.
-    At d = 1 the sums come from two sweeps over the sorted design (see
-    the module notes), so no (m, n) matrix is formed, and the result
-    agrees with the dense product to rounding.  At d > 1 it is the
-    dense product.
+    ``train_x`` is the (n, d) design and ``coef`` its n coefficients, or
+    an (n, k) array whose column j gives the bits of ``coef[:, j]`` alone.
+    At d = 1 each column takes two sweeps over the sorted design (module
+    notes), so no (m, n) matrix is formed, and the result agrees with the
+    dense product to rounding.  At d > 1 it is the dense product.
     """
-    x = _as_points(x, spec.dim)
-    train_x = _as_points(train_x, spec.dim)
-    coef = np.asarray(coef, dtype=float).reshape(-1)
-    if coef.shape[0] != train_x.shape[0]:
-        raise DimensionMismatch("coef must hold one value per design point")
+    x, train_x = _as_points(x, spec.dim), _as_points(train_x, spec.dim)
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim not in (1, 2) or coef.shape[0] != train_x.shape[0]:
+        raise DimensionMismatch("coef must hold one value per design point, as (n,) or (n, k)")
+    # one contiguous row per column, so each column takes the path of an (n,) call
+    cols = np.ascontiguousarray(coef.reshape(coef.shape[0], -1).T)
+    out = np.empty((cols.shape[0], x.shape[0]))
     if spec.dim > 1:
-        return kernel_cross(spec, x, train_x) @ coef
-    order = np.argsort(train_x[:, 0], kind="stable")
-    t, c = train_x[order, 0], coef[order]
-    a_left, s_left = _one_sided_sums(t, c, spec.psi)
-    # the mirrored design gives the sums over the nodes at or right of each node
-    a_right, s_right = (w[::-1] for w in _one_sided_sums(-t[::-1], c[::-1], spec.psi))
-    q = x[:, 0]
-    # k nodes lie at or left of a query, so row k of every table belongs to
-    # it, and t_pad[k], t_pad[k + 1] are its nearest nodes on either side;
-    # the clamp to 0 only acts where a side has no node and its row is zero
-    k = np.searchsorted(t, q, side="right")
-    t_pad = np.concatenate([t[:1], t, t[-1:]])
-    u = np.maximum(q - t_pad[k], 0.0) / spec.psi
-    v = np.maximum(t_pad[k + 1] - q, 0.0) / spec.psi
-    return np.exp(-u) * (s_left[k] + u * a_left[k]) + np.exp(-v) * (s_right[k] + v * a_right[k])
+        cross = kernel_cross(spec, x, train_x)
+        for j, c in enumerate(cols):
+            out[j] = cross @ c
+    else:
+        order = np.argsort(train_x[:, 0], kind="stable")
+        t, q = train_x[order, 0], x[:, 0]
+        # k nodes lie at or left of a query, so row k of every table belongs to
+        # it, and t_pad[k], t_pad[k + 1] are its nearest nodes on either side;
+        # the clamp to 0 only acts where a side has no node and its row is zero
+        k = np.searchsorted(t, q, side="right")
+        t_pad = np.concatenate([t[:1], t, t[-1:]])
+        u = np.maximum(q - t_pad[k], 0.0) / spec.psi
+        v = np.maximum(t_pad[k + 1] - q, 0.0) / spec.psi
+        eu, ev = np.exp(-u), np.exp(-v)
+        for j, c in enumerate(cols[:, order]):
+            a_left, s_left = _one_sided_sums(t, c, spec.psi)
+            # the mirrored design gives the sums over the nodes at or right of each node
+            a_right, s_right = (w[::-1] for w in _one_sided_sums(-t[::-1], c[::-1], spec.psi))
+            out[j] = eu * (s_left[k] + u * a_left[k]) + ev * (s_right[k] + v * a_right[k])
+    return out[0] if coef.ndim == 1 else out.T
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,14 @@ def test_positive_real_flags_are_usage_errors(capsys):
         ["experiment", "--config", "c.cfg", "--threads", "-1"],
         ["proposition", "--n", "0"],
         ["proposition", "--n", "2"],
+        # seeds outside [0, 2**64)
+        ["experiment", "--config", "c.cfg", "--seed", "-1"],
+        ["experiment", "--config", "c.cfg", "--seed", "18446744073709551616"],
+        ["calibrate", "--data", "d.csv", "--model", "ex1", "--method", "ls", "--seed", "-1"],
+        ["calibrate", "--data", "d.csv", "--model", "ex1", "--method", "ls",
+         "--seed", "18446744073709551616"],
+        ["proposition", "--n", "5", "--seed", "-1"],
+        ["proposition", "--n", "5", "--seed", "18446744073709551616"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

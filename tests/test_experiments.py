@@ -241,7 +241,6 @@ def _record_kernel_cross(monkeypatch):
         calls.append(args)
         return kernel_cross(*args)
 
-    monkeypatch.setattr(experiments, "kernel_cross", counted)
     monkeypatch.setattr(kernels, "kernel_cross", counted)
     return calls
 
@@ -263,6 +262,31 @@ def test_predict_in_1d_forms_no_kernel_matrix_and_matches_the_terms(monkeypatch)
     calls = _record_kernel_cross(monkeypatch)
     predict(system.model, preds, x)
     assert calls == []
+    _assert_predict_matches_the_terms(system, preds, x)
+
+
+@pytest.mark.parametrize("system_id", ["ex1", "ex2"])
+def test_predict_calls_the_model_once_for_every_theta_and_matches_the_terms(system_id):
+    system, preds = _np_lscal_and_head(system_id)
+    ls = preds["LSCal"]
+    preds["NoBiasCorr"] = Predictor(ls.theta + 0.1, None)
+    preds["shifted"] = Predictor(ls.theta - 0.2, ls.fit)
+    rows = []
+
+    def eta(x, thetas):
+        rows.append(thetas.shape[0])
+        return system.model.eta(x, thetas)
+
+    model = ComputerModel(eta=eta, theta_box=system.model.theta_box)
+    x = uniform(RngStream(75), system.d, size=17)
+    got = predict(model, preds, x)
+    assert rows == [3]
+    for name in ("LSCal", "NoBiasCorr", "shifted"):
+        p = preds[name]
+        want = system.model.eval(x, p.theta)
+        if p.fit is not None:
+            want = want + predict_discrepancy(p.fit, x)
+        assert np.array_equal(got[name], want), name
     _assert_predict_matches_the_terms(system, preds, x)
 
 

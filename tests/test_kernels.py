@@ -81,6 +81,18 @@ def _sweep_case(n):
     return design, coef, queries
 
 
+def _assert_columns_match_their_own_calls(spec, queries, design, coef):
+    """Each column of an (n, k) call, k = 1 and 3, has the bits of the
+    (n,) call with that column; the first column is ``coef``."""
+    rng = np.random.default_rng(coef.size)
+    for k in (1, 3):
+        block = np.column_stack([coef] + [rng.standard_normal(coef.size) for _ in range(k - 1)])
+        got = kernel_apply(spec, queries, design, block)
+        assert got.shape == (queries.shape[0], k)
+        for j in range(k):
+            assert np.array_equal(got[:, j], kernel_apply(spec, queries, design, block[:, j]))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 50, 400])
 @pytest.mark.parametrize("psi", [1e-3, 0.05, 0.3, 1.0, 1e8])
@@ -91,6 +103,7 @@ def test_kernel_apply_matches_the_dense_product_in_1d(psi, n):
     got = kernel_apply(spec, queries, design, coef)
     assert got.shape == (queries.shape[0],)
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.sum(np.abs(coef))
+    _assert_columns_match_their_own_calls(spec, queries, design, coef)
 
 
 @pytest.mark.parametrize("psi", [1e-3, 0.3, 1e8])
@@ -113,6 +126,7 @@ def test_kernel_apply_is_the_dense_product_in_2d():
     coef = np.random.default_rng(43).standard_normal(30)
     want = kernel_cross(spec, queries, design) @ coef
     assert np.array_equal(kernel_apply(spec, queries, design, coef), want)
+    _assert_columns_match_their_own_calls(spec, queries, design, coef)
 
 
 def test_kernel_apply_checks_shapes():
@@ -123,7 +137,13 @@ def test_kernel_apply_checks_shapes():
     for bad_x, bad_design in (([0.5], design), ([[0.5]], [0.2, 0.6]), ([[0.5, 0.5]], design)):
         with pytest.raises(DimensionMismatch):
             kernel_apply(spec, bad_x, bad_design, [1.0, 2.0])
+    # a coefficient array is (n,) or (n, k), never of another rank or row count
+    for bad_coef in (np.ones((2, 1, 1)), np.ones((3, 2)), np.ones((1, 2))):
+        with pytest.raises(DimensionMismatch, match="one value per design point"):
+            kernel_apply(spec, [[0.5]], design, bad_coef)
     assert kernel_apply(spec, np.empty((0, 1)), design, [1.0, 2.0]).shape == (0,)
+    for k in (1, 3):
+        assert kernel_apply(spec, np.empty((0, 1)), design, np.ones((2, k))).shape == (0, k)
 
 
 def test_gram_single_point_and_diagonal():

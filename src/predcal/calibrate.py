@@ -11,11 +11,9 @@ Three estimators are provided:
   squares warm start fixes the smoothing level by GCV, the parameter is
   driven by the objective (Y - eta(theta))^T (Sigma + n*lambda I)^{-1}
   (Y - eta(theta)), which is the residual profile of the joint penalized
-  problem over parameter and discrepancy.  One-step mode stops after a
-  single search; full mode, with the smoothing level still frozen, re-runs
-  the search on the same objective from the incumbent until the gain falls
-  below 1e-8 relative.  Either way the discrepancy is fit once, at the
-  final parameter.
+  problem over parameter and discrepancy.  One search, started also from
+  the warm start, fixes the parameter; the discrepancy is then fit once,
+  at that parameter.
 
 All searches use a multi-start Nelder-Mead restricted to the parameter
 box; candidate points that leave the box are reflected back through the
@@ -67,8 +65,6 @@ SIMPLEX_TOL = 1e-8
 MAX_NM_ITER = 500
 # Monte Carlo points of the L2 distance, drawn once per calibration
 L2_MC_POINTS = 4096
-# most searches one full-mode OptPred run makes
-MAX_OUTER_ROUNDS = 10
 
 
 class ObjectiveNonFinite(Exception):
@@ -354,49 +350,34 @@ def lagrangian_value(data, model, kernel, lam, theta):
     return float(np.mean((r - fitted) ** 2) + lam * (c @ fitted))
 
 
-def calibrate_optpred(data, model, kernel, mode="one_step", starts=DEFAULT_STARTS, *, stream):
+def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     """Prediction-weighted calibration with a least squares warm start.
 
     Procedure: (1) least squares calibration; (2) GCV fixes the smoothing
-    level at the warm start's residuals, and it stays frozen from then
-    on; (3) the parameter minimizes the weighted misfit, with the
-    incoming parameter always included as a search start; (4) the
-    discrepancy is fit once, at the final parameter.  ``mode="full"``
-    repeats (3) on the same objective from its incumbent until the value
-    decreases by less than 1e-8 relative or ``MAX_OUTER_ROUNDS`` searches
-    are done.
+    level at the warm start's residuals; (3) the parameter minimizes the
+    weighted misfit at that level, with the warm start included as a
+    search start; (4) the discrepancy is fit once, at that parameter.
 
     The recorded ``objective_trace`` holds the profiled penalized
-    objective after the warm start and after every search; it is
+    objective after the warm start and after the search; it is
     nonincreasing by construction.
     """
-    if mode not in ("one_step", "full"):
-        raise ValueError("mode must be 'one_step' or 'full'")
-
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
-    theta = ls.theta_hat
-    lam = select_lambda_gcv(data, model.eval(data.x, theta), kernel)
+    lam = select_lambda_gcv(data, model.eval(data.x, ls.theta_hat), kernel)
 
-    # the smoothing level is frozen: one factorization serves every theta
-    # and the final discrepancy fit
+    # one factorization serves every theta and the discrepancy fit
     factor = ridge_factor(gram(kernel, data.x), lam)
     wobj = _weighted_misfit(data, model, factor)
-
-    trace = [lam * float(wobj(theta[None])[0])]
-    for _ in range(1 if mode == "one_step" else MAX_OUTER_ROUNDS):
-        theta, value = minimize_box(
-            wobj, model.theta_box, starts, stream, extra_points=[theta]
-        )
-        trace.append(lam * value)
-        if trace[-2] - trace[-1] < 1e-8 * max(abs(trace[-2]), 1e-300):
-            break
+    theta, value = minimize_box(
+        wobj, model.theta_box, starts, stream, extra_points=[ls.theta_hat]
+    )
 
     coef = solve_spd(factor, data.y - model.eval(data.x, theta))
     return CalibrationResult(
         theta_hat=theta,
-        method="OptPred-OneStep" if mode == "one_step" else "OptPred-Full",
+        method="OptPred-OneStep",
         discrepancy=DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x),
         lambda_used=lam,
-        objective_trace=trace,
+        objective_trace=[lam * float(wobj(ls.theta_hat[None])[0]), lam * value],
         diagnostics={"theta_ls": ls.theta_hat},
     )

@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -109,9 +110,7 @@ def _cmd_calibrate(args):
             data, system.model, kernel, starts=args.starts, stream=stream
         )
     else:
-        result = calibrate_optpred(
-            data, system.model, kernel, mode=args.mode, starts=args.starts, stream=stream
-        )
+        result = calibrate_optpred(data, system.model, kernel, starts=args.starts, stream=stream)
 
     print(f"method={result.method}")
     print("theta=" + ",".join(_FMT % t for t in result.theta_hat))
@@ -139,17 +138,19 @@ def _cmd_calibrate(args):
 def _cmd_predict(args):
     with open(args.fit) as fh:
         payload = json.load(fh)
-    system = get_system(payload["model"])
-
-    fit = None
-    if payload.get("coef") is not None:
-        spec = payload["kernel"]
-        fit = DiscrepancyFit(
-            coef=np.asarray(payload["coef"], dtype=float),
-            kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
-            train_x=np.asarray(payload["train_x"], dtype=float),
-        )
-    fitted = Predictor(np.asarray(payload["theta"], dtype=float), fit)
+    try:
+        name, theta, fit = payload["model"], payload["theta"], None
+        if payload.get("coef") is not None:
+            spec = payload["kernel"]
+            fit = DiscrepancyFit(
+                coef=np.asarray(payload["coef"], dtype=float),
+                kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
+                train_x=np.asarray(payload["train_x"], dtype=float),
+            )
+    except KeyError as err:
+        raise ValueError(f"{args.fit}: fit JSON lacks key {err.args[0]!r}") from None
+    system = get_system(name)
+    fitted = Predictor(np.asarray(theta, dtype=float), fit)
 
     points = load_points_csv(args.points, system.d)
     pred = predict(system.model, {"fit": fitted}, points)["fit"]
@@ -165,7 +166,10 @@ def _cmd_profile(args):
     if system.zeta is None or system.model.p != 1:
         raise ValueError("profile requires a single-parameter system with known truth")
     lo, hi = system.model.theta_box[0]
-    thetas = np.arange(lo, hi + 0.5 * args.step, args.step)
+    # lo + i*step, never past hi; the guard keeps an endpoint that the
+    # division puts a rounding error short of a whole number of steps
+    count = math.floor((hi - lo) / args.step + 1e-9) + 1
+    thetas = np.minimum(lo + args.step * np.arange(count), hi)
 
     if args.norm == "l2":
         # midpoint quadrature of the squared truth-model gap over [0,1]
@@ -223,20 +227,21 @@ def _build_parser():
         description="Calibration and prediction experiments for computer models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only: argparse would otherwise read any prefix of a
+    # flag, including the name of a removed flag, as that flag
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("experiment", help="run a replicated prediction experiment")
+    p = add_parser("experiment", help="run a replicated prediction experiment")
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--seed", type=_int_in(0, 2**64), default=None, help="override the config seed")
     p.add_argument("--threads", type=_int_in(0), default=1, help="worker count, 0 = auto")
     p.add_argument("--out", default=None, help="report CSV path (default: config out or stdout)")
     p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("calibrate", help="calibrate a model against a CSV dataset")
+    p = add_parser("calibrate", help="calibrate a model against a CSV dataset")
     p.add_argument("--data", required=True, help="dataset CSV with header x1,...,xd,y")
     p.add_argument("--model", required=True, choices=system_names())
     p.add_argument("--method", required=True, choices=("ls", "l2", "optpred"))
-    p.add_argument("--mode", choices=("one_step", "full"), default="one_step",
-                   help="optpred iteration mode")
     p.add_argument("--psi", type=_psi_or_cv5, default="cv5",
                    help="kernel scale, or 'cv5' to cross-validate")
     p.add_argument("--starts", type=_int_in(1), default=10)
@@ -244,13 +249,13 @@ def _build_parser():
     p.add_argument("--out", default=None, help="write the fit as JSON for `predict`")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("predict", help="evaluate a saved fit at new points")
+    p = add_parser("predict", help="evaluate a saved fit at new points")
     p.add_argument("--fit", required=True, help="fit JSON from `calibrate --out`")
     p.add_argument("--points", required=True, help="points CSV with header x1,...,xd")
     p.add_argument("--out", default=None, help="prediction CSV path (default stdout)")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("profile", help="discrepancy-norm profile over theta")
+    p = add_parser("profile", help="discrepancy-norm profile over theta")
     p.add_argument("--model", default="ex1", choices=system_names())
     p.add_argument("--norm", required=True, choices=("l2", "rkhs"))
     p.add_argument("--psi", type=_finite_positive, default=DEFAULT_PROFILE_PSI,
@@ -261,7 +266,7 @@ def _build_parser():
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("proposition", help="posterior-mean convergence table")
+    p = add_parser("proposition", help="posterior-mean convergence table")
     p.add_argument("--n", type=_int_in(3), required=True,
                    help="design size, at least the 3 terms of the quadratic basis")
     p.add_argument("--alpha-grid", default="1,100,10000,1000000,100000000")

@@ -256,7 +256,7 @@ def pmse(predictors, system, mc_test_points, stream):
     return {name: float(np.mean(v)) for name, v in sq.items()}
 
 
-def build_predictors(data, system, kernel, config, streams, optpred_mode="one_step"):
+def build_predictors(data, system, kernel, config, streams):
     """Build the requested predictors on one dataset.
 
     ``streams`` maps phase names ("ls", "l2", "optpred") to independent
@@ -295,7 +295,7 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
         info["ls_lambda"] = lam
 
     if "OptCal" in config.methods:
-        res = calibrate_optpred(data, model, kernel, mode=optpred_mode, starts=config.starts,
+        res = calibrate_optpred(data, model, kernel, starts=config.starts,
                                 stream=streams["optpred"])
         predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
         info["theta_opt"] = res.theta_hat
@@ -305,7 +305,7 @@ def build_predictors(data, system, kernel, config, streams, optpred_mode="one_st
     return predictors, info
 
 
-def _run_replicate(config, optpred_mode, cell):
+def _run_replicate(config, cell):
     """PMSE scores and info of one (noise index, replicate) cell; a failure names the cell."""
     sigma_idx, replicate = cell
     try:
@@ -315,9 +315,7 @@ def _run_replicate(config, optpred_mode, cell):
         data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
         kernel = choose_kernel(data, config.psi, stream(_PHASE_PSI))
         streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
-        predictors, info = build_predictors(
-            data, system, kernel, config, streams, optpred_mode=optpred_mode
-        )
+        predictors, info = build_predictors(data, system, kernel, config, streams)
         return pmse(predictors, system, config.mc_test_points, stream(_PHASE_TEST)), info
     except Exception as err:
         raise RuntimeError(
@@ -337,6 +335,8 @@ class PmseReport:
         return float(np.mean(self.per_replicate[(method, sigma2)]))
 
     def se(self, method, sigma2):
+        """Standard deviation (ddof = 1) of the replicate PMSEs, the report's
+        ``se_pmse``; not the standard error of their mean.  0 for one replicate."""
         vals = self.per_replicate[(method, sigma2)]
         return float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
 
@@ -374,7 +374,7 @@ def _one_blas_thread():
             fn(1)
 
 
-def run_experiment(config, threads=1, optpred_mode="one_step"):
+def run_experiment(config, threads=1):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
     ``threads`` caps the worker processes (0 means one per CPU), each with one
@@ -388,7 +388,7 @@ def run_experiment(config, threads=1, optpred_mode="one_step"):
     if threads < 0:
         raise ValueError("threads must be >= 0")
     cells = [(si, r) for si in range(len(config.sigma2)) for r in range(config.replicates)]
-    run = partial(_run_replicate, config, optpred_mode)
+    run = partial(_run_replicate, config)
     workers = min(threads or os.cpu_count() or 1, len(cells))
     if workers == 1:
         outcomes = [run(c) for c in cells]
@@ -443,14 +443,20 @@ def parse_config(path):
         if req not in raw:
             raise ValueError(f"{path}: missing required key {req!r}")
 
+    def converted(key, convert):
+        try:
+            return convert(raw[key])
+        except ValueError as err:
+            raise ValueError(f"{path}: {key} has an invalid value {raw[key]!r} ({err})") from None
+
     kwargs = {"system": raw["system"]}
     for key in raw.keys() & _INT_KEYS:
-        kwargs[key] = int(raw[key])
-    kwargs["sigma2"] = tuple(float(v) for v in raw["sigma2"].split(","))
+        kwargs[key] = converted(key, int)
+    kwargs["sigma2"] = converted("sigma2", lambda v: tuple(float(s) for s in v.split(",")))
     if "methods" in raw:
         kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(","))
     if "psi" in raw:
-        kwargs["psi"] = "cv5" if raw["psi"] == "cv5" else float(raw["psi"])
+        kwargs["psi"] = converted("psi", lambda v: "cv5" if v == "cv5" else float(v))
     if "out" in raw:
         kwargs["out"] = raw["out"]
     return ExperimentConfig(**kwargs)

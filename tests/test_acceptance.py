@@ -195,7 +195,7 @@ def test_criterion_6_alternating_descent():
             system=system, n=50, sigma2=(s2,), replicates=100,
             mc_test_points=1000, methods=("OptCal",),
         )
-        report = run_experiment(cfg, optpred_mode="full")
+        report = run_experiment(cfg)
         for trace in report.traces.values():
             total += 1
             for a, b in zip(trace, trace[1:]):

@@ -160,14 +160,14 @@ def test_partial_spline_rejects_nonpositive_lambda():
         partial_spline_limit(data, LinearComputerModel(BASIS1), SPEC1, 0.0)
 
 
-def test_optpred_full_mode_agrees_with_partial_spline_on_linear_model():
+def test_optpred_agrees_with_partial_spline_on_linear_model():
     # for a model linear in theta the weighted objective is convex, so the
-    # full-mode search must land on the closed-form stationary point
+    # search must land on the closed-form stationary point
     data = _instance(32, 30, noise=0.4)
     cmodel = ComputerModel(
         eta=lambda x, th: th[:, :1] + th[:, 1:] * x[:, 0], theta_box=[[-5.0, 5.0], [-5.0, 5.0]]
     )
-    res = calibrate_optpred(data, cmodel, SPEC1, mode="full", stream=RngStream(32, 1))
+    res = calibrate_optpred(data, cmodel, SPEC1, stream=RngStream(32, 1))
     theta, fit = partial_spline_limit(
         data, LinearComputerModel(BASIS1), SPEC1, res.lambda_used
     )

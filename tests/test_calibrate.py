@@ -280,21 +280,19 @@ def test_calibrate_optpred_perfect_model():
     x = uniform(s, 1, size=30)
     theta0 = np.array([0.35])
     data = Dataset(x, sys1.model.eval(x, theta0))
-    one = calibrate_optpred(data, sys1.model, SPEC1, mode="one_step", stream=RngStream(16, 1))
-    assert one.method == "OptPred-OneStep"
-    assert abs(one.theta_hat[0] - 0.35) < 1e-4
-    assert np.linalg.norm(one.discrepancy.coef) < 1e-4
-    full = calibrate_optpred(data, sys1.model, SPEC1, mode="full", stream=RngStream(16, 1))
-    assert full.method == "OptPred-Full"
-    assert abs(full.theta_hat[0] - one.theta_hat[0]) < 1e-6
+    res = calibrate_optpred(data, sys1.model, SPEC1, stream=RngStream(16, 1))
+    assert res.method == "OptPred-OneStep"
+    assert abs(res.theta_hat[0] - 0.35) < 1e-4
+    assert np.linalg.norm(res.discrepancy.coef) < 1e-4
 
 
-def test_calibrate_optpred_trace_nonincreasing_full_mode():
+def test_calibrate_optpred_trace_nonincreasing():
+    # warm start, then the search
     sys1 = get_system("ex1")
     data = generate_dataset(sys1, 50, 0.5, RngStream(17))
-    res = calibrate_optpred(data, sys1.model, SPEC1, mode="full", stream=RngStream(17, 1))
+    res = calibrate_optpred(data, sys1.model, SPEC1, stream=RngStream(17, 1))
     tr = res.objective_trace
-    assert len(tr) >= 2
+    assert len(tr) == 2
     for a, b in zip(tr, tr[1:]):
         assert b <= a + 1e-12 * max(1.0, abs(a))
     assert res.lambda_used > 0
@@ -305,11 +303,9 @@ def test_calibrate_optpred_discrepancy_is_the_ridge_fit_at_its_theta():
     # the final fit reuses the objective's factor and must match a fresh fit
     sys1 = get_system("ex1")
     data = generate_dataset(sys1, 30, 0.4, RngStream(19))
-    for mode in ("one_step", "full"):
-        res = calibrate_optpred(data, sys1.model, SPEC1, mode=mode, starts=3,
-                                stream=RngStream(19, 1))
-        want = fit_ridge(data, sys1.model.eval(data.x, res.theta_hat), SPEC1, res.lambda_used)
-        assert np.array_equal(res.discrepancy.coef, want.coef)
+    res = calibrate_optpred(data, sys1.model, SPEC1, starts=3, stream=RngStream(19, 1))
+    want = fit_ridge(data, sys1.model.eval(data.x, res.theta_hat), SPEC1, res.lambda_used)
+    assert np.array_equal(res.discrepancy.coef, want.coef)
 
 
 def test_calibrate_optpred_theta_step_never_worse_than_warm_start():
@@ -317,7 +313,7 @@ def test_calibrate_optpred_theta_step_never_worse_than_warm_start():
     # cannot increase across the parameter update
     sys1 = get_system("ex1")
     data = generate_dataset(sys1, 40, 0.7, RngStream(18))
-    res = calibrate_optpred(data, sys1.model, SPEC1, mode="one_step", stream=RngStream(18, 1))
+    res = calibrate_optpred(data, sys1.model, SPEC1, stream=RngStream(18, 1))
     w_ls = weighted_objective(
         data, sys1.model, SPEC1, res.lambda_used, res.diagnostics["theta_ls"]
     )

@@ -96,6 +96,25 @@ def test_profile_step_must_be_finite_and_positive():
         assert exc.value.code == 2
 
 
+def test_profile_grid_stays_in_the_box(tmp_path):
+    # lo + i*step: a step that does not divide the box stops short of its top
+    out = tmp_path / "coarse.csv"
+    assert cli_main(
+        ["profile", "--model", "ex1", "--norm", "l2", "--step", "0.7", "--out", str(out)]
+    ) == 0
+    _, arr = _read_csv(out)
+    assert arr[:, 0] == pytest.approx([-1.0, -0.3, 0.4], abs=1e-15)
+    assert cli_main(
+        ["profile", "--model", "ex1", "--norm", "l2", "--step", "0.3", "--out", str(out)]
+    ) == 0
+    assert _read_csv(out)[1][-1, 0] == pytest.approx(0.8, abs=1e-15)
+    # the default step hits both ends and the middle exactly
+    assert cli_main(["profile", "--model", "ex1", "--norm", "l2", "--out", str(out)]) == 0
+    theta = _read_csv(out)[1][:, 0]
+    assert theta.shape == (2001,)
+    assert (theta[0], theta[1000], theta[2000]) == (-1.0, 0.0, 1.0)
+
+
 def test_profile_rejects_multi_parameter_model(capsys):
     assert cli_main(["profile", "--model", "ex2", "--norm", "l2"]) == 1
     assert "predcal: error" in capsys.readouterr().err
@@ -202,6 +221,23 @@ def test_predict_accepts_training_csv_and_rejects_bad_header(tmp_path, capsys):
     assert "p=1" in capsys.readouterr().err
 
 
+def test_predict_names_a_missing_fit_key(tmp_path, capsys):
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=12)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "optpred",
+         "--psi", "0.3", "--starts", "2", "--out", str(fit_json)]
+    ) == 0
+    full = json.loads(fit_json.read_text())
+    broken = tmp_path / "broken.json"
+    for key in ("theta", "kernel", "model"):
+        broken.write_text(json.dumps({k: v for k, v in full.items() if k != key}))
+        capsys.readouterr()
+        assert cli_main(["predict", "--fit", str(broken), "--points", str(data_csv)]) == 1
+        assert f"{broken}: fit JSON lacks key {key!r}" in capsys.readouterr().err
+
+
 def test_predict_rejects_nonfinite_points(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)
@@ -270,6 +306,20 @@ def test_positive_real_flags_are_usage_errors(capsys):
             cli_main(argv)
         assert exc.value.code == 2, argv
         assert argv[-2] in capsys.readouterr().err
+
+
+def test_calibrate_has_no_mode_flag(capsys):
+    # OptPred is one procedure; the flag that once chose a second search is
+    # gone, and it is not taken as an abbreviation of --model either
+    cases = {
+        ("--model", "ex1", "--mode", "one_step"): "unrecognized arguments: --mode one_step",
+        ("--mode", "ex1"): "required: --model",
+    }
+    for argv, message in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["calibrate", "--data", "d.csv", "--method", "optpred", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_calibrate_ls_chooses_no_kernel(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Replication harness: psi selection, PMSE scoring, reports, config files."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -410,12 +412,12 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
         run_experiment(cfg, threads=-1)
 
 
-def test_run_experiment_collects_traces_in_full_mode():
+def test_run_experiment_collects_traces():
     cfg = _toy_cfg(replicates=2, methods=("OptCal",))
-    rep = run_experiment(cfg, optpred_mode="full")
+    rep = run_experiment(cfg)
     assert set(rep.traces) == {(0.1, 0), (0.1, 1)}
     for trace in rep.traces.values():
-        assert len(trace) >= 2
+        assert len(trace) == 2
         for u, v in zip(trace, trace[1:]):
             assert v <= u + 1e-12 * max(1.0, abs(u))
 
@@ -493,6 +495,17 @@ def test_parse_config_defaults_and_cv5(tmp_path):
     cfg = parse_config(path)
     assert cfg.psi == "cv5"
     assert cfg.mc_test_points == 100_000
+
+
+def test_parse_config_names_the_file_and_key_of_a_bad_value(tmp_path):
+    base = "system=ex1\nreplicates=2\n"
+    cases = {"n": "n = 5.0\nsigma2 = 0.1\n", "sigma2": "n = 20\nsigma2 = 0.1,\n",
+             "psi": "n = 20\nsigma2 = 0.1\npsi = wide\n"}
+    for key, text in cases.items():
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(base + text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} "):
+            parse_config(path)
 
 
 def test_parse_config_errors(tmp_path):

@@ -169,20 +169,20 @@ def test_search_never_queries_outside_a_box_with_inexact_width():
 
 
 def _dataset(name):
-    """A dataset, its kernel scale, start count and OptPred mode for each model."""
+    """A dataset, its kernel scale and start count for each model."""
     if name == "ion":
         stream = RngStream(27)
         x = uniform(stream, 1, size=10)
         y = get_system("ion").model.eval(x, [2.5, 1.2, 0.8]) + normal(stream, 0.02, size=10)
-        return Dataset(x=x, y=y), 0.3, 1, "one_step"
+        return Dataset(x=x, y=y), 0.3, 1
     data = generate_dataset(get_system(name), 30, 0.3, RngStream(28))
-    return data, 0.3 if name == "ex1" else 0.5, 10, "full"
+    return data, 0.3 if name == "ex1" else 0.5, 10
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ion"])
 def test_calibrators_searches_match_oracle(monkeypatch, name):
     """Every search of the LS, L2 and OptPred calibrators, start by start."""
-    data, psi, starts, mode = _dataset(name)
+    data, psi, starts = _dataset(name)
     system = get_system(name)
     kernel = KernelSpec("matern32", psi, system.d)
     if name == "ion":
@@ -206,9 +206,9 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
     model = system.model
     calibrate_ls(data, model, starts=starts, stream=RngStream(30, 1))
     calibrate_l2(data, model, kernel, starts=starts, stream=RngStream(30, 2))
-    calibrate_optpred(data, model, kernel, mode=mode, starts=starts, stream=RngStream(30, 3))
-    # LS, L2, then OptPred's warm start and at least one search with its extra start
-    assert searches[:4] == [starts, starts, starts, starts + 1]
+    calibrate_optpred(data, model, kernel, starts=starts, stream=RngStream(30, 3))
+    # LS, L2, then OptPred's warm start and its one search with the extra start
+    assert searches == [starts, starts, starts, starts + 1]
 
 
 def test_batched_objectives_equal_their_one_theta_forms(monkeypatch):

@@ -459,4 +459,7 @@ def parse_config(path):
         kwargs["psi"] = converted("psi", lambda v: "cv5" if v == "cv5" else float(v))
     if "out" in raw:
         kwargs["out"] = raw["out"]
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except (ValueError, KeyError) as err:
+        raise ValueError(f"{path}: {err.args[0]}") from None

@@ -7,8 +7,10 @@ given, with no symmetrization and no retry: the ridge matrix
 Sigma + n*lambda I (``regression.ridge_factor``) is positive definite by
 construction, and the one bare Gram matrix the package factors, the
 norm surrogate's grid in ``kernels``, escalates its own jitter.  The
-matrix exponential is scipy's ``expm``, taken over a whole stack of
-matrices in one call (the ion model passes one matrix per design point).
+matrix exponential is a Pade-13 scaling and squaring (Higham 2005) taken
+over a whole stack of matrices at once, with each slice scaled by its own
+power of two; the ion model passes one matrix per design point.
+``scipy.linalg.expm`` is its oracle in the tests.
 
 The package's two shape rules live here too: a set of points is always
 an (m, d) array of rows, also for d = 1, and a parameter box always a
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, expm
+from scipy.linalg import cho_solve
 from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
 
 __all__ = [
@@ -109,14 +111,46 @@ def solve_spd(factor, b):
     return cho_solve((factor.l, True), b, check_finite=False)
 
 
+# Pade-13 coefficients b_0..b_13 and the 1-norm up to which the degree-13
+# approximant meets double precision (Higham 2005)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
 def matrix_exponential(a):
     """Matrix exponential of a square matrix, or of each k x k slice of ``(..., k, k)``.
 
-    Delegates to ``scipy.linalg.expm``: scaling and squaring with a Pade
-    approximant whose degree and scaling are chosen per slice (Al-Mohy and
-    Higham 2009), so a slice of a stack gets the same bits as a lone call.
+    Scaling and squaring with the [13/13] Pade approximant (Higham 2005,
+    *SIAM J. Matrix Anal. Appl.* 26(4)), vectorised over the stack: each
+    slice A gets its own s, the least s >= 0 with ||A||_1 / 2^s <= theta_13,
+    is scaled by exactly 2^-s, and its approximant is squared s times.
+    Every step is elementwise or per slice, so a slice of a stack gets the
+    same bits as a lone call.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix or a stack of them")
-    return expm(a)
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    # s = ceil(log2(norm / theta_13)), clipped at 0; frexp gives it without a
+    # log of zero, and an exact power of two (mantissa 0.5) needs one less
+    mant, s = np.frexp(norm / _THETA13)
+    s = np.maximum(s - (mant == 0.5), 0)
+    a = np.ldexp(a, -s[..., None, None])
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(int(s.max(initial=0))):
+        r = np.where((s > i)[..., None, None], r @ r, r)
+    return r

@@ -5,7 +5,10 @@ computer model with its parameter box, and the input dimension.  The
 trajectory system ``ex3`` is a drag-corrected fall whose computer model
 is the frictionless quadratic; the ``ion`` system is a four-state
 channel-gating model whose output is a matrix-exponential entry, and it
-has no closed-form truth: data for it comes from a CSV file.
+has no closed-form truth: data for it comes from a CSV file.  One model
+call takes ``linalg.matrix_exponential``, the stacked Pade-13, over all
+its (parameter row, design point) matrices at once; the tests check the
+entry against ``scipy.linalg.expm``.
 """
 
 from __future__ import annotations

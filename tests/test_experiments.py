@@ -506,6 +506,14 @@ def test_parse_config_names_the_file_and_key_of_a_bad_value(tmp_path):
         path.write_text(base + text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {key} "):
             parse_config(path)
+    # values that parse but that ExperimentConfig refuses
+    refused = {"small_n": ("system=ex1\nn=1\n", "n must be >= 2$"),
+               "system": ("system=ex9\nn=20\n", "unknown system 'ex9'; choose from ")}
+    for name, (text, message) in refused.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text + "sigma2=0.1\nreplicates=2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            parse_config(path)
 
 
 def test_parse_config_errors(tmp_path):

@@ -1,9 +1,11 @@
 """Factorizations, SPD solves, and the matrix exponential."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from predcal import (
     CholFactor,
@@ -13,6 +15,7 @@ from predcal import (
     matrix_exponential,
     solve_spd,
 )
+from predcal.systems import _ion_generator
 
 
 def _random_spd(rng, n, scale=1.0):
@@ -117,6 +120,31 @@ def test_matrix_exponential_matches_taylor_on_small_norms():
     for a, e in zip(stack, got):
         want = _expm_taylor(a)
         assert np.linalg.norm(e - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.array_equal(e, matrix_exponential(a))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_matrix_exponential_matches_scipy_expm_slice_by_slice():
+    # the bounds sit 11x and 7x above the largest gaps measured against
+    # scipy: 4.5e-16 relative over 2,600 random slices with 1-norms from
+    # 1e-12 to 1, and 1.5e-14 absolute on these 56 ion slices, whose
+    # 1-norms run from 2e-3 to 8e2, so they are squared 0 to 8 times and
+    # each must keep the bits of its lone call
+    rng = np.random.default_rng(11)
+    special = np.stack([np.zeros((4, 4)), np.diag([-3.0, 0.5, 1.0, 2.0]),
+                        np.triu(np.ones((4, 4)), 1)])  # zero, diagonal, nilpotent
+    norms = np.logspace(-12, 0, 13)
+    random = rng.standard_normal((13, 4, 4))
+    random *= (norms / np.abs(random).sum(axis=1).max(axis=1))[:, None, None]
+    for stack in (special, random):
+        for a, e in zip(stack, matrix_exponential(stack)):
+            ref = scipy_expm(a)
+            assert np.linalg.norm(e - ref, 1) <= 5e-15 * np.linalg.norm(ref, 1)
+    corners = np.array(list(itertools.product((0.01, 10.0), repeat=3)))
+    times = np.exp(np.arange(-3.0, 4.0))
+    ion = (times[:, None, None, None] * _ion_generator(corners)).reshape(-1, 4, 4)
+    for a, e in zip(ion, matrix_exponential(ion)):
+        assert np.max(np.abs(e - scipy_expm(a))) <= 1e-13
         assert np.array_equal(e, matrix_exponential(a))
 
 

@@ -14,12 +14,11 @@ from predcal import (
     Dataset,
     KernelSpec,
     RngStream,
-    fit_ridge,
+    fit_ridge_gcv,
     gcv_score,
     get_system,
     normal,
     predict_discrepancy,
-    select_lambda_gcv,
     uniform,
 )
 
@@ -41,8 +40,7 @@ def main():
     for lam in np.logspace(-6, 0, 7):
         print(f"{lam:12.2e}  {gcv_score(data, None, KERNEL, lam):.6f}")
 
-    lam = select_lambda_gcv(data, None, KERNEL)
-    fit = fit_ridge(data, None, KERNEL, lam)
+    lam, fit = fit_ridge_gcv(data, None, KERNEL)
 
     grid = np.linspace(0.0, 1.0, 2001)[:, None]
     err = predict_discrepancy(fit, grid) - system.zeta(grid)

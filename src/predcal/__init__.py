@@ -69,6 +69,7 @@ from .regression import (
     DegenerateTrace,
     DiscrepancyFit,
     fit_ridge,
+    fit_ridge_gcv,
     gcv_score,
     predict_discrepancy,
     ridge_factor,

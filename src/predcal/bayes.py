@@ -181,6 +181,9 @@ def verify_proposition_limit(data, model, kernel, alphas, beta, sigma2, test_poi
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size < 1:
         raise ValueError("alpha grid is empty")
+    # np.diff lets a NaN through, so every value is checked on its own first
+    if not (np.all(np.isfinite(alphas)) and np.all(alphas > 0)):
+        raise ValueError("alpha grid values must be finite and > 0")
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
 

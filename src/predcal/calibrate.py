@@ -41,10 +41,11 @@ from .kernels import KernelSpec, gram
 from .linalg import _as_box, _as_points, solve_spd
 from .regression import (
     DiscrepancyFit,
-    fit_ridge,
+    _pick_lambda,
+    _residuals,
+    fit_ridge_gcv,
     predict_discrepancy,
     ridge_factor,
-    select_lambda_gcv,
 )
 from .rng import latin_hypercube, uniform
 
@@ -301,8 +302,7 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     """
     if np.any(data.x < 0.0) or np.any(data.x > 1.0):
         raise ValueError("L2 calibration needs design coordinates in [0, 1]")
-    lam = select_lambda_gcv(data, None, kernel)
-    zhat_fit = fit_ridge(data, None, kernel, lam)
+    lam, zhat_fit = fit_ridge_gcv(data, None, kernel)
     draw = uniform(stream, data.d, size=L2_MC_POINTS)
     zhat = predict_discrepancy(zhat_fit, draw)
 
@@ -363,10 +363,11 @@ def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     nonincreasing by construction.
     """
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
-    lam = select_lambda_gcv(data, model.eval(data.x, ls.theta_hat), kernel)
-
-    # one factorization serves every theta and the discrepancy fit
-    factor = ridge_factor(gram(kernel, data.x), lam)
+    # one Gram matrix serves the GCV pick, and one factorization every
+    # theta and the discrepancy fit
+    gm = gram(kernel, data.x)
+    lam = _pick_lambda(gm.values, _residuals(data, model.eval(data.x, ls.theta_hat)))
+    factor = ridge_factor(gm, lam)
     wobj = _weighted_misfit(data, model, factor)
     theta, value = minimize_box(
         wobj, model.theta_box, starts, stream, extra_points=[ls.theta_hat]

@@ -68,6 +68,18 @@ def _int_in(low, high=math.inf):
     return integer
 
 
+def _alpha_grid(text):
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a comma list of numbers, got {text!r}") from None
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"every value must be finite and > 0, got {text!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"values must be strictly increasing, got {text!r}")
+    return values
+
+
 def _psi_or_cv5(text):
     return text if text == "cv5" else _finite_positive(text)
 
@@ -138,19 +150,35 @@ def _cmd_calibrate(args):
 def _cmd_predict(args):
     with open(args.fit) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{args.fit}: fit JSON must be an object, not {type(payload).__name__}")
+
+    def finite(key):
+        try:
+            value = np.asarray(payload[key], dtype=float)
+        except (TypeError, ValueError):  # not numbers, or ragged
+            value = np.array(np.nan)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{args.fit}: fit JSON key {key!r} must hold finite numbers")
+        return value
+
     try:
-        name, theta, fit = payload["model"], payload["theta"], None
+        name, theta, fit = payload["model"], finite("theta"), None
         if payload.get("coef") is not None:
             spec = payload["kernel"]
+            if not isinstance(spec, dict):
+                raise ValueError(
+                    f"{args.fit}: fit JSON key 'kernel' must be an object when 'coef' is given"
+                )
             fit = DiscrepancyFit(
-                coef=np.asarray(payload["coef"], dtype=float),
+                coef=finite("coef"),
                 kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
-                train_x=np.asarray(payload["train_x"], dtype=float),
+                train_x=finite("train_x"),
             )
     except KeyError as err:
         raise ValueError(f"{args.fit}: fit JSON lacks key {err.args[0]!r}") from None
     system = get_system(name)
-    fitted = Predictor(np.asarray(theta, dtype=float), fit)
+    fitted = Predictor(theta, fit)
 
     points = load_points_csv(args.points, system.d)
     pred = predict(system.model, {"fit": fitted}, points)["fit"]
@@ -195,7 +223,7 @@ def _cmd_profile(args):
 
 
 def _cmd_proposition(args):
-    alphas = [float(v) for v in args.alpha_grid.split(",")]
+    alphas = args.alpha_grid
     stream = RngStream(args.seed, 0)
     x = uniform(stream, 1, size=args.n)
     basis = (
@@ -269,7 +297,8 @@ def _build_parser():
     p = add_parser("proposition", help="posterior-mean convergence table")
     p.add_argument("--n", type=_int_in(3), required=True,
                    help="design size, at least the 3 terms of the quadratic basis")
-    p.add_argument("--alpha-grid", default="1,100,10000,1000000,100000000")
+    p.add_argument("--alpha-grid", type=_alpha_grid, default="1,100,10000,1000000,100000000",
+                   help="comma list of prior variances, finite, > 0 and strictly increasing")
     p.add_argument("--beta", type=_finite_positive, default=1.0)
     p.add_argument("--sigma2", type=_finite_positive, default=0.25)
     p.add_argument("--psi", type=_finite_positive, default=0.3)

@@ -42,9 +42,8 @@ from .regression import (
     Dataset,
     DiscrepancyFit,
     _residuals,
-    fit_ridge,
+    fit_ridge_gcv,
     predict_discrepancy,
-    select_lambda_gcv,
 )
 from .rng import RngStream, uniform
 from .systems import NoTruthAvailable, generate_dataset, get_system
@@ -170,8 +169,7 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
             mask = np.ones(data.n, dtype=bool)
             mask[fold] = False
             train = Dataset(x=data.x[mask], y=resid[mask])
-            lam = select_lambda_gcv(train, None, spec)
-            fit = fit_ridge(train, None, spec, lam)
+            _, fit = fit_ridge_gcv(train, None, spec)
             pred = predict_discrepancy(fit, data.x[fold])
             err += float(np.sum((resid[fold] - pred) ** 2))
         if err <= best_err:  # ascending grid: ties keep the larger scale
@@ -275,8 +273,7 @@ def build_predictors(data, system, kernel, config, streams):
     info = {"psi": kernel.psi}
 
     if "NP" in config.methods:
-        lam = select_lambda_gcv(data, None, kernel)
-        fit = fit_ridge(data, None, kernel, lam)
+        lam, fit = fit_ridge_gcv(data, None, kernel)
         predictors["NP"] = Predictor(None, fit)
         info["np_lambda"] = lam
 
@@ -288,8 +285,7 @@ def build_predictors(data, system, kernel, config, streams):
     if "LSCal" in config.methods:
         res = calibrate_ls(data, model, starts=config.starts, stream=streams["ls"])
         eta0 = model.eval(data.x, res.theta_hat)
-        lam = select_lambda_gcv(data, eta0, kernel)
-        fit = fit_ridge(data, eta0, kernel, lam)
+        lam, fit = fit_ridge_gcv(data, eta0, kernel)
         predictors["LSCal"] = Predictor(res.theta_hat, fit)
         info["theta_ls"] = res.theta_hat
         info["ls_lambda"] = lam

@@ -11,8 +11,10 @@ with coefficients solving (Sigma + n*lambda I) c = r, Sigma the Gram
 matrix of the design.  The smoothing level is picked by generalized
 cross-validation over the constant grid ``DEFAULT_LAMBDA_GRID``, and the
 Gram matrix carries the constant jitter ``kernels.DEFAULT_JITTER``.
-Every entry point takes the data and builds that Gram matrix itself;
-only ``ridge_factor`` takes a Gram matrix.
+``fit_ridge_gcv`` is the one GCV-tuned fit: it picks the level and
+solves at it from one Gram matrix.  Every entry point takes the data and
+builds that Gram matrix itself; only ``ridge_factor`` takes a Gram
+matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "DEFAULT_LAMBDA_GRID",
     "ridge_factor",
     "fit_ridge",
+    "fit_ridge_gcv",
     "predict_discrepancy",
     "gcv_score",
     "select_lambda_gcv",
@@ -138,13 +141,10 @@ def predict_discrepancy(fit, x):
     return kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
 
 
-def _gcv_curve(data, eta_at_x, kernel, lams):
-    """GCV scores over an array of lambdas, NaN where tr(I - A) <= 1e-12 * n."""
-    return _gcv_scores(gram(kernel, data.x).values, _residuals(data, eta_at_x), lams)
-
-
 def _gcv_scores(sigma, r, lams):
-    """Array core of ``_gcv_curve``: GCV of residuals r against the (n, n) matrix sigma.
+    """GCV of residuals r against the (n, n) matrix sigma at each of the lambdas.
+
+    A score is NaN where tr(I - A) <= 1e-12 * n.
 
     One eigendecomposition Sigma = U diag(w) U^T serves every lambda: with
     z = U^T r and s = n*lambda / (w + n*lambda), I - A = U diag(s) U^T, so
@@ -176,20 +176,44 @@ def gcv_score(data, eta_at_x, kernel, lam):
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and > 0")
-    score = float(_gcv_curve(data, eta_at_x, kernel, [lam])[0])
+    sigma = gram(kernel, data.x).values
+    score = float(_gcv_scores(sigma, _residuals(data, eta_at_x), [lam])[0])
     if np.isnan(score):
         raise DegenerateTrace(f"tr(I - A) <= 1e-12 * n at lambda = {lam:.3e}")
     return score
 
 
-def select_lambda_gcv(data, eta_at_x, kernel):
-    """Pick the smoothing level in ``DEFAULT_LAMBDA_GRID`` minimizing GCV.
+def _pick_lambda(sigma, r):
+    """The grid lambda minimizing GCV of residuals r against sigma, ties to the larger.
 
-    Ties are broken toward the larger lambda (more smoothing).  No grid
-    value has a degenerate trace: the jittered Gram matrix has
+    No grid value has a degenerate trace: the jittered Gram matrix has
     eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
     about 1e-8 at the grid floor, far above the 1e-12 cut.
     """
-    score = _gcv_curve(data, eta_at_x, kernel, DEFAULT_LAMBDA_GRID)
+    score = _gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID)
     # ascending grid: the last of the exact ties is the largest lambda
     return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == score.min())[-1]])
+
+
+def select_lambda_gcv(data, eta_at_x, kernel):
+    """Pick the smoothing level in ``DEFAULT_LAMBDA_GRID`` minimizing GCV.
+
+    Ties are broken toward the larger lambda (more smoothing).
+    """
+    return _pick_lambda(gram(kernel, data.x).values, _residuals(data, eta_at_x))
+
+
+def fit_ridge_gcv(data, eta_at_x, kernel):
+    """The GCV-tuned discrepancy fit: ``select_lambda_gcv``'s level, then
+    ``fit_ridge`` at it, from one Gram matrix.
+
+    Returns
+    -------
+    (lam, fit)
+        The picked smoothing level and the ``DiscrepancyFit`` at it.
+    """
+    r = _residuals(data, eta_at_x)
+    gm = gram(kernel, data.x)
+    lam = _pick_lambda(gm.values, r)
+    coef = solve_spd(ridge_factor(gm, lam), r)
+    return lam, DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)

@@ -226,6 +226,11 @@ def test_verify_limit_rejects_bad_alpha_grid():
         verify_proposition_limit(
             data, LinearComputerModel(BASIS1), SPEC1, [1e4, 1e2], 1.0, 0.5, pts
         )
+    # a NaN passes the increasing-order test, so it is refused on its own,
+    # before any solve
+    for bad in ([1.0, np.nan], [0.0, 1.0], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="alpha grid values must be finite and > 0"):
+            verify_proposition_limit(data, LinearComputerModel(BASIS1), SPEC1, bad, 1.0, 0.5, pts)
 
 
 def test_linear_model_validation():

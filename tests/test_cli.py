@@ -238,6 +238,31 @@ def test_predict_names_a_missing_fit_key(tmp_path, capsys):
         assert f"{broken}: fit JSON lacks key {key!r}" in capsys.readouterr().err
 
 
+def test_predict_refuses_a_malformed_fit(tmp_path, capsys):
+    # the first two once printed NaN predictions and exited 0
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=12)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "optpred",
+         "--psi", "0.3", "--starts", "2", "--out", str(fit_json)]
+    ) == 0
+    full = json.loads(fit_json.read_text())
+    broken = tmp_path / "broken.json"
+    cases = [
+        (dict(full, theta=None), "fit JSON key 'theta' must hold finite numbers"),
+        (dict(full, train_x=[[float("nan")]]), "fit JSON key 'train_x' must hold finite numbers"),
+        (dict(full, kernel=None), "fit JSON key 'kernel' must be an object"),
+        ([full], "fit JSON must be an object"),
+    ]
+    for payload, message in cases:
+        broken.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli_main(["predict", "--fit", str(broken), "--points", str(data_csv)]) == 1
+        out, err = capsys.readouterr()
+        assert f"{broken}: {message}" in err and out == "", message
+
+
 def test_predict_rejects_nonfinite_points(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)
@@ -300,6 +325,14 @@ def test_positive_real_flags_are_usage_errors(capsys):
          "--seed", "18446744073709551616"],
         ["proposition", "--n", "5", "--seed", "-1"],
         ["proposition", "--n", "5", "--seed", "18446744073709551616"],
+        # alpha grids: not numbers, not finite, not > 0, not strictly increasing
+        ["proposition", "--n", "5", "--alpha-grid", ""],
+        ["proposition", "--n", "5", "--alpha-grid", "1,x"],
+        ["proposition", "--n", "5", "--alpha-grid", "1,nan"],
+        ["proposition", "--n", "5", "--alpha-grid", "1,inf"],
+        ["proposition", "--n", "5", "--alpha-grid", "0,1"],
+        ["proposition", "--n", "5", "--alpha-grid", "10,1"],
+        ["proposition", "--n", "5", "--alpha-grid", "1,1"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as exc:

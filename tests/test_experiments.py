@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from predcal import (
+    METHOD_NAMES,
     ComputerModel,
     DiscrepancyFit,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from predcal import (
     Predictor,
     RngStream,
     build_predictors,
+    calibrate_optpred,
     cv5_select_psi,
     default_psi_grid,
     ex1_zeta,
@@ -290,6 +292,35 @@ def test_predict_calls_the_model_once_for_every_theta_and_matches_the_terms(syst
             want = want + predict_discrepancy(p.fit, x)
         assert np.array_equal(got[name], want), name
     _assert_predict_matches_the_terms(system, preds, x)
+
+
+def _gram_builds(calls):
+    # a Gram matrix is the kernel matrix of a design against itself
+    return sum(1 for args in calls if args[1] is args[2])
+
+
+def test_each_gcv_tuned_fit_builds_one_gram_matrix(monkeypatch):
+    # NP, LSCal, L2's smoother and OptPred each pick lambda and fit at it
+    # from one Gram matrix
+    system = get_system("ex1")
+    data = generate_dataset(system, 20, 0.3, RngStream(76))
+    kernel = KernelSpec("matern32", 0.3, 1)
+    cfg = _toy_cfg(n=20, methods=METHOD_NAMES, starts=1)
+    streams = {"ls": RngStream(76, 2), "l2": RngStream(76, 3), "optpred": RngStream(76, 4)}
+    calls = _record_kernel_cross(monkeypatch)
+    build_predictors(data, system, kernel, cfg, streams)
+    assert _gram_builds(calls) == 4
+    calls.clear()
+    calibrate_optpred(data, system.model, kernel, starts=1, stream=RngStream(76, 5))
+    assert _gram_builds(calls) == 1
+
+
+def test_cv5_builds_one_gram_matrix_per_fold(monkeypatch):
+    data = generate_dataset(get_system("ex1"), 50, 0.3, RngStream(77))
+    grid = default_psi_grid(1)
+    calls = _record_kernel_cross(monkeypatch)
+    cv5_select_psi(data, "matern32", grid, None, RngStream(77, 1))
+    assert len(grid) == 6 and _gram_builds(calls) == 5 * len(grid)
 
 
 def test_pmse_errors():

@@ -15,6 +15,7 @@ from predcal import (
     RngStream,
     calibrate_l2,
     fit_ridge,
+    fit_ridge_gcv,
     gcv_score,
     gram,
     kernel_cross,
@@ -24,9 +25,10 @@ from predcal import (
     solve_spd,
     uniform,
 )
+from predcal import regression
 from predcal.calibrate import _weighted_misfit
 from predcal.experiments import _stream
-from predcal.regression import _gcv_curve, _gcv_scores
+from predcal.regression import _gcv_scores
 from predcal.systems import generate_dataset, get_system
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
@@ -214,6 +216,30 @@ def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
     assert DEFAULT_LAMBDA_GRID[np.flatnonzero(got == got.min())[-1]] == want
 
 
+def test_fit_ridge_gcv_is_select_then_fit_from_one_gram_matrix(monkeypatch):
+    rng = np.random.default_rng(21)
+    for dim in (1, 2):
+        x = rng.random((30, dim))
+        d = Dataset(x, np.sin(3.0 * x.sum(axis=1)) + 0.3 * rng.standard_normal(30))
+        spec = KernelSpec("matern32", 0.3, dim)
+        for eta in (None, 0.5 * np.cos(2.0 * x[:, 0])):
+            lam, fit = fit_ridge_gcv(d, eta, spec)
+            want_lam = select_lambda_gcv(d, eta, spec)
+            want = fit_ridge(d, eta, spec, want_lam)
+            assert lam == want_lam, (dim, eta is None)
+            assert np.array_equal(fit.coef, want.coef), (dim, eta is None)
+            assert fit.kernel == spec and np.array_equal(fit.train_x, d.x)
+    builds = []
+
+    def counted(spec, points):
+        builds.append(spec)
+        return gram(spec, points)
+
+    monkeypatch.setattr(regression, "gram", counted)
+    fit_ridge_gcv(d, None, spec)
+    assert builds == [spec]
+
+
 def test_gcv_degenerate_trace_raises():
     d = _random_instance(12, 8)
     with pytest.raises(DegenerateTrace):
@@ -247,7 +273,7 @@ def test_every_grid_score_is_finite_on_jittered_gram_matrices():
         for x in designs:
             for psi in (1e-3, 1e8):
                 spec = KernelSpec("matern32", psi, 1)
-                score = _gcv_curve(Dataset(x, y), None, spec, DEFAULT_LAMBDA_GRID)
+                score = _gcv_scores(gram(spec, x).values, y, DEFAULT_LAMBDA_GRID)
                 assert score.shape == (60,) and np.all(np.isfinite(score)), (n, psi)
 
 
@@ -272,6 +298,8 @@ def test_non_finite_model_values_are_refused():
             gcv_score(d, eta, SPEC1, 0.1)
         with pytest.raises(ValueError, match="finite"):
             fit_ridge(d, eta, SPEC1, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            fit_ridge_gcv(d, eta, SPEC1)
 
 
 def test_lambda_must_be_finite_and_positive():

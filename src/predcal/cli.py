@@ -148,8 +148,11 @@ def _cmd_calibrate(args):
 
 
 def _cmd_predict(args):
-    with open(args.fit) as fh:
-        payload = json.load(fh)
+    try:
+        with open(args.fit) as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{args.fit}: not a JSON file ({err})") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{args.fit}: fit JSON must be an object, not {type(payload).__name__}")
 
@@ -178,6 +181,28 @@ def _cmd_predict(args):
     except KeyError as err:
         raise ValueError(f"{args.fit}: fit JSON lacks key {err.args[0]!r}") from None
     system = get_system(name)
+    d, p = system.d, system.model.p
+    if theta.size != p:
+        raise ValueError(
+            f"{args.fit}: fit JSON key 'theta' must hold p={p} values for model {name!r}, "
+            f"got {theta.size}"
+        )
+    if fit is not None:
+        if fit.kernel.dim != d:
+            raise ValueError(
+                f"{args.fit}: fit JSON key 'kernel.dim' must be {d} for model {name!r}, "
+                f"got {fit.kernel.dim}"
+            )
+        if fit.train_x.ndim != 2 or fit.train_x.shape[1] != d:
+            raise ValueError(
+                f"{args.fit}: fit JSON key 'train_x' must form an (n, {d}) array, "
+                f"got shape {fit.train_x.shape}"
+            )
+        if fit.coef.shape != fit.train_x.shape[:1]:
+            raise ValueError(
+                f"{args.fit}: fit JSON key 'coef' must hold one value per row of 'train_x' "
+                f"({fit.train_x.shape[0]}), got shape {fit.coef.shape}"
+            )
     fitted = Predictor(theta, fit)
 
     points = load_points_csv(args.points, system.d)

@@ -23,8 +23,6 @@ expansion ``fit``, either term absent when None.  Predictor names:
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
 import numbers
 import os
@@ -34,7 +32,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
 from .kernels import KernelSpec, kernel_apply
@@ -350,36 +347,16 @@ class PmseReport:
             fh.write(self.to_csv())
 
 
-def _one_blas_thread():
-    """Pool initializer: pin the OpenBLAS bundled with numpy and scipy to one thread.
-
-    Workers already split the CPUs between them; BLAS threads on top of
-    that oversubscribe them.  A library or symbol that is not found is
-    left alone.
-    """
-    for pkg, symbol in ((np, "scipy_openblas_set_num_threads64_"),
-                        (scipy, "scipy_openblas_set_num_threads")):
-        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for lib in glob.glob(os.path.join(libdir, "*openblas*.so*")):
-            try:
-                fn = getattr(ctypes.CDLL(lib), symbol)
-            except (OSError, AttributeError):
-                continue
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = None
-            fn(1)
-
-
 def run_experiment(config, threads=1):
     """Run every (noise level, replicate) cell and aggregate the scores.
 
-    ``threads`` caps the worker processes (0 means one per CPU), each with one
-    BLAS thread; no more start than there are cells, since a pool starts all
-    of them at once.  Results are keyed by replicate index, so every pool size
-    gives the same output; a single worker runs in this process with its BLAS
-    threads, whose count can move the last bits of results built from larger
-    matrices.  A replicate failure aborts the run with its index in the
-    message.  When OptCal runs, ``traces`` hold each replicate's OptPred trace.
+    ``threads`` caps the worker processes (0 means one per CPU); no more
+    start than there are cells, since a pool starts all of them at once, and
+    a single worker runs in this process.  Every process that imports
+    predcal runs one BLAS thread (``predcal.linalg``), and results are keyed
+    by replicate index, so every worker count gives the same output bits.
+    A replicate failure aborts the run with its index in the message.  When
+    OptCal runs, ``traces`` hold each replicate's OptPred trace.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")
@@ -389,7 +366,7 @@ def run_experiment(config, threads=1):
     if workers == 1:
         outcomes = [run(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run, cells, chunksize=1))
 
     per_replicate = {

@@ -17,7 +17,9 @@ Gram matrices are returned unfactored, with the constant diagonal jitter
 n*lambda term keeps positive definite (``regression.ridge_factor``).
 Only the norm surrogate factors a bare Gram matrix; there the jitter
 starts at ``DEFAULT_JITTER`` and escalates by factors of 10 up to
-``MAX_JITTER`` before giving up.
+``MAX_JITTER`` before giving up.  With Sigma_G + jitter I = L L^T on the
+grid G, the surrogate of ||g||^2 is ||L^{-1} g(G)||^2, one triangular
+solve per function on the cached factor.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_spd
+from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_lower
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -65,8 +67,13 @@ class KernelSpec:
 
 
 def _mat32(r, psi):
+    # (1 + q) * exp(-q) with q = r / psi, in place on one scratch array: the
+    # same bits, and one temporary fewer per distance chunk
     q = r / psi
-    return (1.0 + q) * np.exp(-q)
+    e = np.exp(-q)
+    q += 1.0
+    q *= e
+    return q
 
 
 def kernel_cross(spec, x, y):
@@ -185,7 +192,9 @@ def rkhs_norm_sq_approx(spec, g, grid_size):
 
     Evaluates ``g`` on a uniform grid G of the unit cube and returns the
     quadratic form g(G)^T (Sigma_G + jitter I)^{-1} g(G), the squared norm
-    of the minimum-norm interpolant of g on G.  The value is a lower bound
+    of the minimum-norm interpolant of g on G.  It is computed as
+    ||L^{-1} g(G)||^2 with L the Cholesky factor of Sigma_G + jitter I:
+    one triangular solve, and never negative.  The value is a lower bound
     of the true squared norm and is nondecreasing under grid refinement.
     The jitter is ``DEFAULT_JITTER``; if Sigma_G + jitter I does not
     factor, it escalates by factors of 10 up to ``MAX_JITTER``.  The
@@ -212,5 +221,5 @@ def rkhs_norm_sq_approx(spec, g, grid_size):
     vals = np.asarray(g(pts), dtype=float).reshape(-1)
     if vals.shape[0] != pts.shape[0]:
         raise DimensionMismatch("g must return one value per grid point")
-    w = solve_spd(factor, vals)
-    return float(vals @ w)
+    z = solve_lower(factor, vals)
+    return float(z @ z)

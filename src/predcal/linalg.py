@@ -2,7 +2,9 @@
 
 The package's SPD solves route through the helpers here: a Cholesky
 factorization, never an explicit inverse.  Dense factorizations are
-delegated to LAPACK through scipy.  ``cholesky`` takes its input as
+delegated to LAPACK through scipy.  A quadratic form b^T A^{-1} b needs
+only half a solve: with A = L L^T it is ||L^{-1} b||^2, one triangular
+solve (``solve_lower``).  ``cholesky`` takes its input as
 given, with no symmetrization and no retry: the ridge matrix
 Sigma + n*lambda I (``regression.ridge_factor``) is positive definite by
 construction, and the one bare Gram matrix the package factors, the
@@ -16,15 +18,34 @@ The package's two shape rules live here too: a set of points is always
 an (m, d) array of rows, also for d = 1, and a parameter box always a
 (p, 2) array of [low, high] rows.  A 1-d array is refused, never read
 as one point or as one box row.
+
+Importing this module, and so importing predcal, pins the OpenBLAS
+builds bundled with numpy and with scipy to one thread for the whole
+process.  The package's matrices are small (at most 400 rows, mostly
+40-50, and 4 x 4 stacks for the ion model), and there idle BLAS threads
+spin and contend more than they help.  On a 2-CPU machine an isolated
+400 x 400 ``eigh`` took 8.7 ms on 2 threads and 9.9 ms on 1, yet the
+ridge layer's self time (the ``eigh`` of spectral GCV) in the n = 100-400
+benchmark fell from 0.063 to 0.011 s per round on one thread.  The pin
+also makes results independent of ``OPENBLAS_NUM_THREADS`` and of the
+worker count.  A caller who wants more threads for its own large
+matrices can set them back after the import, through the builds'
+``scipy_openblas_set_num_threads64_`` (numpy) and
+``scipy_openblas_set_num_threads`` (scipy) entry points or threadpoolctl.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve
 from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "NotPositiveDefinite",
@@ -32,8 +53,31 @@ __all__ = [
     "CholFactor",
     "cholesky",
     "solve_spd",
+    "solve_lower",
     "matrix_exponential",
 ]
+
+
+def _one_blas_thread():
+    """Pin the OpenBLAS bundled with numpy and scipy to one thread.
+
+    Called once, when this module is imported (module notes).  A library
+    or symbol that is not found is left alone.
+    """
+    for pkg, symbol in ((np, "scipy_openblas_set_num_threads64_"),
+                        (scipy, "scipy_openblas_set_num_threads")):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for lib in glob.glob(os.path.join(libdir, "*openblas*.so*")):
+            try:
+                fn = getattr(ctypes.CDLL(lib), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = None
+            fn(1)
+
+
+_one_blas_thread()
 
 
 class NotPositiveDefinite(Exception):
@@ -97,18 +141,36 @@ def cholesky(a):
     return CholFactor(l)
 
 
-def solve_spd(factor, b):
-    """Solve ``A x = b`` given the Cholesky factor of A.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
-    """
+def _as_rhs(factor, b):
     b = np.asarray(b, dtype=float)
     if b.shape[0] != factor.order:
         raise DimensionMismatch(
             f"right-hand side has leading dimension {b.shape[0]}, "
             f"factor has order {factor.order}"
         )
-    return cho_solve((factor.l, True), b, check_finite=False)
+    return b
+
+
+def solve_spd(factor, b):
+    """Solve ``A x = b`` given the Cholesky factor of A.
+
+    ``b`` may be a vector or a matrix of stacked right-hand sides.
+    """
+    return cho_solve((factor.l, True), _as_rhs(factor, b), check_finite=False)
+
+
+def solve_lower(factor, b):
+    """``L^{-1} b`` for the Cholesky factor L of A, by one triangular solve.
+
+    ``b`` may be a vector or a matrix of stacked right-hand sides.  With
+    z = L^{-1} b, the quadratic form b^T A^{-1} b is z^T z (Golub & Van
+    Loan, *Matrix Computations*, ch. 4): half the sweeps of ``solve_spd``,
+    and never negative.  The solve is LAPACK ``trtrs``, called directly.
+    """
+    z, info = dtrtrs(factor.l, _as_rhs(factor, b), lower=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular solve failed, LAPACK trtrs info {info}")
+    return z
 
 
 # Pade-13 coefficients b_0..b_13 and the 1-norm up to which the degree-13

@@ -1,10 +1,14 @@
 """Command-line plumbing: exit codes, CSV shapes, fit round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import predcal
 from predcal import (
     KernelSpec,
     RngStream,
@@ -87,6 +91,27 @@ def test_profile_rkhs_csv(tmp_path):
     assert len(interior_minima) == 2
     assert -0.4 <= interior_minima[0] <= 0.0
     assert 0.2 <= interior_minima[1] <= 0.5
+
+
+def test_profile_rkhs_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # importing predcal pins OpenBLAS to one thread, whatever the environment
+    # asks for; before that, this CSV differed from its second line on
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(predcal.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"rkhs-{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "predcal", "profile", "--norm", "rkhs", "--step", "0.01",
+             "--out", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, timeout=300,
+        )
+        texts.append(out.read_bytes())
+    assert texts[0].count(b"\n") == 202
+    assert texts[0] == texts[1]
 
 
 def test_profile_step_must_be_finite_and_positive():
@@ -254,9 +279,19 @@ def test_predict_refuses_a_malformed_fit(tmp_path, capsys):
         (dict(full, train_x=[[float("nan")]]), "fit JSON key 'train_x' must hold finite numbers"),
         (dict(full, kernel=None), "fit JSON key 'kernel' must be an object"),
         ([full], "fit JSON must be an object"),
+        # these five once blamed no file, or the points file
+        ("model=ex1\n", "not a JSON file (Expecting value"),
+        (dict(full, kernel=dict(full["kernel"], dim=2)),
+         "fit JSON key 'kernel.dim' must be 1 for model 'ex1', got 2"),
+        (dict(full, train_x=[row * 2 for row in full["train_x"]]),
+         "fit JSON key 'train_x' must form an (n, 1) array, got shape (12, 2)"),
+        (dict(full, coef=full["coef"][:5]),
+         "fit JSON key 'coef' must hold one value per row of 'train_x' (12), got shape (5,)"),
+        (dict(full, theta=[0.1, 0.2]),
+         "fit JSON key 'theta' must hold p=1 values for model 'ex1', got 2"),
     ]
     for payload, message in cases:
-        broken.write_text(json.dumps(payload))
+        broken.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         capsys.readouterr()
         assert cli_main(["predict", "--fit", str(broken), "--points", str(data_csv)]) == 1
         out, err = capsys.readouterr()

@@ -417,7 +417,7 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):

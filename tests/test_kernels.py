@@ -52,6 +52,18 @@ def test_kernel_cross_euclidean_distance_in_2d():
     assert kernel_cross(spec, [[0.0, 0.0]], [[0.3, 0.4]])[0, 0] == pytest.approx(want, rel=1e-14)
 
 
+def test_mat32_has_the_bits_of_the_closed_form():
+    # the in-place form must equal (1 + r/psi) exp(-r/psi) bit for bit, also at
+    # r = 0 and where exp(-r/psi) underflows (r/psi > 700)
+    r = np.concatenate([[0.0, 1e-300, 0.5, 1.0], np.linspace(0.0, 3.0, 1001),
+                        [7.01, 7.5, 7.46, 100.0, 1e6]]).reshape(-1, 5)
+    assert np.any(r / 0.01 > 700.0)
+    for psi in (0.01, 0.16, 1.0, 1e8):
+        q = r / psi
+        assert np.array_equal(kernels._mat32(r, psi), (1.0 + q) * np.exp(-q))
+    assert kernels._mat32(np.zeros((1, 1)), 0.3)[0, 0] == 1.0
+
+
 def test_kernel_cross_symmetry_on_sampled_pairs():
     spec = KernelSpec("matern32", 0.3, 2)
     pts = uniform(RngStream(17), 2, size=20)

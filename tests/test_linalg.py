@@ -1,11 +1,16 @@
 """Factorizations, SPD solves, and the matrix exponential."""
 
+import ctypes
+import glob
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import expm as scipy_expm
+from scipy.linalg import solve_triangular
 
 from predcal import (
     CholFactor,
@@ -13,6 +18,7 @@ from predcal import (
     NotPositiveDefinite,
     cholesky,
     matrix_exponential,
+    solve_lower,
     solve_spd,
 )
 from predcal.systems import _ion_generator
@@ -74,6 +80,44 @@ def test_solve_spd_dimension_mismatch():
     f = cholesky(np.eye(3))
     with pytest.raises(DimensionMismatch):
         solve_spd(f, np.ones(4))
+
+
+def test_solve_lower_is_the_triangular_solve_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 7, 50, 200):
+        f = cholesky(_random_spd(rng, n))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            z = solve_lower(f, b)
+            assert z.shape == b.shape
+            assert np.array_equal(z, solve_triangular(f.l, b, lower=True))
+    # the quadratic form of solve_spd, from half the sweeps
+    a = _random_spd(rng, 40)
+    b = rng.standard_normal(40)
+    z = solve_lower(cholesky(a), b)
+    assert z @ z == pytest.approx(b @ solve_spd(cholesky(a), b), rel=1e-12)
+    with pytest.raises(DimensionMismatch):
+        solve_lower(cholesky(np.eye(3)), np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        solve_lower(cholesky(np.eye(3)), np.ones((2, 3)))
+
+
+def test_import_pins_the_bundled_openblas_to_one_thread():
+    # predcal is imported above; each bundled build that is found must run one thread
+    found = {}
+    for pkg, symbol in ((np, "scipy_openblas_get_num_threads64_"),
+                        (scipy, "scipy_openblas_get_num_threads")):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for lib in glob.glob(os.path.join(libdir, "*openblas*.so*")):
+            try:
+                fn = getattr(ctypes.CDLL(lib), symbol)
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            found[lib] = fn()
+    if not found:
+        pytest.skip("no bundled OpenBLAS with a thread-count symbol")
+    assert set(found.values()) == {1}, found
 
 
 def test_solve_after_cholesky_is_right_inverse_on_random_orders():

@@ -78,10 +78,10 @@ class BayesHyper:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and > 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be > 0")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and > 0")
+        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError("sigma2 must be finite and > 0")
 
     def induced_lambda(self, n):
         """The ridge level sigma2 / (n beta) implied by the priors."""
@@ -187,7 +187,9 @@ def verify_proposition_limit(data, model, kernel, alphas, beta, sigma2, test_poi
     if np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be strictly increasing")
 
-    system = _basis_system(data, model, kernel, sigma2 / (data.n * beta))
+    # beta and sigma2 are checked before anything is factored
+    hyper = BayesHyper(alpha=float(alphas[0]), beta=beta, sigma2=sigma2)
+    system = _basis_system(data, model, kernel, hyper.induced_lambda(data.n))
     h, k = model.basis_matrix(test_points), kernel_cross(kernel, test_points, data.x)
 
     def mean_at(ridge):
@@ -197,6 +199,5 @@ def verify_proposition_limit(data, model, kernel, alphas, beta, sigma2, test_poi
     limit = mean_at(0.0)
     devs = np.empty(alphas.size)
     for i, alpha in enumerate(alphas):
-        hyper = BayesHyper(alpha=float(alpha), beta=beta, sigma2=sigma2)
-        devs[i] = float(np.max(np.abs(mean_at(hyper.beta / hyper.alpha) - limit)))
+        devs[i] = float(np.max(np.abs(mean_at(beta / alpha) - limit)))
     return devs

@@ -49,6 +49,11 @@ _FMT = "%.17g"
 DEFAULT_PROFILE_PSI = 0.16
 PROFILE_GRID_1D = 200
 L2_QUADRATURE_POINTS = 4096
+# the systems whose discrepancy norm profile is defined: one parameter and a truth
+_PROFILE_MODELS = tuple(
+    name for name in system_names()
+    if get_system(name).zeta is not None and get_system(name).model.p == 1
+)
 
 
 def _finite_positive(text):
@@ -84,8 +89,8 @@ def _psi_or_cv5(text):
     return text if text == "cv5" else _finite_positive(text)
 
 
-def _write_csv(path, header, rows):
-    text = csv_text(header, rows)
+def _write(path, text):
+    """Write ``text`` to the file ``path``, or to stdout when ``path`` is None."""
     if path:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -94,11 +99,10 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_experiment(args):
-    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
-    config = dataclasses.replace(parse_config(args.config), **overrides)
-    report = run_experiment(config, threads=args.threads)
-    if not config.out:
-        sys.stdout.write(report.to_csv())
+    config = parse_config(args.config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    _write(args.out, run_experiment(config, threads=args.threads).to_csv())
     return 0
 
 
@@ -141,9 +145,7 @@ def _cmd_calibrate(args):
             "train_x": fit.train_x.tolist() if fit is not None else None,
             "coef": fit.coef.tolist() if fit is not None else None,
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write(args.out, json.dumps(payload, indent=1) + "\n")
     return 0
 
 
@@ -210,14 +212,12 @@ def _cmd_predict(args):
 
     header = ",".join(f"x{j + 1}" for j in range(system.d)) + ",prediction"
     rows = [tuple(points[i]) + (float(pred[i]),) for i in range(points.shape[0])]
-    _write_csv(args.out, header, rows)
+    _write(args.out, csv_text(header, rows))
     return 0
 
 
 def _cmd_profile(args):
     system = get_system(args.model)
-    if system.zeta is None or system.model.p != 1:
-        raise ValueError("profile requires a single-parameter system with known truth")
     lo, hi = system.model.theta_box[0]
     # lo + i*step, never past hi; the guard keeps an endpoint that the
     # division puts a rounding error short of a whole number of steps
@@ -243,7 +243,7 @@ def _cmd_profile(args):
             for t in thetas
         ]
 
-    _write_csv(args.out, "theta,norm_sq", list(zip(thetas, values)))
+    _write(args.out, csv_text("theta,norm_sq", zip(thetas, values)))
     return 0
 
 
@@ -270,7 +270,7 @@ def _cmd_proposition(args):
     devs = verify_proposition_limit(
         data, model, kernel, alphas, args.beta, args.sigma2, test_points
     )
-    _write_csv(args.out, "alpha,max_deviation", list(zip(alphas, map(float, devs))))
+    _write(args.out, csv_text("alpha,max_deviation", zip(alphas, map(float, devs))))
     return 0
 
 
@@ -288,7 +288,7 @@ def _build_parser():
     p.add_argument("--config", required=True, help="key=value config file")
     p.add_argument("--seed", type=_int_in(0, 2**64), default=None, help="override the config seed")
     p.add_argument("--threads", type=_int_in(0), default=1, help="worker count, 0 = auto")
-    p.add_argument("--out", default=None, help="report CSV path (default: config out or stdout)")
+    p.add_argument("--out", default=None, help="report CSV path (default stdout)")
     p.set_defaults(func=_cmd_experiment)
 
     p = add_parser("calibrate", help="calibrate a model against a CSV dataset")
@@ -309,7 +309,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_predict)
 
     p = add_parser("profile", help="discrepancy-norm profile over theta")
-    p.add_argument("--model", default="ex1", choices=system_names())
+    p.add_argument("--model", default="ex1", choices=_PROFILE_MODELS,
+                   help="a system with one parameter and a known truth")
     p.add_argument("--norm", required=True, choices=("l2", "rkhs"))
     p.add_argument("--psi", type=_finite_positive, default=DEFAULT_PROFILE_PSI,
                    help="kernel scale for the rkhs norm")

@@ -101,10 +101,10 @@ class ExperimentConfig:
     psi: object = "cv5"  # "cv5" or a fixed positive length scale
     starts: int = DEFAULT_STARTS
     seed: int = DEFAULT_SEED
-    out: Optional[str] = None
 
     def __post_init__(self):
-        get_system(self.system)
+        if get_system(self.system).zeta is None:
+            raise ValueError(f"system {self.system!r} has no sampling truth")
         for key in _INT_KEYS:
             value = getattr(self, key)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
@@ -342,10 +342,6 @@ class PmseReport:
         ]
         return csv_text("method,sigma2,mean_pmse,se_pmse,replicates", rows)
 
-    def write(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 def run_experiment(config, threads=1):
     """Run every (noise level, replicate) cell and aggregate the scores.
@@ -356,7 +352,8 @@ def run_experiment(config, threads=1):
     predcal runs one BLAS thread (``predcal.linalg``), and results are keyed
     by replicate index, so every worker count gives the same output bits.
     A replicate failure aborts the run with its index in the message.  When
-    OptCal runs, ``traces`` hold each replicate's OptPred trace.
+    OptCal runs, ``traces`` hold each replicate's OptPred trace.  Returns the
+    ``PmseReport`` and writes no file: ``report.to_csv()`` is its text.
     """
     if threads < 0:
         raise ValueError("threads must be >= 0")
@@ -382,10 +379,7 @@ def run_experiment(config, threads=1):
         if "opt_trace" in info:
             traces[(s2, r)] = info["opt_trace"]
 
-    report = PmseReport(config=config, per_replicate=per_replicate, traces=traces)
-    if config.out:
-        report.write(config.out)
-    return report
+    return PmseReport(config=config, per_replicate=per_replicate, traces=traces)
 
 
 def parse_config(path):
@@ -430,8 +424,6 @@ def parse_config(path):
         kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(","))
     if "psi" in raw:
         kwargs["psi"] = converted("psi", lambda v: "cv5" if v == "cv5" else float(v))
-    if "out" in raw:
-        kwargs["out"] = raw["out"]
     try:
         return ExperimentConfig(**kwargs)
     except (ValueError, KeyError) as err:

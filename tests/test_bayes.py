@@ -20,9 +20,11 @@ from predcal import (
     partial_spline_limit,
     posterior_mean,
     predict_discrepancy,
+    ridge_factor,
     uniform,
     verify_proposition_limit,
 )
+from predcal import bayes
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
 BASIS1 = (lambda x: np.ones(len(x)), lambda x: x[:, 0])
@@ -96,6 +98,10 @@ def test_bayes_hyper_validation():
         BayesHyper(alpha=1.0, beta=-1.0, sigma2=1.0)
     with pytest.raises(ValueError):
         BayesHyper(alpha=1.0, beta=1.0, sigma2=0.0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        BayesHyper(alpha=1.0, beta=np.inf, sigma2=0.25)
+    with pytest.raises(ValueError, match="sigma2 must be finite"):
+        BayesHyper(alpha=1.0, beta=1.0, sigma2=np.inf)
     assert BayesHyper(1.0, 2.0, 0.5).induced_lambda(10) == pytest.approx(0.025)
 
 
@@ -231,6 +237,28 @@ def test_verify_limit_rejects_bad_alpha_grid():
     for bad in ([1.0, np.nan], [0.0, 1.0], [1.0, np.inf]):
         with pytest.raises(ValueError, match="alpha grid values must be finite and > 0"):
             verify_proposition_limit(data, LinearComputerModel(BASIS1), SPEC1, bad, 1.0, 0.5, pts)
+
+
+def test_verify_limit_refuses_bad_beta_or_sigma2_before_factoring(monkeypatch):
+    # beta = 0 once divided by zero, beta = sigma2 = -1 once factored and
+    # solved the limit first, and an infinite value once blamed lambda
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ridge_factor(*args)
+
+    monkeypatch.setattr(bayes, "ridge_factor", counted)
+    data = _instance(36, 10)
+    pts = np.array([[0.5]])
+    cases = [(0.0, 0.25, "beta"), (-1.0, -0.25, "beta"), (np.inf, 0.25, "beta"),
+             (1.0, np.inf, "sigma2")]
+    for beta, sigma2, name in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+            verify_proposition_limit(
+                data, LinearComputerModel(BASIS1), SPEC1, [1.0, 1e2], beta, sigma2, pts
+            )
+    assert calls == []
 
 
 def test_linear_model_validation():

@@ -140,9 +140,13 @@ def test_profile_grid_stays_in_the_box(tmp_path):
     assert (theta[0], theta[1000], theta[2000]) == (-1.0, 0.0, 1.0)
 
 
-def test_profile_rejects_multi_parameter_model(capsys):
-    assert cli_main(["profile", "--model", "ex2", "--norm", "l2"]) == 1
-    assert "predcal: error" in capsys.readouterr().err
+def test_profile_model_without_one_parameter_and_a_truth_is_usage_error(capsys):
+    # these once passed argparse and failed at run time with status 1
+    for model in ("ex2", "ex3", "ion"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["profile", "--model", model, "--norm", "l2"])
+        assert exc.value.code == 2, model
+        assert "--model" in capsys.readouterr().err
 
 
 def test_calibrate_predict_round_trip(tmp_path, capsys):
@@ -422,7 +426,7 @@ def test_calibrate_ion_ls_at_any_log_time(tmp_path, capsys):
     assert len(theta) == 3 and all(np.isfinite(theta))
 
 
-def test_experiment_subcommand_matches_library(tmp_path):
+def test_experiment_subcommand_matches_library(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(
         "system=ex1\nn=12\nsigma2=0.1\nreplicates=2\n"
@@ -432,10 +436,16 @@ def test_experiment_subcommand_matches_library(tmp_path):
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
     want = run_experiment(parse_config(cfg)).to_csv()
     assert out.read_text() == want
+    assert capsys.readouterr().out == ""
 
     out2 = tmp_path / "report2.csv"
     assert cli_main(["experiment", "--config", str(cfg), "--out", str(out2)]) == 0
     assert out2.read_bytes() == out.read_bytes()
+
+    # without --out the same bytes go to stdout
+    assert cli_main(["experiment", "--config", str(cfg)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.encode() == out.read_bytes() == want.encode()
 
 
 def test_experiment_seed_override_changes_report(tmp_path):

@@ -104,6 +104,9 @@ def test_config_validation():
     assert _toy_cfg(n=np.int64(12), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
     with pytest.raises(KeyError):
         _toy_cfg(system="nope")
+    # ion has no truth to sample from, so it is refused before any worker starts
+    with pytest.raises(ValueError, match="'ion' has no sampling truth"):
+        _toy_cfg(system="ion")
     # five-fold cross-validation of psi needs five points; a fixed psi does not
     with pytest.raises(ValueError, match="cv5"):
         _toy_cfg(psi="cv5", n=4)
@@ -453,12 +456,6 @@ def test_run_experiment_collects_traces():
             assert v <= u + 1e-12 * max(1.0, abs(u))
 
 
-def test_run_experiment_writes_out_file(tmp_path):
-    out = tmp_path / "report.csv"
-    rep = run_experiment(_toy_cfg(out=str(out)))
-    assert out.read_text() == rep.to_csv()
-
-
 def test_report_csv_shape_and_sorting():
     cfg = _toy_cfg(replicates=2, sigma2=(0.5, 0.1), methods=("NP", "LSCal"))
     rep = run_experiment(cfg)
@@ -510,13 +507,11 @@ def test_parse_config_round_trip(tmp_path):
         "psi = 0.3\n"
         "starts = 3\n"
         "seed = 7\n"
-        "out = r.csv\n"
     )
     cfg = parse_config(path)
     assert cfg == ExperimentConfig(
         system="ex1", n=20, sigma2=(0.1, 0.25), replicates=3, mc_test_points=2000,
-        methods=("NP", "LSCal"), psi=0.3, starts=3,
-        seed=7, out="r.csv",
+        methods=("NP", "LSCal"), psi=0.3, starts=3, seed=7,
     )
 
 
@@ -539,7 +534,8 @@ def test_parse_config_names_the_file_and_key_of_a_bad_value(tmp_path):
             parse_config(path)
     # values that parse but that ExperimentConfig refuses
     refused = {"small_n": ("system=ex1\nn=1\n", "n must be >= 2$"),
-               "system": ("system=ex9\nn=20\n", "unknown system 'ex9'; choose from ")}
+               "system": ("system=ex9\nn=20\n", "unknown system 'ex9'; choose from "),
+               "ion": ("system=ion\nn=20\n", "system 'ion' has no sampling truth$")}
     for name, (text, message) in refused.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(text + "sigma2=0.1\nreplicates=2\n")
@@ -560,3 +556,8 @@ def test_parse_config_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ValueError):
             parse_config(path)
+    # the command line, not the config, says where the report goes
+    path = tmp_path / "out.cfg"
+    path.write_text("system=ex1\nn=20\nsigma2=0.1\nreplicates=2\nout=r.csv\n")
+    with pytest.raises(ValueError, match=re.escape("unknown keys ['out']")):
+        parse_config(path)

@@ -4,9 +4,9 @@
 Runs the full harness on the benchmark system ``ex1``: replicated data
 sets at two noise levels, four predictors per replicate (nonparametric,
 model-only at the L2-calibrated parameter, and two bias-corrected
-calibrated predictors), PMSE estimated by Monte Carlo against the known
-truth.
-Replicate counts and test-point budgets are kept small so the script
+calibrated predictors), PMSE integrated against the known truth by a
+midpoint rule over the unit cube.
+Replicate counts and node budgets are kept small so the script
 finishes in seconds; the report format is the same CSV the command line
 interface writes.
 """
@@ -32,7 +32,7 @@ def main():
         )
         print(f"  sigma2={s2}: {row}")
     print()
-    print("replicates and test budgets are small here; the orderings tighten")
+    print("replicates and node budgets are small here; the orderings tighten")
     print("as both grow (see the acceptance suite for the full-size runs)")
 
 

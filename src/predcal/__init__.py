@@ -10,15 +10,9 @@ the joint penalized problem, and it verifies the Bayesian limit that
 connects the penalized fit to a Gaussian-process posterior mean.
 
 Importing predcal pins the OpenBLAS builds bundled with numpy and scipy
-to one thread for the whole process (``predcal.linalg``): every matrix
-the package factors is small, and there extra BLAS threads spin and
-contend.  Results then do not depend on ``OPENBLAS_NUM_THREADS`` or on
-the worker count.  The cost falls on a caller's own large matrices: an
-isolated 400 x 400 ``eigh`` took 8.7 ms on 2 threads and 9.9 ms on 1
-(2-CPU machine).  To undo the pin after the import, call the builds'
-``scipy_openblas_set_num_threads64_`` (numpy) and
-``scipy_openblas_set_num_threads`` (scipy) entry points through ctypes,
-or use threadpoolctl.
+to one thread for the whole process, so results do not depend on
+``OPENBLAS_NUM_THREADS`` or on the worker count; ``predcal.linalg`` says
+why, what it costs a caller's own large matrices, and how to undo it.
 """
 
 from .bayes import (

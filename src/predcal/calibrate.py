@@ -5,8 +5,8 @@ Three estimators are provided:
 * ``calibrate_ls`` -- plain least squares on the data, ignoring any model
   discrepancy.
 * ``calibrate_l2`` -- minimizes the L2 distance between the computer model
-  and a nonparametric fit of the physical response (Monte Carlo over the
-  input distribution).
+  and a nonparametric fit of the physical response (a midpoint rule over
+  the unit cube, the uniform input distribution).
 * ``calibrate_optpred`` -- prediction-weighted calibration: after a least
   squares warm start fixes the smoothing level by GCV, the parameter is
   driven by the objective (Y - eta(theta))^T (Sigma + n*lambda I)^{-1}
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _unit_cube_nodes, gram
 from .linalg import _as_box, _as_points, solve_spd
 from .regression import (
     DiscrepancyFit,
@@ -47,7 +47,7 @@ from .regression import (
     predict_discrepancy,
     ridge_factor,
 )
-from .rng import latin_hypercube, uniform
+from .rng import latin_hypercube
 
 __all__ = [
     "ObjectiveNonFinite",
@@ -64,8 +64,8 @@ __all__ = [
 DEFAULT_STARTS = 10
 SIMPLEX_TOL = 1e-8
 MAX_NM_ITER = 500
-# Monte Carlo points of the L2 distance, drawn once per calibration
-L2_MC_POINTS = 4096
+# node budget of the L2 distance's midpoint rule: 576 nodes at d = 1, 24^2 at d = 2
+L2_NODES = 576
 
 
 class ObjectiveNonFinite(Exception):
@@ -295,19 +295,19 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     """L2 calibration against a nonparametric fit of the physical response.
 
     The response is first smoothed with a GCV-tuned ridge fit; the
-    parameter then minimizes the Monte Carlo estimate of the L2 distance
-    between that fit and the computer model over the uniform input
-    distribution on the unit cube, so the design must lie in [0, 1]^d.
-    The Monte Carlo draw is taken once and held fixed through the search.
+    parameter then minimizes the L2 distance between that fit and the
+    computer model over the uniform input distribution on the unit cube,
+    so the design must lie in [0, 1]^d.  The distance is the midpoint rule
+    on ``L2_NODES`` nodes; ``stream`` draws only the search's starts.
     """
     if np.any(data.x < 0.0) or np.any(data.x > 1.0):
         raise ValueError("L2 calibration needs design coordinates in [0, 1]")
     lam, zhat_fit = fit_ridge_gcv(data, None, kernel)
-    draw = uniform(stream, data.d, size=L2_MC_POINTS)
-    zhat = predict_discrepancy(zhat_fit, draw)
+    nodes = _unit_cube_nodes(data.d, L2_NODES)
+    zhat = predict_discrepancy(zhat_fit, nodes)
 
     def objective(thetas):
-        diff = zhat - model.eval_batch(draw, thetas)
+        diff = zhat - model.eval_batch(nodes, thetas)
         return np.mean(diff * diff, axis=1)
 
     theta, _ = minimize_box(objective, model.theta_box, starts, stream)

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .bayes import LinearComputerModel, verify_proposition_limit
-from .calibrate import calibrate_l2, calibrate_ls, calibrate_optpred
+from .calibrate import L2_NODES, calibrate_l2, calibrate_ls, calibrate_optpred
 from .experiments import (
     DEFAULT_SEED,
     Predictor,
@@ -34,7 +34,7 @@ from .experiments import (
     predict,
     run_experiment,
 )
-from .kernels import KernelSpec, rkhs_norm_sq_approx
+from .kernels import KernelSpec, _unit_cube_nodes, rkhs_norm_sq_approx
 from .regression import Dataset, DiscrepancyFit
 from .rng import RngStream, normal, uniform
 from .systems import get_system, load_dataset_csv, load_points_csv, system_names
@@ -48,7 +48,6 @@ _FMT = "%.17g"
 # criterion 3 targets (theta = -0.123 and +0.374)
 DEFAULT_PROFILE_PSI = 0.16
 PROFILE_GRID_1D = 200
-L2_QUADRATURE_POINTS = 4096
 # the systems whose discrepancy norm profile is defined: one parameter and a truth
 _PROFILE_MODELS = tuple(
     name for name in system_names()
@@ -225,13 +224,10 @@ def _cmd_profile(args):
     thetas = np.minimum(lo + args.step * np.arange(count), hi)
 
     if args.norm == "l2":
-        # midpoint quadrature of the squared truth-model gap over [0,1]
-        x = (np.arange(L2_QUADRATURE_POINTS) + 0.5) / L2_QUADRATURE_POINTS
-        pts = x.reshape(-1, 1)
+        # the squared truth-model gap on the nodes that L2 calibration integrates over
+        pts = _unit_cube_nodes(1, L2_NODES)
         truth = system.zeta(pts)
-        values = [
-            float(np.mean((truth - system.model.eval(pts, [t])) ** 2)) for t in thetas
-        ]
+        values = [float(np.mean((truth - system.model.eval(pts, [t])) ** 2)) for t in thetas]
     else:
         spec = KernelSpec("matern32", args.psi, 1)
         values = [

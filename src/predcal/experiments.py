@@ -2,11 +2,11 @@
 
 A run draws ``replicates`` independent datasets per noise level, builds
 the requested predictors on each, and scores them all by mean squared
-prediction error against the noiseless truth on one fresh Monte Carlo
-sample.  Per-replicate randomness comes from streams keyed by
-(noise index, replicate, phase), so the draws are the same however the
-replicates are scheduled, and adding replicates never changes the
-ones already run.
+prediction error against the noiseless truth, one midpoint rule over the
+unit cube (``mc_test_points`` nodes).  Per-replicate randomness comes from
+streams keyed by (noise index, replicate, phase), so the draws are the
+same however the replicates are scheduled, and adding replicates never
+changes the ones already run.
 
 Each fitted predictor is a ``Predictor(theta, fit)`` record, evaluated by
 ``predict``: the computer model at ``theta`` plus the discrepancy
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
-from .kernels import KernelSpec, kernel_apply
+from .kernels import KernelSpec, _unit_cube_nodes, kernel_apply
 from .regression import (
     Dataset,
     DiscrepancyFit,
@@ -42,7 +42,7 @@ from .regression import (
     fit_ridge_gcv,
     predict_discrepancy,
 )
-from .rng import RngStream, uniform
+from .rng import RngStream
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
 __all__ = [
@@ -75,10 +75,6 @@ _PHASE_PSI = 1
 _PHASE_LS = 2
 _PHASE_L2 = 3
 _PHASE_OPTPRED = 4
-_PHASE_TEST = 5
-
-# test points scored per block; bounds the (block, n) kernel matrix at d > 1
-_PMSE_CHUNK = 32768
 
 # the integer fields of ExperimentConfig
 _INT_KEYS = ("n", "replicates", "mc_test_points", "starts", "seed")
@@ -96,7 +92,7 @@ class ExperimentConfig:
     n: int
     sigma2: tuple
     replicates: int
-    mc_test_points: int = 100_000
+    mc_test_points: int = 10_000  # nodes of the PMSE midpoint rule
     methods: tuple = METHOD_NAMES
     psi: object = "cv5"  # "cv5" or a fixed positive length scale
     starts: int = DEFAULT_STARTS
@@ -228,27 +224,22 @@ def predict(model, predictors, x):
     return out
 
 
-def pmse(predictors, system, mc_test_points, stream):
+def pmse(predictors, system, nodes):
     """Mean squared prediction error of each predictor against the noiseless truth.
 
-    Draws ``mc_test_points`` uniform inputs from ``stream`` once and, for
-    every name -> Predictor of the mapping, averages (prediction - truth)^2
-    over them; returns a mapping of name -> PMSE.  A predictor scores the
-    same whichever others it is scored with.  Evaluation is chunked to
-    bound memory; each average is taken over the full array at once.
+    For every name -> Predictor of the mapping, integrates (prediction -
+    truth)^2 over the unit cube by the midpoint rule with at most ``nodes``
+    nodes; returns a mapping of name -> PMSE, each the same whichever
+    others it is scored with.  One ``predict`` call evaluates them all, so
+    at d > 1 each shared kernel and design holds one (nodes, n) matrix.
     """
     if system.zeta is None:
         raise NoTruthAvailable(f"system {system.id!r} has no truth to score against")
-    if mc_test_points < 1:
-        raise ValueError("mc_test_points must be >= 1")
-    x = uniform(stream, system.d, size=mc_test_points)
-    sq = {name: np.empty(mc_test_points) for name in predictors}
-    for lo in range(0, mc_test_points, _PMSE_CHUNK):
-        block = slice(lo, lo + _PMSE_CHUNK)
-        truth = system.zeta(x[block])
-        for name, pred in predict(system.model, predictors, x[block]).items():
-            sq[name][block] = np.square(pred - truth)
-    return {name: float(np.mean(v)) for name, v in sq.items()}
+    if nodes < 1:
+        raise ValueError("nodes must be >= 1")
+    x = _unit_cube_nodes(system.d, nodes)
+    truth, preds = system.zeta(x), predict(system.model, predictors, x)
+    return {name: float(np.mean(np.square(p - truth))) for name, p in preds.items()}
 
 
 def build_predictors(data, system, kernel, config, streams):
@@ -309,7 +300,7 @@ def _run_replicate(config, cell):
         kernel = choose_kernel(data, config.psi, stream(_PHASE_PSI))
         streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
         predictors, info = build_predictors(data, system, kernel, config, streams)
-        return pmse(predictors, system, config.mc_test_points, stream(_PHASE_TEST)), info
+        return pmse(predictors, system, config.mc_test_points), info
     except Exception as err:
         raise RuntimeError(
             f"replicate {replicate} at sigma2={config.sigma2[sigma_idx]} failed: {err}"

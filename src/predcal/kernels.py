@@ -161,6 +161,20 @@ def _unit_grid(dim, grid_size):
     return np.column_stack([m.reshape(-1) for m in mesh])
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_cube_nodes(dim, count):
+    """Midpoint tensor rule on [0,1]^dim, (i + 1/2)/k on each axis with k the largest
+    integer such that k**dim <= count: a cached, read-only (k**dim, dim) array.
+    Unlike ``_unit_grid``'s, these nodes are not nested under refinement."""
+    k = round(count ** (1.0 / dim))  # the float root may miss by one either way
+    k -= k**dim > count
+    k += (k + 1) ** dim <= count
+    mesh = np.meshgrid(*[(np.arange(k) + 0.5) / k] * dim, indexing="ij")
+    pts = np.column_stack([m.reshape(-1) for m in mesh])
+    pts.setflags(write=False)
+    return pts
+
+
 @functools.lru_cache(maxsize=1)
 def _grid_factor(spec, grid_size):
     """The grid and the Cholesky factor of its jittered Gram matrix, both read-only.

@@ -238,7 +238,10 @@ def _read_csv(path, d=None):
                 raise ValueError(
                     f"{path}: input column {j} must be named 'x{j + 1}', got {name!r}"
                 )
-        rows = [[float(v) for v in row[:keep]] for row in reader if row]
+        try:
+            rows = [[float(v) for v in row[:keep]] for row in reader if row]
+        except ValueError as err:  # float() names the value
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     if any(len(row) != ncols for row in rows):

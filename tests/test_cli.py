@@ -318,6 +318,24 @@ def test_predict_rejects_nonfinite_points(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_calibrate_and_predict_name_the_file_and_line_of_a_non_number(tmp_path, capsys):
+    # these once printed only "could not convert string to float: 'abc'"
+    bad_data = tmp_path / "bad.csv"
+    bad_data.write_text("x1,y\n0.2,abc\n")
+    assert cli_main(["calibrate", "--data", str(bad_data), "--model", "ex1", "--method", "l2"]) == 1
+    assert f"predcal: error: {bad_data}:2: " in capsys.readouterr().err
+
+    data_csv, fit_json, bad_points = (tmp_path / f for f in ("train.csv", "fit.json", "pts.csv"))
+    _write_dataset(data_csv, n=10)
+    assert cli_main(["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "ls",
+                     "--out", str(fit_json)]) == 0
+    bad_points.write_text("x1\n0.25\nabc\n")
+    capsys.readouterr()
+    assert cli_main(["predict", "--fit", str(fit_json), "--points", str(bad_points)]) == 1
+    out, err = capsys.readouterr()
+    assert f"predcal: error: {bad_points}:3: " in err and "'abc'" in err and out == ""
+
+
 def test_calibrate_dimension_mismatch(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)

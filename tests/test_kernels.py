@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from predcal import (
     DEFAULT_JITTER,
@@ -21,7 +22,7 @@ from predcal import (
     uniform,
 )
 from predcal import kernels
-from predcal.kernels import _grid_factor
+from predcal.kernels import _grid_factor, _unit_cube_nodes
 from predcal.systems import get_system
 
 
@@ -290,6 +291,34 @@ def test_norm_surrogate_builds_its_grid_once(monkeypatch):
     for shift in (0.0, 0.5, 1.0):
         rkhs_norm_sq_approx(spec, lambda x, s=shift: x[:, 0] + s, 37)
     assert built == [37]
+
+
+@pytest.mark.parametrize("count, dim, k", [(1000, 3, 10), (125, 3, 5), (4096, 2, 64),
+                                           (1000, 2, 31), (576, 1, 576), (1, 2, 1)])
+def test_unit_cube_nodes_take_the_integer_root(count, dim, k):
+    # a float root floors 1000 ** (1/3) to 9 and 125 ** (1/3) to 4
+    pts = _unit_cube_nodes(dim, count)
+    assert pts.shape == (k**dim, dim)
+    assert np.all(pts > 0.0) and np.all(pts < 1.0)
+    assert np.allclose(pts.mean(axis=0), 0.5, rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.unique(pts[:, -1]), (np.arange(k) + 0.5) / k)
+
+
+def test_unit_cube_nodes_are_cached_and_read_only():
+    pts = _unit_cube_nodes(2, 400)
+    assert _unit_cube_nodes(2, 400) is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.0
+
+
+@given(dim=st.integers(1, 3), count=st.integers(1, 5000))
+@example(dim=3, count=1000)  # exact cubes are rare draws; a float root floors this one to 9
+def test_unit_cube_nodes_per_axis_is_the_largest_fitting_root(dim, count):
+    n = _unit_cube_nodes(dim, count).shape[0]
+    k = round(n ** (1.0 / dim))
+    assert k**dim == n
+    assert k**dim <= count < (k + 1) ** dim
 
 
 def test_norm_surrogate_2d_grid():

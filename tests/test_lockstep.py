@@ -31,7 +31,7 @@ from predcal import (
     system_names,
     uniform,
 )
-from predcal import calibrate, experiments
+from predcal import calibrate
 from predcal.calibrate import MAX_NM_ITER, SIMPLEX_TOL, _box_fold, _nelder_mead_lockstep
 from predcal.linalg import solve_spd
 from predcal.regression import ridge_factor
@@ -186,8 +186,8 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
     system = get_system(name)
     kernel = KernelSpec("matern32", psi, system.d)
     if name == "ion":
-        # 4,096 matrix exponentials per ion objective value are too slow for a test
-        monkeypatch.setattr(calibrate, "L2_MC_POINTS", 32)
+        # 576 matrix exponentials per ion objective value are too slow for a test
+        monkeypatch.setattr(calibrate, "L2_NODES", 32)
     real = calibrate.minimize_box
     searches = []
 
@@ -253,8 +253,9 @@ def test_named_models_batched_eta_equals_per_theta_eval(name):
     thetas = np.vstack([rng.uniform(box[:, 0], box[:, 1], size=(9, model.p)), box.T])
     if name == "ion":
         thetas = np.vstack([thetas, [10.0, 0.01, 10.0]])
-    # a design and one PMSE scoring chunk (ion: fewer points, each a matrix exponential)
-    for m in (40, 4096 if name == "ion" else experiments._PMSE_CHUNK):
+    # a design and a batch above the default 10,000 scoring nodes (ion: fewer
+    # points, each a matrix exponential)
+    for m in (40, 4096 if name == "ion" else 32_768):
         x = rng.uniform(0.0, 1.0, size=(m, system.d))
         want = np.array([_FORMULAS[name](x, t) for t in thetas]).view(np.int64)
         per_theta = np.array([model.eval(x, t) for t in thetas])

@@ -1,6 +1,7 @@
 """Benchmark systems: closed-form values, independent oracles, data I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,18 @@ def test_load_dataset_csv_errors(tmp_path):
     not_finite.write_text("x,y\n0.1,1.0\n0.2,nan\n")
     with pytest.raises(ValueError, match="finite"):
         load_dataset_csv(not_finite)
+
+
+def test_csv_readers_name_the_file_line_and_value_of_a_non_number(tmp_path):
+    # float()'s bare "could not convert string to float: 'abc'" named no file
+    data = tmp_path / "data.csv"
+    data.write_text("x1,y\n0.1,1.0\n0.2,abc\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(data))}:3: .*'abc'"):
+        load_dataset_csv(data)
+    points = tmp_path / "points.csv"
+    points.write_text("x1,x2\n0.1,0.2\nzero,0.3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(points))}:3: .*'zero'"):
+        load_points_csv(points, 2)
 
 
 def test_load_points_csv_rules(tmp_path):

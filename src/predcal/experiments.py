@@ -34,14 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
-from .kernels import KernelSpec, _unit_cube_nodes, kernel_apply
-from .regression import (
-    Dataset,
-    DiscrepancyFit,
-    _residuals,
-    fit_ridge_gcv,
-    predict_discrepancy,
-)
+from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
+from .regression import DiscrepancyFit, _residuals, _ridge_gcv_coef, fit_ridge_gcv
 from .rng import RngStream
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
@@ -81,6 +75,8 @@ _INT_KEYS = ("n", "replicates", "mc_test_points", "starts", "seed")
 
 
 def default_psi_grid(d):
+    if d < 1:
+        raise ValueError("input dimension must be >= 1")
     return tuple(p * math.sqrt(d) for p in _PSI_GRID_1D)
 
 
@@ -142,6 +138,13 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     value, each fold is predicted by a GCV-tuned ridge fit of the
     remaining folds; the scale with the smallest summed squared error
     wins, ties going to the larger (smoother) scale.
+
+    One Gram matrix of the whole design per scale serves every fold: its
+    training block is the training design's Gram matrix and its held-out
+    block the held-out kernel matrix, both bit for bit, since the jitter
+    sits only on the diagonal.  One eigendecomposition of the training
+    block gives both the GCV level, the same pick as ``fit_ridge_gcv``'s,
+    and the fold's coefficients.
     """
     psi_grid = sorted(float(p) for p in psi_grid)
     if not psi_grid:
@@ -151,20 +154,21 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     resid = _residuals(data, eta_at_x)
 
     perm = stream.generator.permutation(data.n)
-    folds = np.array_split(perm, 5)
+    folds = []
+    for held_out in np.array_split(perm, 5):
+        mask = np.ones(data.n, dtype=bool)
+        mask[held_out] = False
+        folds.append((held_out, np.flatnonzero(mask)))
 
     best_psi = None
     best_err = np.inf
     for psi in psi_grid:
-        spec = KernelSpec(family, psi, data.d)
+        sigma = gram(KernelSpec(family, psi, data.d), data.x).values
         err = 0.0
-        for fold in folds:
-            mask = np.ones(data.n, dtype=bool)
-            mask[fold] = False
-            train = Dataset(x=data.x[mask], y=resid[mask])
-            _, fit = fit_ridge_gcv(train, None, spec)
-            pred = predict_discrepancy(fit, data.x[fold])
-            err += float(np.sum((resid[fold] - pred) ** 2))
+        for held_out, train in folds:
+            _, coef = _ridge_gcv_coef(sigma[np.ix_(train, train)], resid[train])
+            pred = sigma[np.ix_(held_out, train)] @ coef
+            err += float(np.sum((resid[held_out] - pred) ** 2))
         if err <= best_err:  # ascending grid: ties keep the larger scale
             best_err = err
             best_psi = psi

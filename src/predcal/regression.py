@@ -11,10 +11,12 @@ with coefficients solving (Sigma + n*lambda I) c = r, Sigma the Gram
 matrix of the design.  The smoothing level is picked by generalized
 cross-validation over the constant grid ``DEFAULT_LAMBDA_GRID``, and the
 Gram matrix carries the constant jitter ``kernels.DEFAULT_JITTER``.
-``fit_ridge_gcv`` is the one GCV-tuned fit: it picks the level and
-solves at it from one Gram matrix.  Every entry point takes the data and
-builds that Gram matrix itself; only ``ridge_factor`` takes a Gram
-matrix.
+``fit_ridge_gcv`` is the one public GCV-tuned fit: it picks the level
+and solves at it from one Gram matrix.  Every public entry point takes
+the data and builds that Gram matrix itself; only ``ridge_factor`` takes
+a Gram matrix.  Cross-validation folds, whose Gram matrices are blocks of
+a larger one, use the private ``_ridge_gcv_coef``: the same level, and
+the coefficients from the eigendecomposition that picked it.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class DegenerateTrace(Exception):
 class Dataset:
     """Design points and scalar responses.
 
-    ``x`` is an (n, d) array of point rows, also for d = 1.  Every entry
-    of ``x`` and ``y`` must be finite.
+    ``x`` is an (n, d) array of point rows with d >= 1, also for d = 1.
+    Every entry of ``x`` and ``y`` must be finite.
     """
 
     x: np.ndarray
@@ -65,6 +67,8 @@ class Dataset:
             raise ValueError("x and y lengths differ")
         if x.shape[0] < 1:
             raise ValueError("dataset must contain at least one point")
+        if x.shape[1] < 1:
+            raise ValueError("design points must have at least one coordinate")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("design points and responses must be finite")
         self.x = x
@@ -100,7 +104,7 @@ def _residuals(data, eta_at_x):
 
 
 def ridge_factor(gram_matrix, lam):
-    """Cholesky factor of M = Sigma + n*lam I, the matrix of every ridge solve.
+    """Cholesky factor of M = Sigma + n*lam I, the matrix of every public ridge solve.
 
     ``gram_matrix`` is the (jittered) Gram matrix Sigma of an n-point
     design.  For lam > 0 the n*lam term keeps M positive definite even
@@ -141,25 +145,35 @@ def predict_discrepancy(fit, x):
     return kernel_apply(fit.kernel, x, fit.train_x, fit.coef)
 
 
-def _gcv_scores(sigma, r, lams):
-    """GCV of residuals r against the (n, n) matrix sigma at each of the lambdas.
+def _spectral_gcv(w, z2, lams):
+    """GCV at each of the lambdas from the spectrum of an (n, n) matrix Sigma.
 
-    A score is NaN where tr(I - A) <= 1e-12 * n.
-
-    One eigendecomposition Sigma = U diag(w) U^T serves every lambda: with
-    z = U^T r and s = n*lambda / (w + n*lambda), I - A = U diag(s) U^T, so
-    (1/n)||r - A r||^2 = sum(s^2 z^2) / n and tr(I - A) = sum(s) (Golub,
-    Heath & Wahba 1979).
+    ``w`` holds the eigenvalues of Sigma = U diag(w) U^T and ``z2`` the
+    squares of z = U^T r.  With s = n*lambda / (w + n*lambda),
+    I - A = U diag(s) U^T, so (1/n)||r - A r||^2 = sum(s^2 z^2) / n and
+    tr(I - A) = sum(s) (Golub, Heath & Wahba 1979).  A score is NaN where
+    tr(I - A) <= 1e-12 * n.
     """
-    n = r.shape[0]
-    w, u = np.linalg.eigh(sigma)
-    z2 = (u.T @ r) ** 2
+    n = w.shape[0]
     nlam = n * np.asarray(lams, dtype=float)[:, None]
     s = nlam / (w + nlam)
     tr_resid = np.sum(s, axis=1)
     score = np.full(tr_resid.shape, np.nan)
     np.divide((s * s) @ z2 / n, (tr_resid / n) ** 2, out=score, where=tr_resid > 1e-12 * n)
     return score
+
+
+def _gcv_scores(sigma, r, lams):
+    """GCV of residuals r against the (n, n) matrix sigma at each of the lambdas,
+    from one eigendecomposition (``_spectral_gcv``)."""
+    w, u = np.linalg.eigh(sigma)
+    return _spectral_gcv(w, (u.T @ r) ** 2, lams)
+
+
+def _grid_lambda(score):
+    """The ``DEFAULT_LAMBDA_GRID`` value with the smallest of its scores, ties to the larger."""
+    # ascending grid: the last of the exact ties is the largest lambda
+    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == score.min())[-1]])
 
 
 def gcv_score(data, eta_at_x, kernel, lam):
@@ -190,9 +204,21 @@ def _pick_lambda(sigma, r):
     eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
     about 1e-8 at the grid floor, far above the 1e-12 cut.
     """
-    score = _gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID)
-    # ascending grid: the last of the exact ties is the largest lambda
-    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == score.min())[-1]])
+    return _grid_lambda(_gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID))
+
+
+def _ridge_gcv_coef(sigma, r):
+    """The GCV-tuned ridge fit of r against the (n, n) Gram matrix sigma, from one
+    eigendecomposition sigma = U diag(w) U^T: c = U (z / (w + n*lambda)), z = U^T r.
+
+    Returns ``(lam, coef)``.  The level has the bits of
+    ``_pick_lambda(sigma, r)``; the coefficients agree with ``ridge_factor``'s
+    solve to rounding, not bit for bit.
+    """
+    w, u = np.linalg.eigh(sigma)
+    z = u.T @ r
+    lam = _grid_lambda(_spectral_gcv(w, z**2, DEFAULT_LAMBDA_GRID))
+    return lam, u @ (z / (w + r.shape[0] * lam))
 
 
 def select_lambda_gcv(data, eta_at_x, kernel):

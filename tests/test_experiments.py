@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from predcal import (
     METHOD_NAMES,
     ComputerModel,
+    Dataset,
     DiscrepancyFit,
     ExperimentConfig,
     KernelSpec,
@@ -20,8 +22,10 @@ from predcal import (
     cv5_select_psi,
     default_psi_grid,
     ex1_zeta,
+    fit_ridge_gcv,
     generate_dataset,
     get_system,
+    gram,
     kernel_cross,
     parse_config,
     pmse,
@@ -57,6 +61,13 @@ def _toy_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def test_default_psi_grid_refuses_dimension_below_one():
+    # d = 0 would give six zero length scales
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            default_psi_grid(d)
 
 
 def test_default_psi_grid_scales_with_dimension():
@@ -307,12 +318,74 @@ def test_each_gcv_tuned_fit_builds_one_gram_matrix(monkeypatch):
     assert _gram_builds(calls) == 1
 
 
-def test_cv5_builds_one_gram_matrix_per_fold(monkeypatch):
+def test_cv5_builds_one_gram_matrix_per_scale(monkeypatch):
+    # every fold reads its training and held-out blocks from the scale's one
+    # Gram matrix of the whole design, so nothing else forms a kernel matrix
     data = generate_dataset(get_system("ex1"), 50, 0.3, RngStream(77))
     grid = default_psi_grid(1)
     calls = _record_kernel_cross(monkeypatch)
     cv5_select_psi(data, "matern32", grid, None, RngStream(77, 1))
-    assert len(grid) == 6 and _gram_builds(calls) == 5 * len(grid)
+    assert len(grid) == 6 and _gram_builds(calls) == len(calls) == len(grid)
+
+
+def _cv5_per_fold_reference(data, psi_grid, stream):
+    # the procedure the fast path replaces: per fold, a training Dataset, a
+    # GCV-tuned fit_ridge_gcv on it, and predict_discrepancy at the held-out points
+    folds = np.array_split(stream.generator.permutation(data.n), 5)
+    best_psi, best_err = None, np.inf
+    for psi in sorted(psi_grid):
+        spec = KernelSpec("matern32", psi, data.d)
+        err = 0.0
+        for fold in folds:
+            mask = np.ones(data.n, dtype=bool)
+            mask[fold] = False
+            _, fit = fit_ridge_gcv(Dataset(data.x[mask], data.y[mask]), None, spec)
+            err += float(np.sum((data.y[fold] - predict_discrepancy(fit, data.x[fold])) ** 2))
+        if err <= best_err:
+            best_psi, best_err = psi, err
+    return best_psi
+
+
+def test_cv5_picks_the_scale_of_the_per_fold_reference():
+    # 200 draws: ex1 and ex2, each n, 25 replicates over two noise levels;
+    # at n = 12 and 23 the five folds have unequal sizes
+    for name in ("ex1", "ex2"):
+        system = get_system(name)
+        grid = default_psi_grid(system.d)
+        for n in (5, 12, 23, 50):
+            for rep in range(25):
+                sigma_idx = rep % 2
+                data = generate_dataset(
+                    system, n, (0.3, 1.0)[sigma_idx], _stream(5, sigma_idx, rep, 0)
+                )
+                got = cv5_select_psi(data, "matern32", grid, None, _stream(5, sigma_idx, rep, 1))
+                want = _cv5_per_fold_reference(data, grid, _stream(5, sigma_idx, rep, 1))
+                assert got == want, (name, n, rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(5, 60),
+    d=st.sampled_from((1, 2)),
+    psi_index=st.integers(0, len(default_psi_grid(1)) - 1),
+    coarse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fold_blocks_of_the_full_gram_matrix_are_the_folds_own(n, d, psi_index, coarse, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    if coarse:  # repeated design points
+        x = np.round(4.0 * x) / 4.0
+    spec = KernelSpec("matern32", default_psi_grid(d)[psi_index], d)
+    sigma = gram(spec, x).values
+    for held_out in np.array_split(rng.permutation(n), 5):
+        mask = np.ones(n, dtype=bool)
+        mask[held_out] = False
+        train = np.flatnonzero(mask)
+        assert np.array_equal(sigma[np.ix_(train, train)], gram(spec, x[train]).values)
+        assert np.array_equal(
+            sigma[np.ix_(held_out, train)], kernel_cross(spec, x[held_out], x[train])
+        )
 
 
 def test_pmse_errors():

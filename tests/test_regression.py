@@ -28,7 +28,7 @@ from predcal import (
 from predcal import regression
 from predcal.calibrate import _weighted_misfit
 from predcal.experiments import _stream
-from predcal.regression import _gcv_scores
+from predcal.regression import _gcv_scores, _ridge_gcv_coef
 from predcal.systems import generate_dataset, get_system
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
@@ -58,6 +58,12 @@ def test_dataset_coercion_and_validation():
     for x, y in [([0.1, np.nan], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf]), ([0.1, 0.5], [-np.inf, 2.0])]:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array(x).reshape(-1, 1), np.array(y))
+
+
+def test_dataset_refuses_points_with_no_coordinate():
+    # an (n, 0) design would pass until a KernelSpec of dimension 0 refused it
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Dataset(np.empty((5, 0)), np.zeros(5))
 
 
 def test_fit_ridge_single_point_scalar_solve():
@@ -238,6 +244,32 @@ def test_fit_ridge_gcv_is_select_then_fit_from_one_gram_matrix(monkeypatch):
     monkeypatch.setattr(regression, "gram", counted)
     fit_ridge_gcv(d, None, spec)
     assert builds == [spec]
+
+
+def test_eigen_ridge_fit_has_fit_ridge_gcvs_level_and_solves_at_it():
+    # the cross-validation folds' fit: fit_ridge_gcv's lambda bit for bit, and
+    # coefficients solving (Sigma + n*lambda I) c = r to a normwise backward
+    # error of n * eps, since the eigendecomposition solve rounds differently;
+    # the noiseless draws put lambda at the grid floor, and zero responses
+    # tie every level, which goes to the largest
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(22)
+    for dim in (1, 2):
+        for n in (5, 17, 40):
+            x = rng.random((n, dim))
+            for noise in (None, 0.0, 0.01, 0.3):
+                if noise is None:
+                    d = Dataset(x, np.zeros(n))
+                else:
+                    d = Dataset(x, np.sin(3.0 * x.sum(axis=1)) + noise * rng.standard_normal(n))
+                for psi in (0.05, 0.3, 1.0):
+                    spec = KernelSpec("matern32", psi, dim)
+                    sigma = gram(spec, x).values
+                    lam, coef = _ridge_gcv_coef(sigma, d.y)
+                    assert lam == fit_ridge_gcv(d, None, spec)[0], (dim, n, noise, psi)
+                    m = sigma + n * lam * np.eye(n)
+                    scale = np.linalg.norm(m, 2) * np.linalg.norm(coef) + np.linalg.norm(d.y)
+                    assert np.linalg.norm(m @ coef - d.y) <= n * eps * scale, (dim, n, noise, psi)
 
 
 def test_gcv_degenerate_trace_raises():

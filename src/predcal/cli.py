@@ -174,11 +174,11 @@ def _cmd_predict(args):
                 raise ValueError(
                     f"{args.fit}: fit JSON key 'kernel' must be an object when 'coef' is given"
                 )
-            fit = DiscrepancyFit(
-                coef=finite("coef"),
-                kernel=KernelSpec(spec["family"], spec["psi"], spec["dim"]),
-                train_x=finite("train_x"),
-            )
+            try:
+                kernel = KernelSpec(spec["family"], spec["psi"], spec["dim"])
+            except ValueError as err:
+                raise ValueError(f"{args.fit}: fit JSON key 'kernel' is refused: {err}") from None
+            fit = DiscrepancyFit(coef=finite("coef"), kernel=kernel, train_x=finite("train_x"))
     except KeyError as err:
         raise ValueError(f"{args.fit}: fit JSON lacks key {err.args[0]!r}") from None
     system = get_system(name)

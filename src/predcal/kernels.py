@@ -3,6 +3,14 @@
 The kernel is K(x, y) = (1 + r/psi) * exp(-r/psi) with r the Euclidean
 distance and psi > 0 the length scale.
 
+The distances are computed in numpy by one formula for every d: the
+square root of the squared coordinate differences, summed in coordinate
+order.  That is the sum ``scipy.spatial.distance.cdist`` forms, so every
+kernel matrix has its bits (the tests hold the two together), and
+importing the package loads no scipy.spatial, which would bring
+scipy.sparse, scipy.special and scipy.constants along: about 60 ms and
+9 MB of every process's start-up on a 2-CPU machine.
+
 :func:`kernel_apply` evaluates an expansion h(x) = sum_i c_i K(x, x_i).
 In one dimension the Matern-3/2 kernel is Markov, the covariance of a
 two-state linear stochastic differential equation (Hartikainen & Sarkka
@@ -25,10 +33,11 @@ solve per function on the cached factor.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_lower
 
@@ -60,10 +69,15 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not (np.isfinite(self.psi) and self.psi > 0):
-            raise ValueError("length scale psi must be finite and > 0")
-        if self.dim < 1:
-            raise ValueError("input dimension must be >= 1")
+        # bool is a number to Python; a JSON true is no length scale
+        if not (_is_number(self.psi, numbers.Real) and 0 < self.psi < math.inf):
+            raise ValueError(f"length scale psi must be a finite number > 0, got {self.psi!r}")
+        if not (_is_number(self.dim, numbers.Integral) and self.dim >= 1):
+            raise ValueError(f"input dimension must be an integer >= 1, got {self.dim!r}")
+
+
+def _is_number(value, kind):
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _mat32(r, psi):
@@ -76,9 +90,28 @@ def _mat32(r, psi):
     return q
 
 
+def _distances(x, y):
+    """Euclidean distances between the rows of (m, d) ``x`` and (n, d) ``y``, as (m, n).
+
+    The squared differences are summed in coordinate order and then
+    square-rooted, as ``cdist(x, y)`` does, so the bits are its bits.
+    """
+    r = np.subtract.outer(x[:, 0], y[:, 0])
+    r *= r
+    for k in range(1, x.shape[1]):
+        t = np.subtract.outer(x[:, k], y[:, k])
+        t *= t
+        r += t
+    return np.sqrt(r, out=r)
+
+
 def kernel_cross(spec, x, y):
-    """Kernel matrix K(x_i, y_j) for two point sets, shapes (m,d) and (n,d)."""
-    return _mat32(cdist(_as_points(x, spec.dim), _as_points(y, spec.dim)), spec.psi)
+    """Kernel matrix K(x_i, y_j) for two point sets, shapes (m,d) and (n,d).
+
+    The distances are ``scipy.spatial.distance.cdist(x, y)`` bit for bit,
+    computed in numpy (module notes).
+    """
+    return _mat32(_distances(_as_points(x, spec.dim), _as_points(y, spec.dim)), spec.psi)
 
 
 def _one_sided_sums(t, c, psi):

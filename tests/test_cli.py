@@ -302,6 +302,32 @@ def test_predict_refuses_a_malformed_fit(tmp_path, capsys):
         assert f"{broken}: {message}" in err and out == "", message
 
 
+def test_predict_names_the_fit_and_key_of_a_refused_kernel(tmp_path, capsys):
+    # a string psi once printed numpy's "ufunc 'isfinite' not supported", and
+    # an unknown family named neither the file nor the key
+    data_csv = tmp_path / "train.csv"
+    _write_dataset(data_csv, n=12)
+    fit_json = tmp_path / "fit.json"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "optpred",
+         "--psi", "0.3", "--starts", "2", "--out", str(fit_json)]
+    ) == 0
+    full = json.loads(fit_json.read_text())
+    broken = tmp_path / "broken.json"
+    cases = [
+        (dict(psi="0.3"), "length scale psi must be a finite number > 0, got '0.3'"),
+        (dict(psi=True), "length scale psi must be a finite number > 0, got True"),
+        (dict(family="rbf"), "unknown kernel family 'rbf'"),
+        (dict(dim="1"), "input dimension must be an integer >= 1, got '1'"),
+    ]
+    for change, reason in cases:
+        broken.write_text(json.dumps(dict(full, kernel=dict(full["kernel"], **change))))
+        capsys.readouterr()
+        assert cli_main(["predict", "--fit", str(broken), "--points", str(data_csv)]) == 1
+        out, err = capsys.readouterr()
+        assert f"{broken}: fit JSON key 'kernel' is refused: {reason}" in err and out == "", reason
+
+
 def test_predict_rejects_nonfinite_points(tmp_path, capsys):
     data_csv = tmp_path / "train.csv"
     _write_dataset(data_csv, n=10)

@@ -1,10 +1,15 @@
 """Kernel evaluation, Gram assembly with jitter, and the norm surrogate."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from predcal import (
     DEFAULT_JITTER,
@@ -22,6 +27,7 @@ from predcal import (
     uniform,
 )
 from predcal import kernels
+from predcal.experiments import default_psi_grid
 from predcal.kernels import _grid_factor, _unit_cube_nodes
 from predcal.systems import get_system
 
@@ -34,6 +40,14 @@ def test_kernel_spec_validation():
             KernelSpec("matern32", psi, 1)
     with pytest.raises(ValueError):
         KernelSpec("matern32", 0.3, 0)
+    # a length scale or dimension read from JSON may be a string or a bool;
+    # the string once failed inside np.isfinite with a TypeError
+    for psi in ("0.3", True, None, [0.3]):
+        with pytest.raises(ValueError, match="psi must be a finite number > 0"):
+            KernelSpec("matern32", psi, 1)
+    for dim in ("1", 1.0, True):
+        with pytest.raises(ValueError, match="input dimension must be an integer"):
+            KernelSpec("matern32", 0.3, dim)
 
 
 def test_kernel_cross_closed_forms():
@@ -63,6 +77,40 @@ def test_mat32_has_the_bits_of_the_closed_form():
         q = r / psi
         assert np.array_equal(kernels._mat32(r, psi), (1.0 + q) * np.exp(-q))
     assert kernels._mat32(np.zeros((1, 1)), 0.3)[0, 0] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]), m=st.integers(0, 60), n=st.integers(0, 60),
+       log_scale=st.floats(-8.0, 3.0), shared=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+@example(d=2, m=0, n=4, log_scale=0.0, shared=0, seed=0)  # empty sets give (0, n) and (m, 0)
+@example(d=2, m=4, n=0, log_scale=0.0, shared=0, seed=0)
+@example(d=1, m=0, n=0, log_scale=0.0, shared=0, seed=0)
+def test_kernel_cross_has_the_bits_of_cdist(d, m, n, log_scale, shared, seed):
+    # scipy.spatial is the distance oracle here only: the package computes
+    # the distances in numpy, and no kernel matrix may move by one bit
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, d)) * 10.0**log_scale
+    y = rng.uniform(-1.0, 1.0, (n, d)) * 10.0**log_scale
+    k = min(shared, m, n)
+    y[:k] = x[rng.permutation(m)[:k]]  # points in both sets, at distance exactly 0
+    spec = KernelSpec("matern32", float(rng.choice(default_psi_grid(d))), d)
+    got = kernel_cross(spec, x, y)
+    assert got.shape == (m, n)
+    assert np.array_equal(got, kernels._mat32(cdist(x, y), spec.psi))
+
+
+def test_importing_predcal_loads_scipy_linalg_alone():
+    # scipy.spatial would bring scipy.sparse and scipy.special along, about
+    # 60 ms and 9 MB of every process's start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, predcal; "
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "scipy.linalg" in loaded
+    for heavy in ("scipy.spatial", "scipy.sparse", "scipy.special"):
+        assert not any(m == heavy or m.startswith(heavy + ".") for m in loaded), heavy
 
 
 def test_kernel_cross_symmetry_on_sampled_pairs():

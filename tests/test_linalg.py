@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 import scipy
+from scipy.linalg import cho_solve
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import solve_triangular
 
@@ -74,6 +75,23 @@ def test_solve_spd_matches_dense_inverse_oracle():
     b = rng.standard_normal(5)
     x = solve_spd(cholesky(a), b)
     assert np.allclose(x, np.linalg.inv(a) @ b, atol=1e-9)
+
+
+def test_solve_spd_has_the_bits_of_cho_solve():
+    # solve_spd calls LAPACK potrs itself, the call cho_solve wraps
+    rng = np.random.default_rng(23)
+    for n in (1, 10, 50):
+        f = cholesky(_random_spd(rng, n, scale=float(n)))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 11)),
+                  np.asfortranarray(rng.standard_normal((n, 3))), rng.standard_normal((2 * n, 2))[::2]):
+            keep = b.copy()
+            want = cho_solve((f.l, True), b, check_finite=False)
+            got = solve_spd(f, b)
+            assert got.shape == b.shape and np.array_equal(got, want)
+            assert np.array_equal(b, keep)  # the right-hand side is not overwritten
+    # no right-hand side, and an order-0 system, give empty results as cho_solve does
+    assert solve_spd(cholesky(np.eye(3)), np.zeros((3, 0))).shape == (3, 0)
+    assert solve_spd(cholesky(np.zeros((0, 0))), np.zeros(0)).shape == (0,)
 
 
 def test_solve_spd_dimension_mismatch():

@@ -280,12 +280,17 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     return thetas[best].copy(), vals[best]
 
 
+def _row_mean_square(d):
+    """Mean of d * d along each row of a 2-D array: ``np.mean(d * d, axis=1)``'s
+    sum and division, bit for bit, without its Python wrapper."""
+    return np.add.reduce(d * d, axis=1) / d.shape[1]
+
+
 def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
     """Least squares calibration: minimize mean squared data-model misfit."""
 
     def objective(thetas):
-        r = data.y - model.eval_batch(data.x, thetas)
-        return np.mean(r * r, axis=1)
+        return _row_mean_square(data.y - model.eval_batch(data.x, thetas))
 
     theta, _ = minimize_box(objective, model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="LS")
@@ -307,8 +312,7 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     zhat = predict_discrepancy(zhat_fit, nodes)
 
     def objective(thetas):
-        diff = zhat - model.eval_batch(nodes, thetas)
-        return np.mean(diff * diff, axis=1)
+        return _row_mean_square(zhat - model.eval_batch(nodes, thetas))
 
     theta, _ = minimize_box(objective, model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="L2", lambda_used=lam)
@@ -320,8 +324,10 @@ def _weighted_misfit(data, model, factor):
     def misfit(thetas):
         r = data.y - model.eval_batch(data.x, thetas)
         w = solve_spd(factor, r.T).T
-        # one dot product per row: einsum's row sums differ in the last bits
-        return np.array([ri @ wi for ri, wi in zip(r, w)])
+        # one stacked matmul of 1 x n by n x 1 slices: each slice is a lone
+        # dot product, r_i @ w_i bit for bit, where einsum's row sums differ
+        # in the last bits
+        return (r[:, None, :] @ w[:, :, None])[:, 0, 0]
 
     return misfit
 

@@ -144,35 +144,57 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     block the held-out kernel matrix, both bit for bit, since the jitter
     sits only on the diagonal.  One eigendecomposition of the training
     block gives both the GCV level, the same pick as ``fit_ridge_gcv``'s,
-    and the fold's coefficients.
+    and the fold's coefficients.  The folds have at most two sizes, and
+    the folds of one size are fitted as one stack (``_cv5_errors``), each
+    with the bits of its lone fit.
     """
     psi_grid = sorted(float(p) for p in psi_grid)
     if not psi_grid:
         raise ValueError("psi grid is empty")
     if data.n < 5:
         raise ValueError("five-fold cross-validation needs at least 5 points")
-    resid = _residuals(data, eta_at_x)
-
-    perm = stream.generator.permutation(data.n)
-    folds = []
-    for held_out in np.array_split(perm, 5):
-        mask = np.ones(data.n, dtype=bool)
-        mask[held_out] = False
-        folds.append((held_out, np.flatnonzero(mask)))
-
     best_psi = None
     best_err = np.inf
-    for psi in psi_grid:
-        sigma = gram(KernelSpec(family, psi, data.d), data.x).values
-        err = 0.0
-        for held_out, train in folds:
-            _, coef = _ridge_gcv_coef(sigma[np.ix_(train, train)], resid[train])
-            pred = sigma[np.ix_(held_out, train)] @ coef
-            err += float(np.sum((resid[held_out] - pred) ** 2))
+    for psi, err in zip(psi_grid, _cv5_errors(data, family, psi_grid, eta_at_x, stream)):
         if err <= best_err:  # ascending grid: ties keep the larger scale
             best_err = err
             best_psi = psi
     return best_psi
+
+
+def _cv5_errors(data, family, psi_grid, eta_at_x, stream):
+    """The summed squared held-out errors of ``cv5_select_psi``, one per scale of
+    ``psi_grid``.
+
+    Per scale: one Gram matrix, then per fold size one gather of the
+    stacked (F, m, m) training and (F, h, m) held-out blocks, one stacked
+    ``_ridge_gcv_coef`` and one stacked prediction.  The fold errors are
+    summed in fold order.
+    """
+    resid = _residuals(data, eta_at_x)
+    folds = np.array_split(stream.generator.permutation(data.n), 5)
+    # (held-out, training) index rows of the folds of each size; array_split
+    # puts the larger folds first, so the groups keep the fold order
+    groups = []
+    for size in sorted({fold.size for fold in folds}, reverse=True):
+        held_out = np.array([fold for fold in folds if fold.size == size])
+        mask = np.ones((held_out.shape[0], data.n), dtype=bool)
+        np.put_along_axis(mask, held_out, False, axis=1)
+        groups.append((held_out, np.nonzero(mask)[1].reshape(held_out.shape[0], -1)))
+
+    errors = np.empty(len(psi_grid))
+    for i, psi in enumerate(psi_grid):
+        sigma = gram(KernelSpec(family, psi, data.d), data.x).values
+        fold_err = []
+        for held_out, train in groups:
+            _, coef = _ridge_gcv_coef(sigma[train[:, :, None], train[:, None, :]], resid[train])
+            pred = (sigma[held_out[:, :, None], train[:, None, :]] @ coef[:, :, None])[:, :, 0]
+            fold_err.append(np.sum((resid[held_out] - pred) ** 2, axis=1))
+        err = 0.0
+        for e in np.concatenate(fold_err):
+            err += e
+        errors[i] = err
+    return errors
 
 
 def choose_kernel(data, psi, stream):

@@ -178,7 +178,10 @@ def solve_lower(factor, b):
     Loan, *Matrix Computations*, ch. 4): half the sweeps of ``solve_spd``,
     and never negative.  The solve is LAPACK ``trtrs``, called directly.
     """
-    z, info = dtrtrs(factor.l, _as_rhs(factor, b), lower=1)
+    b = _as_rhs(factor, b)
+    if b.size == 0:  # LAPACK refuses an order-0 system, as in solve_spd
+        return np.empty_like(b)
+    z, info = dtrtrs(factor.l, b, lower=1)
     if info != 0:
         raise NotPositiveDefinite(f"triangular solve failed, LAPACK trtrs info {info}")
     return z

@@ -16,7 +16,10 @@ and solves at it from one Gram matrix.  Every public entry point takes
 the data and builds that Gram matrix itself; only ``ridge_factor`` takes
 a Gram matrix.  Cross-validation folds, whose Gram matrices are blocks of
 a larger one, use the private ``_ridge_gcv_coef``: the same level, and
-the coefficients from the eigendecomposition that picked it.
+the coefficients from the eigendecomposition that picked it.  It takes one
+matrix or a stack of equal-sized ones, as does the spectral GCV scorer
+behind every level pick: numpy's stacked ``eigh`` and ``matmul`` treat each
+slice as a lone call would, so a stacked row has the bits of its single call.
 """
 
 from __future__ import annotations
@@ -152,14 +155,16 @@ def _spectral_gcv(w, z2, lams):
     squares of z = U^T r.  With s = n*lambda / (w + n*lambda),
     I - A = U diag(s) U^T, so (1/n)||r - A r||^2 = sum(s^2 z^2) / n and
     tr(I - A) = sum(s) (Golub, Heath & Wahba 1979).  A score is NaN where
-    tr(I - A) <= 1e-12 * n.
+    tr(I - A) <= 1e-12 * n.  ``w`` and ``z2`` may carry leading stack axes,
+    (..., n); the scores are then (..., len(lams)).
     """
-    n = w.shape[0]
+    n = w.shape[-1]
     nlam = n * np.asarray(lams, dtype=float)[:, None]
-    s = nlam / (w + nlam)
-    tr_resid = np.sum(s, axis=1)
+    s = nlam / (w[..., None, :] + nlam)
+    tr_resid = np.sum(s, axis=-1)
     score = np.full(tr_resid.shape, np.nan)
-    np.divide((s * s) @ z2 / n, (tr_resid / n) ** 2, out=score, where=tr_resid > 1e-12 * n)
+    rss = ((s * s) @ z2[..., None])[..., 0]
+    np.divide(rss / n, (tr_resid / n) ** 2, out=score, where=tr_resid > 1e-12 * n)
     return score
 
 
@@ -171,9 +176,11 @@ def _gcv_scores(sigma, r, lams):
 
 
 def _grid_lambda(score):
-    """The ``DEFAULT_LAMBDA_GRID`` value with the smallest of its scores, ties to the larger."""
-    # ascending grid: the last of the exact ties is the largest lambda
-    return float(DEFAULT_LAMBDA_GRID[np.flatnonzero(score == score.min())[-1]])
+    """The ``DEFAULT_LAMBDA_GRID`` value with the smallest of its scores, ties to the
+    larger; along the last axis, one level per row of a stack of scores."""
+    # ascending grid: the first minimum of the reversed scores is the last of
+    # the exact ties, the largest lambda
+    return DEFAULT_LAMBDA_GRID[-1 - np.argmin(score[..., ::-1], axis=-1)]
 
 
 def gcv_score(data, eta_at_x, kernel, lam):
@@ -204,7 +211,7 @@ def _pick_lambda(sigma, r):
     eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
     about 1e-8 at the grid floor, far above the 1e-12 cut.
     """
-    return _grid_lambda(_gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID))
+    return float(_grid_lambda(_gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID)))
 
 
 def _ridge_gcv_coef(sigma, r):
@@ -213,12 +220,16 @@ def _ridge_gcv_coef(sigma, r):
 
     Returns ``(lam, coef)``.  The level has the bits of
     ``_pick_lambda(sigma, r)``; the coefficients agree with ``ridge_factor``'s
-    solve to rounding, not bit for bit.
+    solve to rounding, not bit for bit.  ``sigma`` may be a stack (..., n, n)
+    with residuals (..., n): one ``eigh`` call then fits every slice, and
+    each row of the levels (...) and coefficients (..., n) has the bits of
+    its slice's single call.
     """
     w, u = np.linalg.eigh(sigma)
-    z = u.T @ r
+    z = (np.swapaxes(u, -1, -2) @ r[..., None])[..., 0]
     lam = _grid_lambda(_spectral_gcv(w, z**2, DEFAULT_LAMBDA_GRID))
-    return lam, u @ (z / (w + r.shape[0] * lam))
+    scaled = z / (w + r.shape[-1] * lam[..., None])
+    return lam, (u @ scaled[..., None])[..., 0]
 
 
 def select_lambda_gcv(data, eta_at_x, kernel):

@@ -26,12 +26,14 @@ from predcal import (
     posterior_mean,
     predict_discrepancy,
     ridge_factor,
+    solve_spd,
     uniform,
     verify_proposition_limit,
     weighted_objective,
 )
-from predcal.calibrate import _weighted_misfit
-from predcal.kernels import GramMatrix
+from predcal import calibrate
+from predcal.calibrate import L2_NODES, _row_mean_square, _weighted_misfit
+from predcal.kernels import GramMatrix, _unit_cube_nodes
 from predcal.systems import generate_dataset, get_system
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
@@ -262,6 +264,55 @@ def test_weighted_objective_scalar_weight_when_kernel_vanishes():
     got = _weighted_misfit(data, model, ridge_factor(gm, lam))(np.array([[0.5]]))[0]
     want = float(y @ y) / (6 * lam + jitter)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_objective_reductions_have_the_bits_of_the_row_loops():
+    # the weighted misfit's stacked row dots are [r_i @ w_i], and the LS and
+    # L2 objectives' row means np.mean(d * d, axis=1), bit for bit, for
+    # k = 1..12 rows of m = 1, 10, 50 and 576 (the L2 nodes) entries
+    rng = np.random.default_rng(31)
+    model = ComputerModel(
+        eta=lambda x, th: np.sin(7.0 * th[:, :1] * x[:, 0] + th[:, 1:]),
+        theta_box=[[0.0, 1.0], [0.0, 1.0]],
+    )
+    for m in (1, 10, 50, 576):
+        data = Dataset(rng.random((m, 1)), rng.standard_normal(m))
+        factor = ridge_factor(gram(SPEC1, data.x), 0.01)
+        misfit = _weighted_misfit(data, model, factor)
+        for k in range(1, 13):
+            d = rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
+            assert np.array_equal(_row_mean_square(d), np.mean(d * d, axis=1)), (m, k)
+            thetas = rng.random((k, 2))
+            r = data.y - model.eval_batch(data.x, thetas)
+            w = solve_spd(factor, r.T).T
+            want = np.array([ri @ wi for ri, wi in zip(r, w)])
+            assert np.array_equal(misfit(thetas), want), (m, k)
+
+
+def test_ls_and_l2_objectives_are_row_means_of_squares(monkeypatch):
+    # the objectives that calibrate_ls and calibrate_l2 hand to the search
+    objectives = []
+    search = calibrate.minimize_box
+
+    def recording(objective, *args, **kwargs):
+        objectives.append(objective)
+        return search(objective, *args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "minimize_box", recording)
+    system = get_system("ex1")
+    data = generate_dataset(system, 30, 0.3, RngStream(32))
+    calibrate_ls(data, system.model, starts=2, stream=RngStream(32, 1))
+    l2 = calibrate_l2(data, system.model, SPEC1, starts=2, stream=RngStream(32, 2))
+    ls_objective, l2_objective = objectives
+    nodes = _unit_cube_nodes(1, L2_NODES)
+    zhat = predict_discrepancy(fit_ridge(data, None, SPEC1, l2.lambda_used), nodes)
+    rng = np.random.default_rng(32)
+    for k in range(1, 13):
+        thetas = system.model.theta_box[:, 0] + rng.random((k, 1)) * np.ptp(system.model.theta_box, axis=1)
+        r = data.y - system.model.eval_batch(data.x, thetas)
+        assert np.array_equal(ls_objective(thetas), np.mean(r * r, axis=1)), k
+        diff = zhat - system.model.eval_batch(nodes, thetas)
+        assert np.array_equal(l2_objective(thetas), np.mean(diff * diff, axis=1)), k
 
 
 def test_weighted_objective_matches_profiled_lagrangian():

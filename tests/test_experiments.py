@@ -36,6 +36,7 @@ from predcal import (
 )
 from predcal import experiments, kernels
 from predcal.experiments import _stream
+from predcal.regression import _ridge_gcv_coef
 from predcal.systems import NamedSystem
 
 # truth ex1_zeta; model theta_0 * zeta(x) + theta_1, so (1, 0) is exact
@@ -329,26 +330,37 @@ def test_cv5_builds_one_gram_matrix_per_scale(monkeypatch):
 
 
 def _cv5_per_fold_reference(data, psi_grid, stream):
-    # the procedure the fast path replaces: per fold, a training Dataset, a
-    # GCV-tuned fit_ridge_gcv on it, and predict_discrepancy at the held-out points
+    # the procedures the stacked path replaces, one fold at a time.  Summed
+    # errors: the fold's np.ix_ blocks of the scale's Gram matrix and a lone
+    # _ridge_gcv_coef, summed in fold order.  Pick: a training Dataset, a
+    # GCV-tuned fit_ridge_gcv on it, and predict_discrepancy at the held-out
+    # points; its errors differ from the eigendecomposition's in the last bits
     folds = np.array_split(stream.generator.permutation(data.n), 5)
+    errors = []
     best_psi, best_err = None, np.inf
     for psi in sorted(psi_grid):
         spec = KernelSpec("matern32", psi, data.d)
-        err = 0.0
+        sigma = gram(spec, data.x).values
+        block_err = fit_err = 0.0
         for fold in folds:
             mask = np.ones(data.n, dtype=bool)
             mask[fold] = False
+            train = np.flatnonzero(mask)
+            _, coef = _ridge_gcv_coef(sigma[np.ix_(train, train)], data.y[train])
+            block_err += float(np.sum((data.y[fold] - sigma[np.ix_(fold, train)] @ coef) ** 2))
             _, fit = fit_ridge_gcv(Dataset(data.x[mask], data.y[mask]), None, spec)
-            err += float(np.sum((data.y[fold] - predict_discrepancy(fit, data.x[fold])) ** 2))
-        if err <= best_err:
-            best_psi, best_err = psi, err
-    return best_psi
+            fit_err += float(np.sum((data.y[fold] - predict_discrepancy(fit, data.x[fold])) ** 2))
+        errors.append(block_err)
+        if fit_err <= best_err:
+            best_psi, best_err = psi, fit_err
+    return np.array(errors), best_psi
 
 
 def test_cv5_picks_the_scale_of_the_per_fold_reference():
-    # 200 draws: ex1 and ex2, each n, 25 replicates over two noise levels;
-    # at n = 12 and 23 the five folds have unequal sizes
+    # 200 draws: ex1 and ex2, each n, 25 replicates over two noise levels; at
+    # n = 12 and 23 the five folds have two sizes, so two stacks per scale.
+    # The stacked path's summed errors are the per-fold loop's, bit for bit,
+    # and the pick is the per-fold fit_ridge_gcv reference's
     for name in ("ex1", "ex2"):
         system = get_system(name)
         grid = default_psi_grid(system.d)
@@ -358,8 +370,12 @@ def test_cv5_picks_the_scale_of_the_per_fold_reference():
                 data = generate_dataset(
                     system, n, (0.3, 1.0)[sigma_idx], _stream(5, sigma_idx, rep, 0)
                 )
+                errors = experiments._cv5_errors(
+                    data, "matern32", sorted(grid), None, _stream(5, sigma_idx, rep, 1)
+                )
                 got = cv5_select_psi(data, "matern32", grid, None, _stream(5, sigma_idx, rep, 1))
-                want = _cv5_per_fold_reference(data, grid, _stream(5, sigma_idx, rep, 1))
+                want_errors, want = _cv5_per_fold_reference(data, grid, _stream(5, sigma_idx, rep, 1))
+                assert np.array_equal(errors, want_errors), (name, n, rep)
                 assert got == want, (name, n, rep)
 
 

@@ -119,6 +119,16 @@ def test_solve_lower_is_the_triangular_solve_bit_for_bit():
         solve_lower(cholesky(np.eye(3)), np.ones((2, 3)))
 
 
+def test_solve_lower_on_an_order_0_factor_returns_the_empty_array(capfd):
+    # LAPACK trtrs refuses an order-0 system and prints to stderr; the solve
+    # returns the empty array instead, as solve_spd does
+    f = cholesky(np.zeros((0, 0)))
+    for b in (np.zeros(0), np.zeros((0, 3))):
+        z = solve_lower(f, b)
+        assert z.shape == b.shape
+    assert capfd.readouterr().err == ""
+
+
 def test_import_pins_the_bundled_openblas_to_one_thread():
     # predcal is imported above; each bundled build that is found must run one thread
     found = {}

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predcal import (
     ComputerModel,
@@ -27,7 +28,7 @@ from predcal import (
 )
 from predcal import regression
 from predcal.calibrate import _weighted_misfit
-from predcal.experiments import _stream
+from predcal.experiments import _stream, default_psi_grid
 from predcal.regression import _gcv_scores, _ridge_gcv_coef
 from predcal.systems import generate_dataset, get_system
 
@@ -270,6 +271,38 @@ def test_eigen_ridge_fit_has_fit_ridge_gcvs_level_and_solves_at_it():
                     m = sigma + n * lam * np.eye(n)
                     scale = np.linalg.norm(m, 2) * np.linalg.norm(coef) + np.linalg.norm(d.y)
                     assert np.linalg.norm(m @ coef - d.y) <= n * eps * scale, (dim, n, noise, psi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stack=st.integers(1, 6),
+    m=st.integers(4, 60),
+    d=st.sampled_from((1, 2)),
+    psi_index=st.integers(0, len(default_psi_grid(1)) - 1),
+    zero_rows=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_ridge_gcv_fit_rows_have_the_bits_of_their_single_calls(
+    stack, m, d, psi_index, zero_rows, seed
+):
+    # one eigh over a stack of jittered Matern Gram matrices, as the psi-CV
+    # folds of one size: each row's level and coefficients are its slice's
+    # lone call's, bit for bit, and the level is _pick_lambda's; the first
+    # zero_rows rows have zero residuals, which tie every level, and the tie
+    # goes to the largest
+    rng = np.random.default_rng(seed)
+    spec = KernelSpec("matern32", default_psi_grid(d)[psi_index], d)
+    sigma = np.stack([gram(spec, rng.random((m, d))).values for _ in range(stack)])
+    r = rng.standard_normal((stack, m))
+    r[:zero_rows] = 0.0
+    lam, coef = _ridge_gcv_coef(sigma, r)
+    assert lam.shape == (stack,) and coef.shape == (stack, m)
+    for f in range(stack):
+        lone_lam, lone_coef = _ridge_gcv_coef(sigma[f], r[f])
+        assert lam[f] == lone_lam == regression._pick_lambda(sigma[f], r[f])
+        assert np.array_equal(coef[f], lone_coef)
+        if f < zero_rows:
+            assert lam[f] == DEFAULT_LAMBDA_GRID[-1]
 
 
 def test_gcv_degenerate_trace_raises():

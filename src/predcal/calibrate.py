@@ -28,6 +28,18 @@ evaluate the model at every row in one ``ComputerModel.eval_batch``
 call.  Each start still follows its own path, with its own convergence
 test and iteration limit: it reaches the same parameter and value, to
 the bit, as it would searched alone.
+
+So searches of one objective can share a lockstep: ``_search_groups``
+runs several groups of starts together and keeps each group's own best,
+and ``minimize_box`` is its one-group case.  Each public calibrator is
+one composition of private pieces that ``experiments.build_predictors``
+also uses: ``calibrate_ls`` is one least squares search;
+``calibrate_optpred`` is ``calibrate_ls`` followed by ``_optpred_step``;
+``calibrate_l2`` is the GCV-tuned smoother of the response followed by
+``_l2_search``.  A replicate that wants both LSCal and OptCal runs their
+two least squares searches as one lockstep (``_ls_searches``), and one
+that wants NP hands NP's fit to ``_l2_search`` as its smoother; every
+result keeps the bits of its calibrator run alone.
 """
 
 from __future__ import annotations
@@ -231,6 +243,52 @@ def _extra_start(point, box):
     return x
 
 
+def _search_groups(objective, box, x0s):
+    """Nelder-Mead from every start of every group of ``x0s``, in one lockstep.
+
+    ``x0s`` is a list of (k_g, p) arrays of starts in the box.  Returns
+    one ``(theta, value)`` per group: the best of its starts' results,
+    exact value ties going to the lexicographically smallest parameter.
+    Each start reaches what a search from it alone would, so a group's
+    result does not depend on the other groups searched with it.
+
+    Raises
+    ------
+    ObjectiveNonFinite
+        If the objective produces a non-finite value anywhere.
+    """
+
+    def checked(thetas):
+        values = np.asarray(objective(thetas), dtype=float)
+        if values.shape != (thetas.shape[0],):
+            raise ValueError(
+                f"objective must return one value per theta row, got shape {values.shape}"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = thetas[np.argmin(finite)]
+            raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
+        return values
+
+    thetas, values = _nelder_mead_lockstep(checked, np.concatenate(x0s), box)
+    bests, end = [], 0
+    for x0 in x0s:
+        start, end = end, end + len(x0)
+        vals, points = values[start:end].tolist(), thetas[start:end].tolist()
+        best = min(range(len(vals)), key=lambda i: (vals[i], points[i]))
+        bests.append((thetas[start + best].copy(), vals[best]))
+    return bests
+
+
+def _start_points(box, starts, stream, extra_points=()):
+    """The (k, p) starts of one search: the ``extra_points``, then ``starts`` Latin
+    hypercube points drawn from ``stream``."""
+    if starts < 1:
+        raise ValueError("starts must be >= 1")
+    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, box.shape[0]))
+    return np.concatenate([inits, latin_hypercube(stream, starts, box)])
+
+
 def minimize_box(objective, box, starts, stream, extra_points=()):
     """Multi-start Nelder-Mead over a box.
 
@@ -256,28 +314,8 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
         If an extra start is not a point of the box.
     """
     box = _as_box(box)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    p = box.shape[0]
-
-    def checked(thetas):
-        values = np.asarray(objective(thetas), dtype=float)
-        if values.shape != (thetas.shape[0],):
-            raise ValueError(
-                f"objective must return one value per theta row, got shape {values.shape}"
-            )
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = thetas[np.argmin(finite)]
-            raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
-        return values
-
-    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, p))
-    x0 = np.concatenate([inits, latin_hypercube(stream, starts, box)])
-    thetas, values = _nelder_mead_lockstep(checked, x0, box)
-    vals, rows = values.tolist(), thetas.tolist()
-    best = min(range(len(vals)), key=lambda i: (vals[i], rows[i]))
-    return thetas[best].copy(), vals[best]
+    (best,) = _search_groups(objective, box, [_start_points(box, starts, stream, extra_points)])
+    return best
 
 
 def _row_mean_square(d):
@@ -286,14 +324,32 @@ def _row_mean_square(d):
     return np.add.reduce(d * d, axis=1) / d.shape[1]
 
 
-def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
-    """Least squares calibration: minimize mean squared data-model misfit."""
+def _ls_objective(data, model):
+    """(k, p) theta rows -> the mean squared data-model misfit of each row."""
 
     def objective(thetas):
         return _row_mean_square(data.y - model.eval_batch(data.x, thetas))
 
-    theta, _ = minimize_box(objective, model.theta_box, starts, stream)
+    return objective
+
+
+def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
+    """Least squares calibration: minimize mean squared data-model misfit."""
+    theta, _ = minimize_box(_ls_objective(data, model), model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="LS")
+
+
+def _ls_searches(data, model, starts, streams):
+    """``calibrate_ls``'s parameter on each of the ``streams``, from one lockstep.
+
+    The starts are drawn stream after stream, as many from each as
+    ``calibrate_ls`` draws; each group of starts keeps its own best, so
+    every parameter has the bits of ``calibrate_ls`` run on its stream
+    alone.
+    """
+    box = model.theta_box
+    x0s = [_start_points(box, starts, stream) for stream in streams]
+    return [theta for theta, _ in _search_groups(_ls_objective(data, model), box, x0s)]
 
 
 def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
@@ -305,9 +361,15 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     so the design must lie in [0, 1]^d.  The distance is the midpoint rule
     on ``L2_NODES`` nodes; ``stream`` draws only the search's starts.
     """
+    return _l2_search(data, model, fit_ridge_gcv(data, None, kernel), starts, stream)
+
+
+def _l2_search(data, model, smoother, starts, stream):
+    """The L2 search of ``calibrate_l2`` given its smoother, the ``(lam, fit)``
+    of ``fit_ridge_gcv(data, None, kernel)``."""
     if np.any(data.x < 0.0) or np.any(data.x > 1.0):
         raise ValueError("L2 calibration needs design coordinates in [0, 1]")
-    lam, zhat_fit = fit_ridge_gcv(data, None, kernel)
+    lam, zhat_fit = smoother
     nodes = _unit_cube_nodes(data.d, L2_NODES)
     zhat = predict_discrepancy(zhat_fit, nodes)
 
@@ -369,15 +431,19 @@ def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     nonincreasing by construction.
     """
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
+    return _optpred_step(data, model, kernel, ls.theta_hat, starts, stream)
+
+
+def _optpred_step(data, model, kernel, theta_ls, starts, stream):
+    """Steps (2)-(4) of ``calibrate_optpred`` from its warm start ``theta_ls``;
+    ``stream`` is the one the warm start's search drew from."""
     # one Gram matrix serves the GCV pick, and one factorization every
     # theta and the discrepancy fit
     gm = gram(kernel, data.x)
-    lam = _pick_lambda(gm.values, _residuals(data, model.eval(data.x, ls.theta_hat)))
+    lam = _pick_lambda(gm.values, _residuals(data, model.eval(data.x, theta_ls)))
     factor = ridge_factor(gm, lam)
     wobj = _weighted_misfit(data, model, factor)
-    theta, value = minimize_box(
-        wobj, model.theta_box, starts, stream, extra_points=[ls.theta_hat]
-    )
+    theta, value = minimize_box(wobj, model.theta_box, starts, stream, extra_points=[theta_ls])
 
     coef = solve_spd(factor, data.y - model.eval(data.x, theta))
     return CalibrationResult(
@@ -385,6 +451,6 @@ def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
         method="OptPred-OneStep",
         discrepancy=DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x),
         lambda_used=lam,
-        objective_trace=[lam * float(wobj(ls.theta_hat[None])[0]), lam * value],
-        diagnostics={"theta_ls": ls.theta_hat},
+        objective_trace=[lam * float(wobj(theta_ls[None])[0]), lam * value],
+        diagnostics={"theta_ls": theta_ls},
     )

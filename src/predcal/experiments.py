@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibrate import DEFAULT_STARTS, calibrate_l2, calibrate_ls, calibrate_optpred
+from .calibrate import DEFAULT_STARTS, _l2_search, _ls_searches, _optpred_step
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
 from .regression import DiscrepancyFit, _residuals, _ridge_gcv_coef, fit_ridge_gcv
 from .rng import RngStream
@@ -70,6 +70,10 @@ _PHASE_LS = 2
 _PHASE_L2 = 3
 _PHASE_OPTPRED = 4
 
+# the stream each least squares search draws its starts from: LSCal's own,
+# and OptCal's, which its warm start shares with its weighted search
+_LS_STREAMS = {"LSCal": "ls", "OptCal": "optpred"}
+
 # the integer fields of ExperimentConfig
 _INT_KEYS = ("n", "replicates", "mc_test_points", "starts", "seed")
 
@@ -95,6 +99,10 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        # the list fields are stored as tuples, so a config hashes and equals
+        # the one parse_config builds however its lists were given
+        for key in ("sigma2", "methods"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         if get_system(self.system).zeta is None:
             raise ValueError(f"system {self.system!r} has no sampling truth")
         for key in _INT_KEYS:
@@ -116,6 +124,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHOD_NAMES]
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHOD_NAMES}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods must be distinct; repeated: {', '.join(repeated)}")
         fixed_psi = isinstance(self.psi, numbers.Real) and not isinstance(self.psi, bool)
         if self.psi != "cv5" and not (fixed_psi and math.isfinite(self.psi) and self.psi > 0):
             raise ValueError("psi must be 'cv5' or a finite positive number")
@@ -275,6 +286,13 @@ def build_predictors(data, system, kernel, config, streams):
     streams, so each method's randomness is unaffected by which other
     methods run alongside it.
 
+    Each predictor is what its public calibrator gives run alone on its
+    stream, bit for bit, but shared work is done once.  LSCal's least
+    squares search and OptCal's warm start run as one lockstep, each group
+    of starts drawn from its own stream and keeping its own best
+    (``calibrate._ls_searches``).  NP's fit of the raw response is L2's
+    smoother.
+
     Returns
     -------
     (predictors, info)
@@ -283,30 +301,38 @@ def build_predictors(data, system, kernel, config, streams):
         prediction-weighted objective trace when OptCal ran.
     """
     model = system.model
+    methods = config.methods
     predictors = {}
     info = {"psi": kernel.psi}
 
-    if "NP" in config.methods:
-        lam, fit = fit_ridge_gcv(data, None, kernel)
+    if "NP" in methods or "NoBiasCorr" in methods:
+        smoother = fit_ridge_gcv(data, None, kernel)
+
+    if "NP" in methods:
+        lam, fit = smoother
         predictors["NP"] = Predictor(None, fit)
         info["np_lambda"] = lam
 
-    if "NoBiasCorr" in config.methods:
-        res = calibrate_l2(data, model, kernel, starts=config.starts, stream=streams["l2"])
+    if "NoBiasCorr" in methods:
+        res = _l2_search(data, model, smoother, config.starts, streams["l2"])
         predictors["NoBiasCorr"] = Predictor(res.theta_hat, None)
         info["theta_l2"] = res.theta_hat
 
-    if "LSCal" in config.methods:
-        res = calibrate_ls(data, model, starts=config.starts, stream=streams["ls"])
-        eta0 = model.eval(data.x, res.theta_hat)
-        lam, fit = fit_ridge_gcv(data, eta0, kernel)
-        predictors["LSCal"] = Predictor(res.theta_hat, fit)
-        info["theta_ls"] = res.theta_hat
+    searched = [m for m in ("LSCal", "OptCal") if m in methods]
+    if searched:
+        ls_streams = [streams[_LS_STREAMS[m]] for m in searched]
+        theta_ls = dict(zip(searched, _ls_searches(data, model, config.starts, ls_streams)))
+
+    if "LSCal" in methods:
+        theta = theta_ls["LSCal"]
+        lam, fit = fit_ridge_gcv(data, model.eval(data.x, theta), kernel)
+        predictors["LSCal"] = Predictor(theta, fit)
+        info["theta_ls"] = theta
         info["ls_lambda"] = lam
 
-    if "OptCal" in config.methods:
-        res = calibrate_optpred(data, model, kernel, starts=config.starts,
-                                stream=streams["optpred"])
+    if "OptCal" in methods:
+        res = _optpred_step(data, model, kernel, theta_ls["OptCal"], config.starts,
+                            streams["optpred"])
         predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
         info["theta_opt"] = res.theta_hat
         info["opt_lambda"] = res.lambda_used

@@ -1,5 +1,6 @@
 """Replication harness: psi selection, PMSE scoring, reports, config files."""
 
+import itertools
 import re
 
 import numpy as np
@@ -18,6 +19,8 @@ from predcal import (
     Predictor,
     RngStream,
     build_predictors,
+    calibrate_l2,
+    calibrate_ls,
     calibrate_optpred,
     cv5_select_psi,
     default_psi_grid,
@@ -34,7 +37,7 @@ from predcal import (
     run_experiment,
     uniform,
 )
-from predcal import experiments, kernels
+from predcal import calibrate, experiments, kernels
 from predcal.experiments import _stream
 from predcal.regression import _ridge_gcv_coef
 from predcal.systems import NamedSystem
@@ -97,6 +100,9 @@ def test_config_validation():
         _toy_cfg(methods=("NP", "Oracle"))
     with pytest.raises(ValueError):
         _toy_cfg(methods=())
+    # a repeated method would be built once and reported once
+    with pytest.raises(ValueError, match="methods must be distinct; repeated: NP$"):
+        _toy_cfg(methods=("NP", "LSCal", "NP"))
     with pytest.raises(ValueError):
         _toy_cfg(psi=-0.3)
     for psi in (float("inf"), float("nan"), True, "0.3"):
@@ -304,8 +310,8 @@ def _gram_builds(calls):
 
 
 def test_each_gcv_tuned_fit_builds_one_gram_matrix(monkeypatch):
-    # NP, LSCal, L2's smoother and OptPred each pick lambda and fit at it
-    # from one Gram matrix
+    # NP, LSCal and OptPred each pick lambda and fit at it from one Gram
+    # matrix; L2's smoother is NP's fit
     system = get_system("ex1")
     data = generate_dataset(system, 20, 0.3, RngStream(76))
     kernel = KernelSpec("matern32", 0.3, 1)
@@ -313,7 +319,7 @@ def test_each_gcv_tuned_fit_builds_one_gram_matrix(monkeypatch):
     streams = {"ls": RngStream(76, 2), "l2": RngStream(76, 3), "optpred": RngStream(76, 4)}
     calls = _record_kernel_cross(monkeypatch)
     build_predictors(data, system, kernel, cfg, streams)
-    assert _gram_builds(calls) == 4
+    assert _gram_builds(calls) == 3
     calls.clear()
     calibrate_optpred(data, system.model, kernel, starts=1, stream=RngStream(76, 5))
     assert _gram_builds(calls) == 1
@@ -471,6 +477,89 @@ def test_build_predictors_method_streams_are_isolated():
     assert np.array_equal(both["OptCal"].fit.coef, alone["OptCal"].fit.coef)
 
 
+def _fresh_streams(seed):
+    return {"ls": RngStream(seed, 2), "l2": RngStream(seed, 3), "optpred": RngStream(seed, 4)}
+
+
+# every method subset with a least squares search: LSCal's or OptCal's warm start
+_SEARCHED_SUBSETS = [
+    methods
+    for k in range(1, len(METHOD_NAMES) + 1)
+    for methods in itertools.combinations(METHOD_NAMES, k)
+    if {"LSCal", "OptCal"} & set(methods)
+]
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(8, 30), starts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_build_predictors_equals_the_calibrators_run_alone(name, n, starts, seed):
+    # the shared least squares lockstep and the shared smoother change no
+    # bit of any method, whichever others run beside it
+    system = get_system(name)
+    model = system.model
+    data = generate_dataset(system, n, 0.3, RngStream(seed))
+    kernel = KernelSpec("matern32", 0.3 * system.d**0.5, system.d)
+    streams = _fresh_streams(seed)
+    ls = calibrate_ls(data, model, starts=starts, stream=streams["ls"])
+    l2 = calibrate_l2(data, model, kernel, starts=starts, stream=streams["l2"])
+    opt = calibrate_optpred(data, model, kernel, starts=starts, stream=streams["optpred"])
+    np_lam, np_fit = fit_ridge_gcv(data, None, kernel)
+    ls_lam, ls_fit = fit_ridge_gcv(data, model.eval(data.x, ls.theta_hat), kernel)
+    want = {
+        "NP": (None, np_fit.coef, {"np_lambda": np_lam}),
+        "NoBiasCorr": (l2.theta_hat, None, {"theta_l2": l2.theta_hat}),
+        "LSCal": (ls.theta_hat, ls_fit.coef, {"theta_ls": ls.theta_hat, "ls_lambda": ls_lam}),
+        "OptCal": (opt.theta_hat, opt.discrepancy.coef,
+                   {"theta_opt": opt.theta_hat, "opt_lambda": opt.lambda_used,
+                    "opt_trace": opt.objective_trace}),
+    }
+
+    def bits(a):
+        return None if a is None else [float(v).hex() for v in np.ravel(a)]
+
+    for methods in _SEARCHED_SUBSETS:
+        cfg = _toy_cfg(system=name, n=n, methods=methods, starts=starts)
+        preds, info = build_predictors(data, system, kernel, cfg, _fresh_streams(seed))
+        assert set(preds) == set(methods)
+        assert set(info) == {"psi"}.union(*(want[m][2] for m in methods))
+        for m in methods:
+            theta, coef, facts = want[m]
+            p = preds[m]
+            assert bits(p.theta) == bits(theta), (methods, m)
+            assert bits(None if p.fit is None else p.fit.coef) == bits(coef), (methods, m)
+            for key, value in facts.items():
+                assert bits(info[key]) == bits(value), (methods, key)
+
+
+def test_a_replicate_makes_one_least_squares_search_and_one_smoother_fit(monkeypatch):
+    system = get_system("ex1")
+    data = generate_dataset(system, 20, 0.3, RngStream(78))
+    kernel = KernelSpec("matern32", 0.3, 1)
+    starts = 3
+    searches, smoothers = [], []
+    real_lockstep, real_fit = calibrate._nelder_mead_lockstep, experiments.fit_ridge_gcv
+
+    def lockstep(f, x0, box, *args, **kwargs):
+        searches.append(len(x0))
+        return real_lockstep(f, x0, box, *args, **kwargs)
+
+    def fit(data, eta_at_x, kernel):
+        if eta_at_x is None:
+            smoothers.append(1)
+        return real_fit(data, eta_at_x, kernel)
+
+    monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", lockstep)
+    for module in (calibrate, experiments):
+        monkeypatch.setattr(module, "fit_ridge_gcv", fit)
+    cfg = _toy_cfg(n=20, methods=METHOD_NAMES, starts=starts)
+    build_predictors(data, system, kernel, cfg, _fresh_streams(78))
+    # L2's search, the shared least squares search of LSCal and OptCal's
+    # warm start, then OptPred's search from the warm start and fresh starts
+    assert searches == [starts, 2 * starts, starts + 1]
+    assert len(smoothers) == 1
+
+
 def test_run_experiment_single_cell():
     rep = run_experiment(_toy_cfg())
     assert set(rep.per_replicate) == {("NP", 0.1)}
@@ -593,6 +682,14 @@ def test_parse_config_round_trip(tmp_path):
     )
 
 
+def test_config_given_lists_hashes_and_equals_the_parsed_one(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("system=ex1\nn=12\nsigma2=0.1, 0.25\nreplicates=1\nmethods=NP\n")
+    cfg = _toy_cfg(sigma2=[0.1, 0.25], methods=["NP"], psi="cv5", mc_test_points=10_000)
+    assert cfg.sigma2 == (0.1, 0.25) and cfg.methods == ("NP",)
+    assert cfg == parse_config(path) and hash(cfg) == hash(parse_config(path))
+
+
 def test_parse_config_defaults_and_cv5(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("system=ex1\nn=20\nsigma2=0.1\nreplicates=2\npsi=cv5\n")
@@ -613,7 +710,9 @@ def test_parse_config_names_the_file_and_key_of_a_bad_value(tmp_path):
     # values that parse but that ExperimentConfig refuses
     refused = {"small_n": ("system=ex1\nn=1\n", "n must be >= 2$"),
                "system": ("system=ex9\nn=20\n", "unknown system 'ex9'; choose from "),
-               "ion": ("system=ion\nn=20\n", "system 'ion' has no sampling truth$")}
+               "ion": ("system=ion\nn=20\n", "system 'ion' has no sampling truth$"),
+               "methods": ("system=ex1\nn=20\nmethods=NP, NP\n",
+                           "methods must be distinct; repeated: NP$")}
     for name, (text, message) in refused.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(text + "sigma2=0.1\nreplicates=2\n")

@@ -34,12 +34,12 @@ runs several groups of starts together and keeps each group's own best,
 and ``minimize_box`` is its one-group case.  Each public calibrator is
 one composition of private pieces that ``experiments.build_predictors``
 also uses: ``calibrate_ls`` is one least squares search;
-``calibrate_optpred`` is ``calibrate_ls`` followed by ``_optpred_step``;
-``calibrate_l2`` is the GCV-tuned smoother of the response followed by
-``_l2_search``.  A replicate that wants both LSCal and OptCal runs their
-two least squares searches as one lockstep (``_ls_searches``), and one
-that wants NP hands NP's fit to ``_l2_search`` as its smoother; every
-result keeps the bits of its calibrator run alone.
+``calibrate_optpred`` is ``calibrate_ls`` followed by ``_optpred_step``
+on the design's ``regression._spectrum``; ``calibrate_l2`` is the
+GCV-tuned smoother of the response followed by ``_l2_search``.  So a
+replicate runs LSCal's and OptCal's least squares searches as one
+lockstep (``_ls_searches``), hands NP's fit to ``_l2_search`` and shares
+one spectrum; every result keeps the bits of its calibrator run alone.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ from .kernels import KernelSpec, _unit_cube_nodes, gram
 from .linalg import _as_box, _as_points, solve_spd
 from .regression import (
     DiscrepancyFit,
-    _pick_lambda,
+    _gcv_level,
     _residuals,
+    _spectrum,
     fit_ridge_gcv,
     predict_discrepancy,
     ridge_factor,
@@ -431,16 +432,16 @@ def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     nonincreasing by construction.
     """
     ls = calibrate_ls(data, model, starts=starts, stream=stream)
-    return _optpred_step(data, model, kernel, ls.theta_hat, starts, stream)
+    return _optpred_step(data, model, kernel, _spectrum(kernel, data.x), ls.theta_hat,
+                         starts, stream)
 
 
-def _optpred_step(data, model, kernel, theta_ls, starts, stream):
-    """Steps (2)-(4) of ``calibrate_optpred`` from its warm start ``theta_ls``;
-    ``stream`` is the one the warm start's search drew from."""
-    # one Gram matrix serves the GCV pick, and one factorization every
-    # theta and the discrepancy fit
-    gm = gram(kernel, data.x)
-    lam = _pick_lambda(gm.values, _residuals(data, model.eval(data.x, theta_ls)))
+def _optpred_step(data, model, kernel, spectrum, theta_ls, starts, stream):
+    """Steps (2)-(4) of ``calibrate_optpred`` from its warm start ``theta_ls``, with
+    the level picked on ``spectrum = regression._spectrum(kernel, data.x)``; ``stream``
+    is the warm start's.  One factorization serves every theta and the discrepancy fit."""
+    gm, w, u = spectrum
+    lam = float(_gcv_level(w, u, _residuals(data, model.eval(data.x, theta_ls)))[0])
     factor = ridge_factor(gm, lam)
     wobj = _weighted_misfit(data, model, factor)
     theta, value = minimize_box(wobj, model.theta_box, starts, stream, extra_points=[theta_ls])

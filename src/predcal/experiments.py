@@ -35,7 +35,7 @@ import numpy as np
 
 from .calibrate import DEFAULT_STARTS, _l2_search, _ls_searches, _optpred_step
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
-from .regression import DiscrepancyFit, _residuals, _ridge_gcv_coef, fit_ridge_gcv
+from .regression import DiscrepancyFit, _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
 from .rng import RngStream
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
@@ -102,6 +102,8 @@ class ExperimentConfig:
         # the list fields are stored as tuples, so a config hashes and equals
         # the one parse_config builds however its lists were given
         for key in ("sigma2", "methods"):
+            if not np.iterable(getattr(self, key)):
+                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
             object.__setattr__(self, key, tuple(getattr(self, key)))
         if get_system(self.system).zeta is None:
             raise ValueError(f"system {self.system!r} has no sampling truth")
@@ -113,8 +115,10 @@ class ExperimentConfig:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if len(self.sigma2) < 1 or not all(math.isfinite(s) and s >= 0 for s in self.sigma2):
-            raise ValueError("sigma2 must be a nonempty list of finite nonnegative values")
+        levels_ok = all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                        and math.isfinite(s) and s >= 0 for s in self.sigma2)
+        if not (self.sigma2 and levels_ok):
+            raise ValueError("sigma2 must be a nonempty list of finite nonnegative numbers")
         if len(set(self.sigma2)) != len(self.sigma2):
             raise ValueError("sigma2 values must be distinct")
         if self.replicates < 1:
@@ -153,24 +157,17 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     One Gram matrix of the whole design per scale serves every fold: its
     training block is the training design's Gram matrix and its held-out
     block the held-out kernel matrix, both bit for bit, since the jitter
-    sits only on the diagonal.  One eigendecomposition of the training
-    block gives both the GCV level, the same pick as ``fit_ridge_gcv``'s,
-    and the fold's coefficients.  The folds have at most two sizes, and
-    the folds of one size are fitted as one stack (``_cv5_errors``), each
-    with the bits of its lone fit.
+    sits only on the diagonal.  Each fold's level is ``fit_ridge_gcv``'s
+    pick; ``_cv5_errors`` fits equal-sized folds as one stack, bit for bit.
     """
     psi_grid = sorted(float(p) for p in psi_grid)
     if not psi_grid:
         raise ValueError("psi grid is empty")
     if data.n < 5:
         raise ValueError("five-fold cross-validation needs at least 5 points")
-    best_psi = None
-    best_err = np.inf
-    for psi, err in zip(psi_grid, _cv5_errors(data, family, psi_grid, eta_at_x, stream)):
-        if err <= best_err:  # ascending grid: ties keep the larger scale
-            best_err = err
-            best_psi = psi
-    return best_psi
+    errors = _cv5_errors(data, family, psi_grid, eta_at_x, stream)
+    # ascending grid: the first minimum of the reversed errors is the largest tied scale
+    return psi_grid[-1 - int(np.argmin(errors[::-1]))]
 
 
 def _cv5_errors(data, family, psi_grid, eta_at_x, stream):
@@ -287,11 +284,12 @@ def build_predictors(data, system, kernel, config, streams):
     methods run alongside it.
 
     Each predictor is what its public calibrator gives run alone on its
-    stream, bit for bit, but shared work is done once.  LSCal's least
-    squares search and OptCal's warm start run as one lockstep, each group
-    of starts drawn from its own stream and keeping its own best
-    (``calibrate._ls_searches``).  NP's fit of the raw response is L2's
-    smoother.
+    stream, bit for bit, but shared work is done once.  One Gram matrix of
+    the design and its eigendecomposition (``regression._spectrum``) give
+    NP's, LSCal's and OptPred's GCV levels.  LSCal's least squares search
+    and OptCal's warm start run as one lockstep, each group of starts drawn
+    from its own stream and keeping its own best (``calibrate._ls_searches``).
+    NP's fit of the raw response is L2's smoother.
 
     Returns
     -------
@@ -304,9 +302,10 @@ def build_predictors(data, system, kernel, config, streams):
     methods = config.methods
     predictors = {}
     info = {"psi": kernel.psi}
+    spectrum = _spectrum(kernel, data.x)
 
     if "NP" in methods or "NoBiasCorr" in methods:
-        smoother = fit_ridge_gcv(data, None, kernel)
+        smoother = _fit_gcv(data, None, kernel, spectrum)
 
     if "NP" in methods:
         lam, fit = smoother
@@ -325,13 +324,13 @@ def build_predictors(data, system, kernel, config, streams):
 
     if "LSCal" in methods:
         theta = theta_ls["LSCal"]
-        lam, fit = fit_ridge_gcv(data, model.eval(data.x, theta), kernel)
+        lam, fit = _fit_gcv(data, model.eval(data.x, theta), kernel, spectrum)
         predictors["LSCal"] = Predictor(theta, fit)
         info["theta_ls"] = theta
         info["ls_lambda"] = lam
 
     if "OptCal" in methods:
-        res = _optpred_step(data, model, kernel, theta_ls["OptCal"], config.starts,
+        res = _optpred_step(data, model, kernel, spectrum, theta_ls["OptCal"], config.starts,
                             streams["optpred"])
         predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
         info["theta_opt"] = res.theta_hat

@@ -8,18 +8,16 @@ kernel's Hilbert space:
 
 By the representer theorem the minimizer is h(x) = sum_i c_i K(X_i, x)
 with coefficients solving (Sigma + n*lambda I) c = r, Sigma the Gram
-matrix of the design.  The smoothing level is picked by generalized
-cross-validation over the constant grid ``DEFAULT_LAMBDA_GRID``, and the
-Gram matrix carries the constant jitter ``kernels.DEFAULT_JITTER``.
-``fit_ridge_gcv`` is the one public GCV-tuned fit: it picks the level
-and solves at it from one Gram matrix.  Every public entry point takes
-the data and builds that Gram matrix itself; only ``ridge_factor`` takes
-a Gram matrix.  Cross-validation folds, whose Gram matrices are blocks of
-a larger one, use the private ``_ridge_gcv_coef``: the same level, and
-the coefficients from the eigendecomposition that picked it.  It takes one
-matrix or a stack of equal-sized ones, as does the spectral GCV scorer
-behind every level pick: numpy's stacked ``eigh`` and ``matmul`` treat each
-slice as a lone call would, so a stacked row has the bits of its single call.
+matrix of the design with the constant jitter ``kernels.DEFAULT_JITTER``.
+Generalized cross-validation picks the level on the constant grid
+``DEFAULT_LAMBDA_GRID`` from one eigendecomposition Sigma = U diag(w) U^T
+(``_spectrum``), and ``_gcv_level`` is the one level pick, so the fits of
+several residuals on one design share one spectrum (``_fit_gcv``); the
+public entry points each build their own.  The cross-validation folds,
+whose Gram matrices are blocks of a larger one, also take their
+coefficients from the eigendecomposition (``_ridge_gcv_coef``), one
+``eigh`` call per stack of equal-sized folds, each stacked row with the
+bits of its single call.
 """
 
 from __future__ import annotations
@@ -168,19 +166,27 @@ def _spectral_gcv(w, z2, lams):
     return score
 
 
-def _gcv_scores(sigma, r, lams):
-    """GCV of residuals r against the (n, n) matrix sigma at each of the lambdas,
-    from one eigendecomposition (``_spectral_gcv``)."""
-    w, u = np.linalg.eigh(sigma)
-    return _spectral_gcv(w, (u.T @ r) ** 2, lams)
+def _spectrum(kernel, x):
+    """``(gram, w, u)``: the Gram matrix Sigma of the design ``x`` under ``kernel``
+    and its eigendecomposition Sigma = U diag(w) U^T, which every level pick reads."""
+    gm = gram(kernel, x)
+    w, u = np.linalg.eigh(gm.values)
+    return gm, w, u
 
 
-def _grid_lambda(score):
-    """The ``DEFAULT_LAMBDA_GRID`` value with the smallest of its scores, ties to the
-    larger; along the last axis, one level per row of a stack of scores."""
-    # ascending grid: the first minimum of the reversed scores is the last of
-    # the exact ties, the largest lambda
-    return DEFAULT_LAMBDA_GRID[-1 - np.argmin(score[..., ::-1], axis=-1)]
+def _gcv_level(w, u, r):
+    """``(lam, z)``: the ``DEFAULT_LAMBDA_GRID`` level minimizing GCV of residuals r
+    on the spectrum ``(w, u)``, ties to the larger, and z = U^T r.
+
+    No grid value has a degenerate trace: the jittered Gram matrix has
+    eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
+    about 1e-8 at the grid floor, far above the 1e-12 cut.  With leading
+    stack axes on ``w``, ``u`` and ``r``, each row has its slice's bits.
+    """
+    z = (np.swapaxes(u, -1, -2) @ r[..., None])[..., 0]
+    score = _spectral_gcv(w, z**2, DEFAULT_LAMBDA_GRID)
+    # ascending grid: the first minimum of the reversed scores is the largest tied lambda
+    return DEFAULT_LAMBDA_GRID[-1 - np.argmin(score[..., ::-1], axis=-1)], z
 
 
 def gcv_score(data, eta_at_x, kernel, lam):
@@ -197,37 +203,25 @@ def gcv_score(data, eta_at_x, kernel, lam):
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be finite and > 0")
-    sigma = gram(kernel, data.x).values
-    score = float(_gcv_scores(sigma, _residuals(data, eta_at_x), [lam])[0])
+    _, w, u = _spectrum(kernel, data.x)
+    z = u.T @ _residuals(data, eta_at_x)
+    score = float(_spectral_gcv(w, z**2, [lam])[0])
     if np.isnan(score):
         raise DegenerateTrace(f"tr(I - A) <= 1e-12 * n at lambda = {lam:.3e}")
     return score
-
-
-def _pick_lambda(sigma, r):
-    """The grid lambda minimizing GCV of residuals r against sigma, ties to the larger.
-
-    No grid value has a degenerate trace: the jittered Gram matrix has
-    eigenvalues in (0, n(1 + DEFAULT_JITTER)], so tr(I - A)/n is at least
-    about 1e-8 at the grid floor, far above the 1e-12 cut.
-    """
-    return float(_grid_lambda(_gcv_scores(sigma, r, DEFAULT_LAMBDA_GRID)))
 
 
 def _ridge_gcv_coef(sigma, r):
     """The GCV-tuned ridge fit of r against the (n, n) Gram matrix sigma, from one
     eigendecomposition sigma = U diag(w) U^T: c = U (z / (w + n*lambda)), z = U^T r.
 
-    Returns ``(lam, coef)``.  The level has the bits of
-    ``_pick_lambda(sigma, r)``; the coefficients agree with ``ridge_factor``'s
-    solve to rounding, not bit for bit.  ``sigma`` may be a stack (..., n, n)
-    with residuals (..., n): one ``eigh`` call then fits every slice, and
-    each row of the levels (...) and coefficients (..., n) has the bits of
-    its slice's single call.
+    Returns ``(lam, coef)``: ``_gcv_level``'s level, and coefficients that agree
+    with ``ridge_factor``'s solve to rounding.  A stack (..., n, n) of ``sigma``
+    with residuals (..., n) is fitted by one ``eigh`` call, each row of the
+    levels (...) and coefficients (..., n) with the bits of its slice's own call.
     """
     w, u = np.linalg.eigh(sigma)
-    z = (np.swapaxes(u, -1, -2) @ r[..., None])[..., 0]
-    lam = _grid_lambda(_spectral_gcv(w, z**2, DEFAULT_LAMBDA_GRID))
+    lam, z = _gcv_level(w, u, r)
     scaled = z / (w + r.shape[-1] * lam[..., None])
     return lam, (u @ scaled[..., None])[..., 0]
 
@@ -237,20 +231,21 @@ def select_lambda_gcv(data, eta_at_x, kernel):
 
     Ties are broken toward the larger lambda (more smoothing).
     """
-    return _pick_lambda(gram(kernel, data.x).values, _residuals(data, eta_at_x))
+    _, w, u = _spectrum(kernel, data.x)
+    return float(_gcv_level(w, u, _residuals(data, eta_at_x))[0])
+
+
+def _fit_gcv(data, eta_at_x, kernel, spectrum):
+    """``fit_ridge_gcv`` on ``spectrum``, the ``_spectrum(kernel, data.x)`` of a caller
+    that fits several residuals on one design."""
+    gm, w, u = spectrum
+    r = _residuals(data, eta_at_x)
+    lam = float(_gcv_level(w, u, r)[0])
+    coef = solve_spd(ridge_factor(gm, lam), r)
+    return lam, DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)
 
 
 def fit_ridge_gcv(data, eta_at_x, kernel):
-    """The GCV-tuned discrepancy fit: ``select_lambda_gcv``'s level, then
-    ``fit_ridge`` at it, from one Gram matrix.
-
-    Returns
-    -------
-    (lam, fit)
-        The picked smoothing level and the ``DiscrepancyFit`` at it.
-    """
-    r = _residuals(data, eta_at_x)
-    gm = gram(kernel, data.x)
-    lam = _pick_lambda(gm.values, r)
-    coef = solve_spd(ridge_factor(gm, lam), r)
-    return lam, DiscrepancyFit(coef=coef, kernel=kernel, train_x=data.x)
+    """The GCV-tuned discrepancy fit ``(lam, fit)``: ``select_lambda_gcv``'s level
+    and ``fit_ridge``'s ``DiscrepancyFit`` at it, from one Gram matrix."""
+    return _fit_gcv(data, eta_at_x, kernel, _spectrum(kernel, data.x))

@@ -86,7 +86,8 @@ def test_config_validation():
         _toy_cfg(sigma2=())
     with pytest.raises(ValueError):
         _toy_cfg(sigma2=(-0.1,))
-    for sigma2 in ((float("nan"),), (0.1, float("inf"))):
+    # a noise level list holds real numbers: no bare number, string or bool
+    for sigma2 in ((float("nan"),), (0.1, float("inf")), 0.1, "0.1", ("0.1",), (True,)):
         with pytest.raises(ValueError, match="sigma2"):
             _toy_cfg(sigma2=sigma2)
     # a repeated noise level would overwrite the first one's scores
@@ -310,16 +311,28 @@ def _gram_builds(calls):
 
 
 def test_each_gcv_tuned_fit_builds_one_gram_matrix(monkeypatch):
-    # NP, LSCal and OptPred each pick lambda and fit at it from one Gram
-    # matrix; L2's smoother is NP's fit
+    # NP, LSCal and OptPred pick lambda from one Gram matrix of the design
+    # and one eigendecomposition of it, whichever of them run; L2's smoother
+    # is NP's fit
     system = get_system("ex1")
     data = generate_dataset(system, 20, 0.3, RngStream(76))
     kernel = KernelSpec("matern32", 0.3, 1)
-    cfg = _toy_cfg(n=20, methods=METHOD_NAMES, starts=1)
-    streams = {"ls": RngStream(76, 2), "l2": RngStream(76, 3), "optpred": RngStream(76, 4)}
     calls = _record_kernel_cross(monkeypatch)
-    build_predictors(data, system, kernel, cfg, streams)
-    assert _gram_builds(calls) == 3
+    eighs = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        eighs.append(a.shape)
+        return real_eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for k in range(1, len(METHOD_NAMES) + 1):
+        for methods in itertools.combinations(METHOD_NAMES, k):
+            calls.clear()
+            eighs.clear()
+            cfg = _toy_cfg(n=20, methods=methods, starts=1)
+            build_predictors(data, system, kernel, cfg, _fresh_streams(76))
+            assert _gram_builds(calls) == 1 and eighs == [(20, 20)], methods
     calls.clear()
     calibrate_optpred(data, system.model, kernel, starts=1, stream=RngStream(76, 5))
     assert _gram_builds(calls) == 1
@@ -538,20 +551,19 @@ def test_a_replicate_makes_one_least_squares_search_and_one_smoother_fit(monkeyp
     kernel = KernelSpec("matern32", 0.3, 1)
     starts = 3
     searches, smoothers = [], []
-    real_lockstep, real_fit = calibrate._nelder_mead_lockstep, experiments.fit_ridge_gcv
+    real_lockstep, real_fit = calibrate._nelder_mead_lockstep, experiments._fit_gcv
 
     def lockstep(f, x0, box, *args, **kwargs):
         searches.append(len(x0))
         return real_lockstep(f, x0, box, *args, **kwargs)
 
-    def fit(data, eta_at_x, kernel):
+    def fit(data, eta_at_x, kernel, spectrum):
         if eta_at_x is None:
             smoothers.append(1)
-        return real_fit(data, eta_at_x, kernel)
+        return real_fit(data, eta_at_x, kernel, spectrum)
 
     monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", lockstep)
-    for module in (calibrate, experiments):
-        monkeypatch.setattr(module, "fit_ridge_gcv", fit)
+    monkeypatch.setattr(experiments, "_fit_gcv", fit)
     cfg = _toy_cfg(n=20, methods=METHOD_NAMES, starts=starts)
     build_predictors(data, system, kernel, cfg, _fresh_streams(78))
     # L2's search, the shared least squares search of LSCal and OptCal's
@@ -565,6 +577,26 @@ def test_run_experiment_single_cell():
     assert set(rep.per_replicate) == {("NP", 0.1)}
     assert rep.per_replicate[("NP", 0.1)].shape == (1,)
     assert rep.se("NP", 0.1) == 0.0
+
+
+# mean PMSEs of two tiny runs, all four methods, pinned from the code before a
+# replicate's fits shared one Gram matrix and GCV spectrum, which kept them bit
+# for bit; a refactor that keeps the methods keeps them to rounding (rtol 1e-9
+# allows for another BLAS kernel's last bits), and a method change moves them
+_PINNED_MEAN_PMSE = {
+    ("ex1", 0.3): {"NoBiasCorr": 0.6524204584263246, "NP": 0.13860025870962095,
+                   "LSCal": 0.1611359973507882, "OptCal": 0.1441078968068346},
+    ("ex2", "cv5"): {"NoBiasCorr": 0.29397596036386797, "NP": 0.3330136906772324,
+                     "LSCal": 0.28056230420090383, "OptCal": 0.2693388042291981},
+}
+
+
+@pytest.mark.parametrize("system, psi", list(_PINNED_MEAN_PMSE))
+def test_tiny_runs_keep_their_pinned_mean_pmse(system, psi):
+    cfg = _toy_cfg(system=system, psi=psi, replicates=2, methods=METHOD_NAMES, starts=2)
+    report = run_experiment(cfg)
+    for method, want in _PINNED_MEAN_PMSE[(system, psi)].items():
+        assert report.mean(method, 0.1) == pytest.approx(want, rel=1e-9, abs=0.0), method
 
 
 def test_run_experiment_extending_replicates_keeps_old_draws():

@@ -29,7 +29,7 @@ from predcal import (
 from predcal import regression
 from predcal.calibrate import _weighted_misfit
 from predcal.experiments import _stream, default_psi_grid
-from predcal.regression import _gcv_scores, _ridge_gcv_coef
+from predcal.regression import _gcv_level, _ridge_gcv_coef, _spectral_gcv, _spectrum
 from predcal.systems import generate_dataset, get_system
 
 SPEC1 = KernelSpec("matern32", 0.3, 1)
@@ -218,9 +218,8 @@ def test_ridge_paths_solve_exact_duplicate_points_without_jitter():
         assert got == pytest.approx(r @ np.linalg.solve(m, r), rel=1e-8)
     scores = np.array([_dense_gcv(gm.values, d.y, lam) for lam in DEFAULT_LAMBDA_GRID])
     want = DEFAULT_LAMBDA_GRID[scores <= scores.min() * (1.0 + 1e-8)].max()
-    # select_lambda_gcv's rule on the array core: the largest lambda at the minimum
-    got = _gcv_scores(gm.values, d.y, DEFAULT_LAMBDA_GRID)
-    assert DEFAULT_LAMBDA_GRID[np.flatnonzero(got == got.min())[-1]] == want
+    # select_lambda_gcv's rule on the spectrum: the largest lambda at the minimum
+    assert _gcv_level(*np.linalg.eigh(gm.values), d.y)[0] == want
 
 
 def test_fit_ridge_gcv_is_select_then_fit_from_one_gram_matrix(monkeypatch):
@@ -287,19 +286,20 @@ def test_stacked_ridge_gcv_fit_rows_have_the_bits_of_their_single_calls(
 ):
     # one eigh over a stack of jittered Matern Gram matrices, as the psi-CV
     # folds of one size: each row's level and coefficients are its slice's
-    # lone call's, bit for bit, and the level is _pick_lambda's; the first
+    # lone call's, bit for bit, and the level is select_lambda_gcv's; the first
     # zero_rows rows have zero residuals, which tie every level, and the tie
     # goes to the largest
     rng = np.random.default_rng(seed)
     spec = KernelSpec("matern32", default_psi_grid(d)[psi_index], d)
-    sigma = np.stack([gram(spec, rng.random((m, d))).values for _ in range(stack)])
+    xs = [rng.random((m, d)) for _ in range(stack)]
+    sigma = np.stack([gram(spec, x).values for x in xs])
     r = rng.standard_normal((stack, m))
     r[:zero_rows] = 0.0
     lam, coef = _ridge_gcv_coef(sigma, r)
     assert lam.shape == (stack,) and coef.shape == (stack, m)
     for f in range(stack):
         lone_lam, lone_coef = _ridge_gcv_coef(sigma[f], r[f])
-        assert lam[f] == lone_lam == regression._pick_lambda(sigma[f], r[f])
+        assert lam[f] == lone_lam == select_lambda_gcv(Dataset(xs[f], r[f]), None, spec)
         assert np.array_equal(coef[f], lone_coef)
         if f < zero_rows:
             assert lam[f] == DEFAULT_LAMBDA_GRID[-1]
@@ -338,7 +338,8 @@ def test_every_grid_score_is_finite_on_jittered_gram_matrices():
         for x in designs:
             for psi in (1e-3, 1e8):
                 spec = KernelSpec("matern32", psi, 1)
-                score = _gcv_scores(gram(spec, x).values, y, DEFAULT_LAMBDA_GRID)
+                _, w, u = _spectrum(spec, x)
+                score = _spectral_gcv(w, (u.T @ y) ** 2, DEFAULT_LAMBDA_GRID)
                 assert score.shape == (60,) and np.all(np.isfinite(score)), (n, psi)
 
 

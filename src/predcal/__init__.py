@@ -39,7 +39,6 @@ from .experiments import (
     METHOD_NAMES,
     ExperimentConfig,
     PmseReport,
-    Predictor,
     build_predictors,
     choose_kernel,
     csv_text,

@@ -126,9 +126,13 @@ class ComputerModel:
 
 @dataclass
 class CalibrationResult:
-    """Outcome of one calibration run."""
+    """A fitted predictor x -> eta(x, theta_hat) + h(x) and how it was fitted.
 
-    theta_hat: np.ndarray
+    ``theta_hat`` is None when there is no model term (NP); ``discrepancy``
+    is the expansion h, None when there is no correction.
+    """
+
+    theta_hat: Optional[np.ndarray]
     method: str
     discrepancy: Optional[DiscrepancyFit] = None
     lambda_used: Optional[float] = None
@@ -369,7 +373,8 @@ def _l2_search(data, model, smoother, starts, stream):
     """The L2 search of ``calibrate_l2`` given its smoother, the ``(lam, fit)``
     of ``fit_ridge_gcv(data, None, kernel)``."""
     if np.any(data.x < 0.0) or np.any(data.x > 1.0):
-        raise ValueError("L2 calibration needs design coordinates in [0, 1]")
+        raise ValueError(f"L2 calibration needs design coordinates in [0, 1], got min "
+                         f"{float(data.x.min())!r} and max {float(data.x.max())!r}")
     lam, zhat_fit = smoother
     nodes = _unit_cube_nodes(data.d, L2_NODES)
     zhat = predict_discrepancy(zhat_fit, nodes)

@@ -24,10 +24,16 @@ from functools import partial
 import numpy as np
 
 from .bayes import LinearComputerModel, verify_proposition_limit
-from .calibrate import L2_NODES, calibrate_l2, calibrate_ls, calibrate_optpred
+from .calibrate import (
+    L2_NODES,
+    CalibrationResult,
+    _row_mean_square,
+    calibrate_l2,
+    calibrate_ls,
+    calibrate_optpred,
+)
 from .experiments import (
     DEFAULT_SEED,
-    Predictor,
     choose_kernel,
     csv_text,
     parse_config,
@@ -121,9 +127,10 @@ def _cmd_calibrate(args):
     if args.method == "ls":
         result = calibrate_ls(data, system.model, starts=args.starts, stream=stream)
     elif args.method == "l2":
-        result = calibrate_l2(
-            data, system.model, kernel, starts=args.starts, stream=stream
-        )
+        try:
+            result = calibrate_l2(data, system.model, kernel, starts=args.starts, stream=stream)
+        except ValueError as err:  # a design outside the unit cube, say: name its file
+            raise ValueError(f"{args.data}: {err}") from None
     else:
         result = calibrate_optpred(data, system.model, kernel, starts=args.starts, stream=stream)
 
@@ -204,7 +211,7 @@ def _cmd_predict(args):
                 f"{args.fit}: fit JSON key 'coef' must hold one value per row of 'train_x' "
                 f"({fit.train_x.shape[0]}), got shape {fit.coef.shape}"
             )
-    fitted = Predictor(theta, fit)
+    fitted = CalibrationResult(theta, payload.get("method", ""), fit)
 
     points = load_points_csv(args.points, system.d)
     pred = predict(system.model, {"fit": fitted}, points)["fit"]
@@ -227,7 +234,7 @@ def _cmd_profile(args):
         # the squared truth-model gap on the nodes that L2 calibration integrates over
         pts = _unit_cube_nodes(1, L2_NODES)
         truth = system.zeta(pts)
-        values = [float(np.mean((truth - system.model.eval(pts, [t])) ** 2)) for t in thetas]
+        values = _row_mean_square(truth - system.model.eval_batch(pts, thetas[:, None])).tolist()
     else:
         spec = KernelSpec("matern32", args.psi, 1)
         values = [

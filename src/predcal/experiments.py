@@ -8,9 +8,9 @@ streams keyed by (noise index, replicate, phase), so the draws are the
 same however the replicates are scheduled, and adding replicates never
 changes the ones already run.
 
-Each fitted predictor is a ``Predictor(theta, fit)`` record, evaluated by
-``predict``: the computer model at ``theta`` plus the discrepancy
-expansion ``fit``, either term absent when None.  Predictor names:
+Each fitted predictor is a ``calibrate.CalibrationResult``, evaluated by
+``predict``: the computer model at ``theta_hat`` plus the discrepancy
+expansion ``discrepancy``, either term absent when None.  Predictor names:
 
 * ``NoBiasCorr`` -- computer model at the L2-calibrated parameter, no
   discrepancy correction.
@@ -29,13 +29,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
-from .calibrate import DEFAULT_STARTS, _l2_search, _ls_searches, _optpred_step
+from .calibrate import DEFAULT_STARTS, CalibrationResult, _l2_search, _ls_searches, _optpred_step
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
-from .regression import DiscrepancyFit, _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
+from .regression import _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
 from .rng import RngStream
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULT_SEED",
     "ExperimentConfig",
     "PmseReport",
-    "Predictor",
     "default_psi_grid",
     "cv5_select_psi",
     "choose_kernel",
@@ -100,11 +98,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the list fields are stored as tuples, so a config hashes and equals
-        # the one parse_config builds however its lists were given
+        # the one parse_config builds however its lists were given; a string
+        # is iterable, but a list of its characters is no list that was meant
         for key in ("sigma2", "methods"):
-            if not np.iterable(getattr(self, key)):
-                raise ValueError(f"{key} must be a list, got {getattr(self, key)!r}")
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+            value = getattr(self, key)
+            if isinstance(value, str) or not np.iterable(value):
+                raise ValueError(f"{key} must be a list, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
         if get_system(self.system).zeta is None:
             raise ValueError(f"system {self.system!r} has no sampling truth")
         for key in _INT_KEYS:
@@ -221,20 +221,8 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Predictor:
-    """A fitted predictor x -> eta(x, theta) + h(x).
-
-    ``theta`` is None when there is no model term (NP); ``fit`` is the
-    discrepancy expansion h, None when there is no correction.
-    """
-
-    theta: Optional[np.ndarray]
-    fit: Optional[DiscrepancyFit]
-
-
 def predict(model, predictors, x):
-    """Evaluate a mapping of name -> Predictor at the points ``x`` (m, d).
+    """Evaluate a mapping of name -> ``CalibrationResult`` at the points ``x`` (m, d).
 
     Returns a mapping of name -> (m,) array.  All model terms come from
     one ``eval_batch`` call, and the fits that share a kernel and a
@@ -242,16 +230,16 @@ def predict(model, predictors, x):
     each; every value has the bits of its terms evaluated alone.
     """
     out = dict.fromkeys(predictors)
-    modelled = [name for name, p in predictors.items() if p.theta is not None]
+    modelled = [name for name, p in predictors.items() if p.theta_hat is not None]
     if modelled:
-        thetas = np.reshape([predictors[name].theta for name in modelled], (len(modelled), -1))
+        thetas = np.reshape([predictors[name].theta_hat for name in modelled], (len(modelled), -1))
         out.update(zip(modelled, model.eval_batch(x, thetas)))
     groups = {}
     for name, p in predictors.items():
-        if p.fit is not None:
-            groups.setdefault((p.fit.kernel, id(p.fit.train_x)), []).append(name)
+        if p.discrepancy is not None:
+            groups.setdefault((p.discrepancy.kernel, id(p.discrepancy.train_x)), []).append(name)
     for names in groups.values():
-        fits = [predictors[name].fit for name in names]
+        fits = [predictors[name].discrepancy for name in names]
         h = kernel_apply(fits[0].kernel, x, fits[0].train_x, np.column_stack([f.coef for f in fits]))
         for name, col in zip(names, h.T):
             out[name] = col if out[name] is None else out[name] + col
@@ -261,11 +249,12 @@ def predict(model, predictors, x):
 def pmse(predictors, system, nodes):
     """Mean squared prediction error of each predictor against the noiseless truth.
 
-    For every name -> Predictor of the mapping, integrates (prediction -
-    truth)^2 over the unit cube by the midpoint rule with at most ``nodes``
-    nodes; returns a mapping of name -> PMSE, each the same whichever
-    others it is scored with.  One ``predict`` call evaluates them all, so
-    at d > 1 each shared kernel and design holds one (nodes, n) matrix.
+    For every name -> ``CalibrationResult`` of the mapping, integrates
+    (prediction - truth)^2 over the unit cube by the midpoint rule with at
+    most ``nodes`` nodes; returns a mapping of name -> PMSE, each the same
+    whichever others it is scored with.  One ``predict`` call evaluates
+    them all, so at d > 1 each shared kernel and design holds one
+    (nodes, n) matrix.
     """
     if system.zeta is None:
         raise NoTruthAvailable(f"system {system.id!r} has no truth to score against")
@@ -283,25 +272,20 @@ def build_predictors(data, system, kernel, config, streams):
     streams, so each method's randomness is unaffected by which other
     methods run alongside it.
 
-    Each predictor is what its public calibrator gives run alone on its
-    stream, bit for bit, but shared work is done once.  One Gram matrix of
+    Returns a mapping of method name -> ``CalibrationResult``: NP's is
+    ``(None, "NP", fit, lambda)`` and LSCal's ``(theta_LS, "LS", fit, lambda)``,
+    each fit ``fit_ridge_gcv``'s, NoBiasCorr's is ``calibrate_l2``'s and
+    OptCal's ``calibrate_optpred``'s.  Each has the bits of its pieces run
+    alone on its stream, but shared work is done once.  One Gram matrix of
     the design and its eigendecomposition (``regression._spectrum``) give
     NP's, LSCal's and OptPred's GCV levels.  LSCal's least squares search
     and OptCal's warm start run as one lockstep, each group of starts drawn
     from its own stream and keeping its own best (``calibrate._ls_searches``).
     NP's fit of the raw response is L2's smoother.
-
-    Returns
-    -------
-    (predictors, info)
-        ``predictors`` maps method name to a ``Predictor``; ``info``
-        holds fitted parameters, smoothing levels, and the
-        prediction-weighted objective trace when OptCal ran.
     """
     model = system.model
     methods = config.methods
-    predictors = {}
-    info = {"psi": kernel.psi}
+    fits = {}
     spectrum = _spectrum(kernel, data.x)
 
     if "NP" in methods or "NoBiasCorr" in methods:
@@ -309,13 +293,10 @@ def build_predictors(data, system, kernel, config, streams):
 
     if "NP" in methods:
         lam, fit = smoother
-        predictors["NP"] = Predictor(None, fit)
-        info["np_lambda"] = lam
+        fits["NP"] = CalibrationResult(None, "NP", fit, lam)
 
     if "NoBiasCorr" in methods:
-        res = _l2_search(data, model, smoother, config.starts, streams["l2"])
-        predictors["NoBiasCorr"] = Predictor(res.theta_hat, None)
-        info["theta_l2"] = res.theta_hat
+        fits["NoBiasCorr"] = _l2_search(data, model, smoother, config.starts, streams["l2"])
 
     searched = [m for m in ("LSCal", "OptCal") if m in methods]
     if searched:
@@ -325,23 +306,18 @@ def build_predictors(data, system, kernel, config, streams):
     if "LSCal" in methods:
         theta = theta_ls["LSCal"]
         lam, fit = _fit_gcv(data, model.eval(data.x, theta), kernel, spectrum)
-        predictors["LSCal"] = Predictor(theta, fit)
-        info["theta_ls"] = theta
-        info["ls_lambda"] = lam
+        fits["LSCal"] = CalibrationResult(theta, "LS", fit, lam)
 
     if "OptCal" in methods:
-        res = _optpred_step(data, model, kernel, spectrum, theta_ls["OptCal"], config.starts,
-                            streams["optpred"])
-        predictors["OptCal"] = Predictor(res.theta_hat, res.discrepancy)
-        info["theta_opt"] = res.theta_hat
-        info["opt_lambda"] = res.lambda_used
-        info["opt_trace"] = list(res.objective_trace)
+        fits["OptCal"] = _optpred_step(data, model, kernel, spectrum, theta_ls["OptCal"],
+                                       config.starts, streams["optpred"])
 
-    return predictors, info
+    return fits
 
 
 def _run_replicate(config, cell):
-    """PMSE scores and info of one (noise index, replicate) cell; a failure names the cell."""
+    """PMSE scores and fitted predictors of one (noise index, replicate) cell; a
+    failure names the cell."""
     sigma_idx, replicate = cell
     try:
         system = get_system(config.system)
@@ -350,8 +326,8 @@ def _run_replicate(config, cell):
         data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
         kernel = choose_kernel(data, config.psi, stream(_PHASE_PSI))
         streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
-        predictors, info = build_predictors(data, system, kernel, config, streams)
-        return pmse(predictors, system, config.mc_test_points), info
+        fits = build_predictors(data, system, kernel, config, streams)
+        return pmse(fits, system, config.mc_test_points), fits
     except Exception as err:
         raise RuntimeError(
             f"replicate {replicate} at sigma2={config.sigma2[sigma_idx]} failed: {err}"
@@ -414,12 +390,12 @@ def run_experiment(config, threads=1):
         for s2 in config.sigma2
     }
     traces = {}
-    for (si, r), (scores, info) in zip(cells, outcomes):
+    for (si, r), (scores, fits) in zip(cells, outcomes):
         s2 = config.sigma2[si]
         for method, value in scores.items():
             per_replicate[(method, s2)][r] = value
-        if "opt_trace" in info:
-            traces[(s2, r)] = info["opt_trace"]
+        if "OptCal" in fits:
+            traces[(s2, r)] = fits["OptCal"].objective_trace
 
     return PmseReport(config=config, per_replicate=per_replicate, traces=traces)
 

@@ -215,8 +215,11 @@ def _ridge_gcv_coef(sigma, r):
     """The GCV-tuned ridge fit of r against the (n, n) Gram matrix sigma, from one
     eigendecomposition sigma = U diag(w) U^T: c = U (z / (w + n*lambda)), z = U^T r.
 
-    Returns ``(lam, coef)``: ``_gcv_level``'s level, and coefficients that agree
-    with ``ridge_factor``'s solve to rounding.  A stack (..., n, n) of ``sigma``
+    Returns ``(lam, coef)``: ``_gcv_level``'s level, and the coefficients.  They
+    are less accurate than ``ridge_factor``'s solve: at lambda = 1e-8, on the
+    first 40 designs of acceptance criterion 5 (n from 5 to 50) against a
+    40-digit solve, max |c - c_ref| / max |c_ref| was 3.7e-8 here and 7.6e-10
+    for the Cholesky solve.  A stack (..., n, n) of ``sigma``
     with residuals (..., n) is fitted by one ``eigh`` call, each row of the
     levels (...) and coefficients (..., n) with the bits of its slice's own call.
     """

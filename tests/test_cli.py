@@ -10,17 +10,21 @@ import pytest
 
 import predcal
 from predcal import (
+    DEFAULT_SEED,
     KernelSpec,
     RngStream,
+    calibrate_optpred,
     generate_dataset,
     get_system,
+    load_dataset_csv,
     parse_config,
-    predict_discrepancy,
+    predict,
     run_experiment,
     uniform,
 )
+from predcal.calibrate import L2_NODES
 from predcal.cli import cli_main
-from predcal.regression import DiscrepancyFit
+from predcal.kernels import _unit_cube_nodes
 
 
 def _write_dataset(path, n=25, noise=0.2, seed=80):
@@ -68,6 +72,12 @@ def test_profile_l2_csv(tmp_path):
     # coarse argmin sits on the negative side, far from the right edge
     best = arr[np.argmin(arr[:, 1]), 0]
     assert -0.4 <= best <= 0.0
+    # each value is the mean squared truth-model gap on the L2 nodes, bit for bit
+    system = get_system("ex1")
+    pts = _unit_cube_nodes(1, L2_NODES)
+    truth = system.zeta(pts)
+    want = [float(np.mean((truth - system.model.eval(pts, [t])) ** 2)) for t in arr[:, 0]]
+    assert [v.hex() for v in arr[:, 1]] == [v.hex() for v in want]
 
 
 def test_profile_rkhs_csv(tmp_path):
@@ -182,16 +192,15 @@ def test_calibrate_predict_round_trip(tmp_path, capsys):
     assert header == "x1,prediction"
     assert arr.shape == (9, 2)
 
-    # reconstruct the prediction from the saved payload
+    # the CLI's prediction is the in-process record's, bit for bit: the
+    # kernel of --psi 0.3, the starts from the stream that --seed keys
+    data = load_dataset_csv(data_csv)
     system = get_system("ex1")
-    fit = DiscrepancyFit(
-        coef=np.asarray(payload["coef"]),
-        kernel=KernelSpec("matern32", payload["kernel"]["psi"], 1),
-        train_x=np.asarray(payload["train_x"]),
-    )
-    want = system.model.eval(pts.reshape(-1, 1), payload["theta"])
-    want = want + predict_discrepancy(fit, pts.reshape(-1, 1))
-    assert np.allclose(arr[:, 1], want, atol=1e-12)
+    result = calibrate_optpred(data, system.model, KernelSpec("matern32", 0.3, 1),
+                               stream=RngStream(DEFAULT_SEED, 2))
+    want = predict(system.model, {"fit": result}, pts.reshape(-1, 1))["fit"]
+    assert [v.hex() for v in arr[:, 1]] == [float(v).hex() for v in want]
+    assert [v.hex() for v in arr[:, 0]] == [float(v).hex() for v in pts]
 
 
 def test_calibrate_ls_fit_predicts_model_only(tmp_path):
@@ -360,6 +369,20 @@ def test_calibrate_and_predict_name_the_file_and_line_of_a_non_number(tmp_path, 
     assert cli_main(["predict", "--fit", str(fit_json), "--points", str(bad_points)]) == 1
     out, err = capsys.readouterr()
     assert f"predcal: error: {bad_points}:3: " in err and "'abc'" in err and out == ""
+
+
+def test_calibrate_l2_names_the_file_and_the_range_of_a_design_outside_the_unit_cube(
+        tmp_path, capsys):
+    # this once printed only "L2 calibration needs design coordinates in [0, 1]"
+    data_csv = tmp_path / "wide.csv"
+    x = np.linspace(-0.5, 1.5, 9)
+    data_csv.write_text("x1,y\n" + "".join(f"{float(v)!r},{float(v)!r}\n" for v in x))
+    assert cli_main(["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "l2",
+                     "--psi", "0.3", "--starts", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == (f"predcal: error: {data_csv}: L2 calibration needs design coordinates "
+                   "in [0, 1], got min -0.5 and max 1.5\n")
+    assert out == ""
 
 
 def test_calibrate_dimension_mismatch(tmp_path, capsys):

@@ -10,13 +10,13 @@ from scipy.integrate import quad
 
 from predcal import (
     METHOD_NAMES,
+    CalibrationResult,
     ComputerModel,
     Dataset,
     DiscrepancyFit,
     ExperimentConfig,
     KernelSpec,
     NoTruthAvailable,
-    Predictor,
     RngStream,
     build_predictors,
     calibrate_l2,
@@ -55,7 +55,7 @@ _AFFINE = NamedSystem(
 
 
 def _affine(t0, t1):
-    return Predictor(np.array([t0, t1]), None)
+    return CalibrationResult(np.array([t0, t1]), "affine")
 
 
 def _toy_cfg(**kw):
@@ -99,6 +99,10 @@ def test_config_validation():
         _toy_cfg(mc_test_points=999)
     with pytest.raises(ValueError):
         _toy_cfg(methods=("NP", "Oracle"))
+    # a bare string names no list, even when it is one valid method or number
+    for key, value in (("methods", "NP"), ("methods", "NPLSCal"), ("sigma2", "0.1")):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be a list, got {value!r}")):
+            _toy_cfg(**{key: value})
     with pytest.raises(ValueError):
         _toy_cfg(methods=())
     # a repeated method would be built once and reported once
@@ -219,7 +223,7 @@ def test_pmse_of_a_mapping_scores_each_predictor_as_alone():
     data = generate_dataset(sys1, 30, 0.3, RngStream(72))
     cfg = _toy_cfg(n=30, methods=("NoBiasCorr", "NP", "LSCal", "OptCal"), starts=2)
     streams = {"ls": RngStream(72, 2), "l2": RngStream(72, 3), "optpred": RngStream(72, 4)}
-    preds, _ = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
+    preds = build_predictors(data, sys1, KernelSpec("matern32", 0.3, 1), cfg, streams)
     together = pmse(preds, sys1, 5000)
     assert set(together) == set(preds)
     for name, p in preds.items():
@@ -234,19 +238,21 @@ def _np_lscal_and_head(system_id):
     cfg = _toy_cfg(system=system_id, n=20, methods=("NP", "LSCal"))
     streams = {"ls": RngStream(73, 2), "l2": RngStream(73, 3), "optpred": RngStream(73, 4)}
     kernel = KernelSpec("matern32", 0.3, system.d)
-    preds, _ = build_predictors(data, system, kernel, cfg, streams)
-    np_fit = preds["NP"].fit
-    preds["head"] = Predictor(None, DiscrepancyFit(np_fit.coef[:5], kernel, data.x[:5].copy()))
+    preds = build_predictors(data, system, kernel, cfg, streams)
+    np_fit = preds["NP"].discrepancy
+    preds["head"] = CalibrationResult(
+        None, "head", DiscrepancyFit(np_fit.coef[:5], kernel, data.x[:5].copy())
+    )
     return system, preds
 
 
 def _assert_predict_matches_the_terms(system, preds, x):
     got = predict(system.model, preds, x)
-    assert np.array_equal(got["NP"], predict_discrepancy(preds["NP"].fit, x))
+    assert np.array_equal(got["NP"], predict_discrepancy(preds["NP"].discrepancy, x))
     ls = preds["LSCal"]
-    want = system.model.eval(x, ls.theta) + predict_discrepancy(ls.fit, x)
+    want = system.model.eval(x, ls.theta_hat) + predict_discrepancy(ls.discrepancy, x)
     assert np.array_equal(got["LSCal"], want)
-    assert np.array_equal(got["head"], predict_discrepancy(preds["head"].fit, x))
+    assert np.array_equal(got["head"], predict_discrepancy(preds["head"].discrepancy, x))
 
 
 def _record_kernel_cross(monkeypatch):
@@ -284,8 +290,8 @@ def test_predict_in_1d_forms_no_kernel_matrix_and_matches_the_terms(monkeypatch)
 def test_predict_calls_the_model_once_for_every_theta_and_matches_the_terms(system_id):
     system, preds = _np_lscal_and_head(system_id)
     ls = preds["LSCal"]
-    preds["NoBiasCorr"] = Predictor(ls.theta + 0.1, None)
-    preds["shifted"] = Predictor(ls.theta - 0.2, ls.fit)
+    preds["NoBiasCorr"] = CalibrationResult(ls.theta_hat + 0.1, "L2")
+    preds["shifted"] = CalibrationResult(ls.theta_hat - 0.2, "shifted", ls.discrepancy)
     rows = []
 
     def eta(x, thetas):
@@ -298,9 +304,9 @@ def test_predict_calls_the_model_once_for_every_theta_and_matches_the_terms(syst
     assert rows == [3]
     for name in ("LSCal", "NoBiasCorr", "shifted"):
         p = preds[name]
-        want = system.model.eval(x, p.theta)
-        if p.fit is not None:
-            want = want + predict_discrepancy(p.fit, x)
+        want = system.model.eval(x, p.theta_hat)
+        if p.discrepancy is not None:
+            want = want + predict_discrepancy(p.discrepancy, x)
         assert np.array_equal(got[name], want), name
     _assert_predict_matches_the_terms(system, preds, x)
 
@@ -425,7 +431,7 @@ def test_fold_blocks_of_the_full_gram_matrix_are_the_folds_own(n, d, psi_index, 
 
 def test_pmse_errors():
     ion = get_system("ion")
-    zero = {"zero": Predictor(np.zeros(3), None)}
+    zero = {"zero": CalibrationResult(np.zeros(3), "zero")}
     with pytest.raises(NoTruthAvailable):
         pmse(zero, ion, 1000)
     with pytest.raises(ValueError, match="nodes"):
@@ -450,23 +456,23 @@ def test_build_predictors_perfect_model_noiseless():
     streams = {
         "ls": RngStream(69, 2), "l2": RngStream(69, 3), "optpred": RngStream(69, 4)
     }
-    preds, info = build_predictors(data, toy, KernelSpec("matern32", 0.3, 1), cfg, streams)
+    preds = build_predictors(data, toy, KernelSpec("matern32", 0.3, 1), cfg, streams)
     assert set(preds) == {"NoBiasCorr", "NP", "LSCal", "OptCal"}
     for method, score in pmse(preds, toy, 5000).items():
         assert score <= 1e-6, method
-    assert info["theta_ls"][0] == pytest.approx(1.0, abs=1e-6)
+    assert preds["LSCal"].theta_hat[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_build_predictors_single_method():
     sys1 = get_system("ex1")
     data = generate_dataset(sys1, 20, 0.3, RngStream(70))
     cfg = _toy_cfg(n=20, methods=("NP",))
-    preds, info = build_predictors(
+    preds = build_predictors(
         data, sys1, KernelSpec("matern32", 0.3, 1), cfg,
         {"ls": RngStream(70, 2), "l2": RngStream(70, 3), "optpred": RngStream(70, 4)},
     )
     assert set(preds) == {"NP"}
-    assert "np_lambda" in info and "theta_ls" not in info
+    assert preds["NP"].theta_hat is None and preds["NP"].lambda_used > 0
 
 
 def test_build_predictors_method_streams_are_isolated():
@@ -480,14 +486,14 @@ def test_build_predictors_method_streams_are_isolated():
             "ls": RngStream(71, 2), "l2": RngStream(71, 3), "optpred": RngStream(71, 4)
         }
 
-    both, _ = build_predictors(
+    both = build_predictors(
         data, sys1, kernel, _toy_cfg(n=20, methods=("LSCal", "OptCal")), fresh_streams()
     )
-    alone, _ = build_predictors(
+    alone = build_predictors(
         data, sys1, kernel, _toy_cfg(n=20, methods=("OptCal",)), fresh_streams()
     )
-    assert np.array_equal(both["OptCal"].theta, alone["OptCal"].theta)
-    assert np.array_equal(both["OptCal"].fit.coef, alone["OptCal"].fit.coef)
+    assert np.array_equal(both["OptCal"].theta_hat, alone["OptCal"].theta_hat)
+    assert np.array_equal(both["OptCal"].discrepancy.coef, alone["OptCal"].discrepancy.coef)
 
 
 def _fresh_streams(seed):
@@ -520,29 +526,28 @@ def test_build_predictors_equals_the_calibrators_run_alone(name, n, starts, seed
     np_lam, np_fit = fit_ridge_gcv(data, None, kernel)
     ls_lam, ls_fit = fit_ridge_gcv(data, model.eval(data.x, ls.theta_hat), kernel)
     want = {
-        "NP": (None, np_fit.coef, {"np_lambda": np_lam}),
-        "NoBiasCorr": (l2.theta_hat, None, {"theta_l2": l2.theta_hat}),
-        "LSCal": (ls.theta_hat, ls_fit.coef, {"theta_ls": ls.theta_hat, "ls_lambda": ls_lam}),
-        "OptCal": (opt.theta_hat, opt.discrepancy.coef,
-                   {"theta_opt": opt.theta_hat, "opt_lambda": opt.lambda_used,
-                    "opt_trace": opt.objective_trace}),
+        "NP": CalibrationResult(None, "NP", np_fit, np_lam),
+        "NoBiasCorr": l2,
+        "LSCal": CalibrationResult(ls.theta_hat, "LS", ls_fit, ls_lam),
+        "OptCal": opt,
     }
 
     def bits(a):
         return None if a is None else [float(v).hex() for v in np.ravel(a)]
 
+    def record(r):
+        # every field of the record, numbers as float hex
+        h = r.discrepancy
+        fit = None if h is None else (h.kernel, bits(h.coef), bits(h.train_x))
+        return (r.method, bits(r.theta_hat), fit, bits(r.lambda_used), bits(r.objective_trace),
+                {key: bits(value) for key, value in r.diagnostics.items()})
+
     for methods in _SEARCHED_SUBSETS:
         cfg = _toy_cfg(system=name, n=n, methods=methods, starts=starts)
-        preds, info = build_predictors(data, system, kernel, cfg, _fresh_streams(seed))
+        preds = build_predictors(data, system, kernel, cfg, _fresh_streams(seed))
         assert set(preds) == set(methods)
-        assert set(info) == {"psi"}.union(*(want[m][2] for m in methods))
         for m in methods:
-            theta, coef, facts = want[m]
-            p = preds[m]
-            assert bits(p.theta) == bits(theta), (methods, m)
-            assert bits(None if p.fit is None else p.fit.coef) == bits(coef), (methods, m)
-            for key, value in facts.items():
-                assert bits(info[key]) == bits(value), (methods, key)
+            assert record(preds[m]) == record(want[m]), (methods, m)
 
 
 def test_a_replicate_makes_one_least_squares_search_and_one_smoother_fit(monkeypatch):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bayes import LinearComputerModel, verify_proposition_limit
 from .calibrate import (
+    DEFAULT_STARTS,
     L2_NODES,
     CalibrationResult,
     _row_mean_square,
@@ -188,6 +189,10 @@ def _cmd_predict(args):
             fit = DiscrepancyFit(coef=finite("coef"), kernel=kernel, train_x=finite("train_x"))
     except KeyError as err:
         raise ValueError(f"{args.fit}: fit JSON lacks key {err.args[0]!r}") from None
+    if name not in system_names():
+        raise ValueError(
+            f"{args.fit}: fit JSON key 'model' must be one of {system_names()}, got {name!r}"
+        )
     system = get_system(name)
     d, p = system.d, system.model.p
     if theta.size != p:
@@ -300,7 +305,7 @@ def _build_parser():
     p.add_argument("--method", required=True, choices=("ls", "l2", "optpred"))
     p.add_argument("--psi", type=_psi_or_cv5, default="cv5",
                    help="kernel scale, or 'cv5' to cross-validate")
-    p.add_argument("--starts", type=_int_in(1), default=10)
+    p.add_argument("--starts", type=_int_in(1), default=DEFAULT_STARTS)
     p.add_argument("--seed", type=_int_in(0, 2**64), default=DEFAULT_SEED)
     p.add_argument("--out", default=None, help="write the fit as JSON for `predict`")
     p.set_defaults(func=_cmd_calibrate)

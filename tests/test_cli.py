@@ -302,6 +302,17 @@ def test_predict_refuses_a_malformed_fit(tmp_path, capsys):
          "fit JSON key 'coef' must hold one value per row of 'train_x' (12), got shape (5,)"),
         (dict(full, theta=[0.1, 0.2]),
          "fit JSON key 'theta' must hold p=1 values for model 'ex1', got 2"),
+        # non-numbers and ragged arrays, which numpy cannot convert to a float array
+        (dict(full, theta="abc"), "fit JSON key 'theta' must hold finite numbers"),
+        (dict(full, train_x=[[0.1], [0.2, 0.3]]), "fit JSON key 'train_x' must hold finite numbers"),
+        (dict(full, coef=[[0.1], [0.2, 0.3]]), "fit JSON key 'coef' must hold finite numbers"),
+        # these once printed a quoted KeyError, or "unhashable type: 'list'"
+        (dict(full, model="ex9"),
+         "fit JSON key 'model' must be one of ('ex1', 'ex2', 'ex3', 'ion'), got 'ex9'"),
+        (dict(full, model=["ex1"]),
+         "fit JSON key 'model' must be one of ('ex1', 'ex2', 'ex3', 'ion'), got ['ex1']"),
+        (dict(full, model=None),
+         "fit JSON key 'model' must be one of ('ex1', 'ex2', 'ex3', 'ion'), got None"),
     ]
     for payload, message in cases:
         broken.write_text(payload if isinstance(payload, str) else json.dumps(payload))

@@ -584,6 +584,18 @@ def test_run_experiment_single_cell():
     assert rep.se("NP", 0.1) == 0.0
 
 
+def test_a_failed_replicate_names_its_cell(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(experiments, "build_predictors", broken)
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(_toy_cfg(), threads=1)
+    assert str(info.value) == "replicate 0 at sigma2=0.1 failed: boom"
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "boom"
+
+
 # mean PMSEs of two tiny runs, all four methods, pinned from the code before a
 # replicate's fits shared one Gram matrix and GCV spectrum, which kept them bit
 # for bit; a refactor that keeps the methods keeps them to rounding (rtol 1e-9

@@ -56,6 +56,8 @@ def test_dataset_coercion_and_validation():
         calibrate_l2(off_cube, get_system("ex1").model, SPEC1, stream=RngStream(1))
     with pytest.raises(ValueError):
         Dataset(np.array([[0.1], [0.5]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="dataset must contain at least one point"):
+        Dataset(np.empty((0, 1)), np.empty(0))
     for x, y in [([0.1, np.nan], [1.0, 2.0]), ([0.1, 0.5], [1.0, np.inf]), ([0.1, 0.5], [-np.inf, 2.0])]:
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.array(x).reshape(-1, 1), np.array(y))

@@ -23,6 +23,8 @@ def test_uniform_range_and_shape():
     pts = uniform(s, 3, size=40)
     assert pts.shape == (40, 3)
     assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        uniform(s, 0, size=3)
 
 
 def test_uniform_determinism_and_stream_separation():

@@ -36,7 +36,8 @@ one composition of private pieces that ``experiments.build_predictors``
 also uses: ``calibrate_ls`` is one least squares search;
 ``calibrate_optpred`` is ``calibrate_ls`` followed by ``_optpred_step``
 on the design's ``regression._spectrum``; ``calibrate_l2`` is the
-GCV-tuned smoother of the response followed by ``_l2_search``.  So a
+design's range check (``_check_l2_design``), the GCV-tuned smoother of
+the response and ``_l2_search``.  So a
 replicate runs LSCal's and OptCal's least squares searches as one
 lockstep (``_ls_searches``), hands NP's fit to ``_l2_search`` and shares
 one spectrum; every result keeps the bits of its calibrator run alone.
@@ -107,7 +108,8 @@ class ComputerModel:
 
     def eval(self, x, theta):
         """Evaluate the model at (m, d) inputs and a (p,) theta, returning m values."""
-        return self.eval_batch(x, np.reshape(theta, (1, -1)))[0]
+        # not np.reshape, which takes a list through numpy's slower wrapper fallback
+        return self.eval_batch(x, np.asarray(theta).reshape(1, -1))[0]
 
     def eval_batch(self, x, thetas):
         """Evaluate the model at (m, d) inputs for each row of a (k, p) theta array.
@@ -363,18 +365,25 @@ def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     The response is first smoothed with a GCV-tuned ridge fit; the
     parameter then minimizes the L2 distance between that fit and the
     computer model over the uniform input distribution on the unit cube,
-    so the design must lie in [0, 1]^d.  The distance is the midpoint rule
-    on ``L2_NODES`` nodes; ``stream`` draws only the search's starts.
+    so the design must lie in [0, 1]^d; any other design is refused before
+    the smoothing.  The distance is the midpoint rule on ``L2_NODES``
+    nodes; ``stream`` draws only the search's starts.
     """
+    _check_l2_design(data.x)
     return _l2_search(data, model, fit_ridge_gcv(data, None, kernel), starts, stream)
+
+
+def _check_l2_design(x):
+    """Refuse a design ``x`` outside the unit cube, which L2 calibration integrates over."""
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError(f"L2 calibration needs design coordinates in [0, 1], got min "
+                         f"{float(x.min())!r} and max {float(x.max())!r}")
 
 
 def _l2_search(data, model, smoother, starts, stream):
     """The L2 search of ``calibrate_l2`` given its smoother, the ``(lam, fit)``
-    of ``fit_ridge_gcv(data, None, kernel)``."""
-    if np.any(data.x < 0.0) or np.any(data.x > 1.0):
-        raise ValueError(f"L2 calibration needs design coordinates in [0, 1], got min "
-                         f"{float(data.x.min())!r} and max {float(data.x.max())!r}")
+    of ``fit_ridge_gcv(data, None, kernel)``, on a design that
+    ``_check_l2_design`` passed."""
     lam, zhat_fit = smoother
     nodes = _unit_cube_nodes(data.d, L2_NODES)
     zhat = predict_discrepancy(zhat_fit, nodes)

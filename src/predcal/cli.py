@@ -28,6 +28,7 @@ from .calibrate import (
     DEFAULT_STARTS,
     L2_NODES,
     CalibrationResult,
+    _check_l2_design,
     _row_mean_square,
     calibrate_l2,
     calibrate_ls,
@@ -119,6 +120,12 @@ def _cmd_calibrate(args):
         raise ValueError(
             f"dataset has {data.d} input column(s), model {args.model!r} expects {system.d}"
         )
+    if args.method == "l2":
+        # refused before choose_kernel's smoothing, with the data file named
+        try:
+            _check_l2_design(data.x)
+        except ValueError as err:
+            raise ValueError(f"{args.data}: {err}") from None
     # LS fits no discrepancy, so it has no kernel to choose
     kernel = None
     if args.method != "ls":
@@ -128,10 +135,7 @@ def _cmd_calibrate(args):
     if args.method == "ls":
         result = calibrate_ls(data, system.model, starts=args.starts, stream=stream)
     elif args.method == "l2":
-        try:
-            result = calibrate_l2(data, system.model, kernel, starts=args.starts, stream=stream)
-        except ValueError as err:  # a design outside the unit cube, say: name its file
-            raise ValueError(f"{args.data}: {err}") from None
+        result = calibrate_l2(data, system.model, kernel, starts=args.starts, stream=stream)
     else:
         result = calibrate_optpred(data, system.model, kernel, starts=args.starts, stream=stream)
 

@@ -32,7 +32,14 @@ from functools import partial
 
 import numpy as np
 
-from .calibrate import DEFAULT_STARTS, CalibrationResult, _l2_search, _ls_searches, _optpred_step
+from .calibrate import (
+    DEFAULT_STARTS,
+    CalibrationResult,
+    _check_l2_design,
+    _l2_search,
+    _ls_searches,
+    _optpred_step,
+)
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
 from .regression import _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
 from .rng import RngStream
@@ -281,10 +288,13 @@ def build_predictors(data, system, kernel, config, streams):
     NP's, LSCal's and OptPred's GCV levels.  LSCal's least squares search
     and OptCal's warm start run as one lockstep, each group of starts drawn
     from its own stream and keeping its own best (``calibrate._ls_searches``).
-    NP's fit of the raw response is L2's smoother.
+    NP's fit of the raw response is L2's smoother.  With NoBiasCorr asked
+    for, a design outside the unit cube is refused before any fit.
     """
     model = system.model
     methods = config.methods
+    if "NoBiasCorr" in methods:
+        _check_l2_design(data.x)
     fits = {}
     spectrum = _spectrum(kernel, data.x)
 

@@ -242,6 +242,27 @@ def test_calibrate_l2_ex1_limit():
     assert abs(res.theta_hat[0] - (-0.1780)) < 0.15
 
 
+def _refuse_gram(monkeypatch):
+    """Make every lookup of ``kernels.gram`` raise, so a test can show none is built."""
+    from predcal import bayes, experiments, kernels, regression
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    for module in (kernels, regression, calibrate, experiments, bayes):
+        monkeypatch.setattr(module, "gram", refused)
+
+
+def test_calibrate_l2_refuses_a_design_outside_the_unit_cube_before_any_smoothing(monkeypatch):
+    # the GCV smoother (a Gram matrix and an n x n eigh) once ran before the refusal
+    _refuse_gram(monkeypatch)
+    model = get_system("ex1").model
+    for x in ([[0.2], [1.5], [0.4]], [[-0.25], [0.5]]):
+        off_cube = Dataset(x, np.zeros(len(x)))
+        with pytest.raises(ValueError, match=r"needs design coordinates in \[0, 1\], got min"):
+            calibrate_l2(off_cube, model, SPEC1, stream=RngStream(1))
+
+
 def test_weighted_objective_zero_at_perfect_fit():
     sys1 = get_system("ex1")
     s = RngStream(13)

@@ -383,17 +383,26 @@ def test_calibrate_and_predict_name_the_file_and_line_of_a_non_number(tmp_path, 
 
 
 def test_calibrate_l2_names_the_file_and_the_range_of_a_design_outside_the_unit_cube(
-        tmp_path, capsys):
-    # this once printed only "L2 calibration needs design coordinates in [0, 1]"
+        tmp_path, capsys, monkeypatch):
+    # this once printed only "L2 calibration needs design coordinates in [0, 1]",
+    # and only after psi's cross-validation (six Gram matrices at the default cv5)
+    from predcal import bayes, calibrate, experiments, kernels, regression
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    for module in (kernels, regression, calibrate, experiments, bayes):
+        monkeypatch.setattr(module, "gram", refused)
     data_csv = tmp_path / "wide.csv"
     x = np.linspace(-0.5, 1.5, 9)
     data_csv.write_text("x1,y\n" + "".join(f"{float(v)!r},{float(v)!r}\n" for v in x))
-    assert cli_main(["calibrate", "--data", str(data_csv), "--model", "ex1", "--method", "l2",
-                     "--psi", "0.3", "--starts", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert err == (f"predcal: error: {data_csv}: L2 calibration needs design coordinates "
-                   "in [0, 1], got min -0.5 and max 1.5\n")
-    assert out == ""
+    for psi in (["--psi", "0.3", "--starts", "1"], []):
+        assert cli_main(["calibrate", "--data", str(data_csv), "--model", "ex1",
+                         "--method", "l2"] + psi) == 1
+        out, err = capsys.readouterr()
+        assert err == (f"predcal: error: {data_csv}: L2 calibration needs design coordinates "
+                       "in [0, 1], got min -0.5 and max 1.5\n")
+        assert out == ""
 
 
 def test_calibrate_dimension_mismatch(tmp_path, capsys):

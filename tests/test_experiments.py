@@ -475,6 +475,18 @@ def test_build_predictors_single_method():
     assert preds["NP"].theta_hat is None and preds["NP"].lambda_used > 0
 
 
+def test_build_predictors_refuses_an_l2_design_outside_the_unit_cube_before_any_fit(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(experiments, "_spectrum", refused)
+    data = Dataset(np.array([[0.1], [0.6], [1.25]]), np.zeros(3))
+    cfg = _toy_cfg(n=3, methods=("NP", "NoBiasCorr"))
+    with pytest.raises(ValueError, match=r"got min 0\.1 and max 1\.25"):
+        build_predictors(data, get_system("ex1"), KernelSpec("matern32", 0.3, 1), cfg,
+                         _fresh_streams(71))
+
+
 def test_build_predictors_method_streams_are_isolated():
     # OptCal must come out the same whether or not LSCal runs beside it
     sys1 = get_system("ex1")

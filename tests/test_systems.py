@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 
@@ -24,8 +25,10 @@ from predcal import (
     ion_eta,
     load_dataset_csv,
     load_points_csv,
+    rkhs_norm_sq_approx,
     system_names,
 )
+from predcal import systems
 from predcal.systems import _ion_generator
 
 
@@ -42,6 +45,111 @@ def test_ex1_closed_values():
     assert ex1_zeta(0.0) == 0.0
     assert ex1_zeta(0.5) == pytest.approx(0.0, abs=1e-15)
     assert ex1_zeta(0.25) == pytest.approx(math.exp(math.pi / 20.0), rel=1e-14)
+
+
+def _ex1_formula(x):
+    return np.exp(np.pi * x / 5.0) * np.sin(2.0 * np.pi * x)
+
+
+def _same_bits(got, x):
+    want = _ex1_formula(x)
+    return np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+
+
+_EX1_POINT = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    first=st.lists(_EX1_POINT, min_size=1, max_size=6),
+    steps=st.lists(
+        st.one_of(
+            st.none(),  # the same array again
+            st.tuples(st.integers(0, 5), _EX1_POINT),  # one entry edited in place
+            st.lists(_EX1_POINT, min_size=1, max_size=6),  # a new array
+        ),
+        max_size=10,
+    ),
+)
+def test_ex1_zeta_keeps_the_formulas_bits_over_repeats_and_in_place_edits(first, steps):
+    x = np.array(first)
+    for step in [None] + steps:
+        if isinstance(step, tuple):
+            i, v = step
+            x[i % x.size] = v
+        elif step is not None:
+            x = np.array(step)
+        got = ex1_zeta(x)
+        assert _same_bits(got, x)
+        got[:] = np.nan  # a caller's edit of a result reaches no later call
+
+
+def test_ex1_zeta_returns_a_fresh_writeable_array():
+    x = np.linspace(0.0, 1.0, 7)
+    first, second = ex1_zeta(x), ex1_zeta(x)
+    assert first.flags.writeable and second.flags.writeable
+    assert not np.shares_memory(first, second)
+    second[:] = 9.0
+    assert _same_bits(first, x) and _same_bits(ex1_zeta(x), x)
+
+
+def test_ex1_zeta_tells_apart_points_one_ulp_apart():
+    x = np.linspace(0.1, 0.9, 5)  # x[2] = 0.5, where the truth is steep and near 0
+    y = x.copy()
+    y[2] = np.nextafter(0.5, 1.0)
+    results = [ex1_zeta(p) for p in (x, y, x, y)]
+    for got, p in zip(results, (x, y, x, y)):
+        assert _same_bits(got, p)
+    assert results[0][2] != results[1][2]
+    # -0.0 == 0.0, but the truth keeps the sign: a value-equality key would mix them
+    assert np.signbit(ex1_zeta(np.array([-0.0]))[0])
+    assert not np.signbit(ex1_zeta(np.array([0.0]))[0])
+
+
+def test_ex1_zeta_follows_a_read_only_view_whose_base_changes():
+    base = np.linspace(0.0, 1.0, 9)
+    view = base.view()
+    view.flags.writeable = False
+    assert _same_bits(ex1_zeta(view), base)
+    base[3] = 0.77
+    assert _same_bits(ex1_zeta(view), base)
+
+
+def test_ex1_zeta_of_a_scalar_is_a_scalar_whatever_came_before():
+    for x in (0.3, np.array([0.3]), 0.3, np.array([[0.3]]), 0.3):
+        got = ex1_zeta(x)
+        assert _same_bits(got, np.asarray(x, dtype=float))
+    assert isinstance(ex1_zeta(0.3), np.float64)
+
+
+def test_ex1_truth_is_computed_once_per_profile_and_keeps_its_bits(monkeypatch):
+    # the truth once ran twice per theta: as zeta and inside the model
+    calls = []
+    truth = systems._ex1_truth
+
+    def counted(x):
+        calls.append(x.shape)
+        return truth(x)
+
+    monkeypatch.setattr(systems, "_ex1_truth", counted)
+    monkeypatch.setattr(systems, "_ex1_last", None)
+    system = get_system("ex1")
+    spec = KernelSpec("matern32", 0.16, 1)
+    thetas = np.linspace(-1.0, 1.0, 201)
+    profile = [
+        rkhs_norm_sq_approx(spec, lambda p, t=t: system.zeta(p) - system.model.eval(p, [t]), 200)
+        for t in thetas
+    ]
+    assert calls == [(200,)]
+
+    def closed_form(p, t):
+        x = p[:, 0]
+        zeta = _ex1_formula(x)
+        arg = 2.0 * np.pi * t * x
+        return zeta - (zeta - np.sqrt(t * t - t + 1.0) * (np.sin(arg) + np.cos(arg)))
+
+    want = [rkhs_norm_sq_approx(spec, lambda p, t=t: closed_form(p, t), 200) for t in thetas]
+    assert np.array(profile).tobytes() == np.array(want).tobytes()
 
 
 def test_ex1_eta_at_zero_parameter_is_truth_minus_one():

@@ -16,10 +16,10 @@ Three estimators are provided:
   at that parameter.
 
 All searches use a multi-start Nelder-Mead restricted to the parameter
-box; candidate points that leave the box are reflected back through the
-violated face.  The starts run in lockstep: every start's simplex lives
-in one (k, p+1, p) array, and each iteration evaluates the objective at
-most three times for all running starts together (the reflections; the
+box, which must have finite bounds and finite widths; candidate points
+that leave the box are reflected back through the violated face.  The
+starts run in lockstep: each iteration evaluates the objective at most
+three times for all running starts together (the reflections; the
 expansion and contraction points; the shrinks).  So an objective takes a
 (k, p) array of parameter rows and returns their k values.  A computer
 model has the same form: its ``eta`` maps inputs and a (k, p) array of
@@ -28,6 +28,17 @@ evaluate the model at every row in one ``ComputerModel.eval_batch``
 call.  Each start still follows its own path, with its own convergence
 test and iteration limit: it reaches the same parameter and value, to
 the bit, as it would searched alone.
+
+The lockstep keeps its simplices in one of two forms, picked by its
+size, k starts times p parameters.  Up to ``_FLOAT_LOOP_COORDS``
+coordinates (at the default ten starts, a one-parameter model's L2 and
+OptPred searches) each start's simplex is a list of Python floats, since
+there numpy's fixed cost per call outweighs the arithmetic.  Above it
+(the shared least squares lockstep of two groups of ten starts, every
+search of a two-parameter model at ten starts) every simplex lives in
+one (k, p+1, p) array.  Both forms send the objective the same rows in
+the same calls and do the same float64 arithmetic, so they return the
+same bits.
 
 So searches of one objective can share a lockstep: ``_search_groups``
 runs several groups of starts together and keeps each group's own best,
@@ -45,7 +56,10 @@ one spectrum; every result keeps the bits of its calibrator run alone.
 
 from __future__ import annotations
 
+import numbers
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,6 +92,11 @@ __all__ = [
 DEFAULT_STARTS = 10
 SIMPLEX_TOL = 1e-8
 MAX_NM_ITER = 500
+# the most coordinates (starts x parameters) whose Nelder-Mead keeps its
+# simplices in Python floats; the float loop's bookkeeping time over the
+# array loop's, on a 2-CPU box, was 0.89 at 10 starts, 0.88 at 12 and 1.15
+# at 13 for p = 1, and below 1 up to 20 starts at p = 2 and 8 at p = 3
+_FLOAT_LOOP_COORDS = 12
 # node budget of the L2 distance's midpoint rule: 576 nodes at d = 1, 24^2 at d = 2
 L2_NODES = 576
 
@@ -160,6 +179,18 @@ def _box_fold(box):
     return fold
 
 
+def _simplices(f, x0, box, fold):
+    """Every start's first simplex: (k, p+1, p) vertices, ``x0[i]`` and its p
+    steps of 5% of the box's widths folded into the box, and their (k, p+1)
+    values from one call of ``f``."""
+    k, p = x0.shape
+    verts = np.empty((k, p + 1, p))
+    verts[:, 0] = x0
+    verts[:, 1:] = fold(x0[:, None, :] + np.diag(0.05 * (box[:, 1] - box[:, 0])))
+    vals = f(verts.reshape(-1, p)).reshape(k, p + 1)
+    return verts, vals
+
+
 def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     """Nelder-Mead from every row of ``x0`` (k, p), the starts advanced together.
 
@@ -175,13 +206,27 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     calls ``f`` at most three times, each time on the running starts
     that need it: their reflection points; their expansion or
     contraction points; their shrunk simplices.
+
+    The iterations take one of two forms, picked once from ``x0.size``
+    (k * p coordinates).  ``_array_loop`` keeps every simplex in one
+    numpy array, and pays about fifty numpy calls per iteration whatever
+    k and p are; ``_float_loop`` keeps each simplex in Python floats and
+    pays per start and coordinate.  Up to ``_FLOAT_LOOP_COORDS``
+    coordinates the float loop's bookkeeping is the cheaper.  Both make
+    the same calls of ``f`` on the same rows in the same order, and
+    Python's float arithmetic and comparisons are numpy's elementwise
+    float64 ones, so the two return the same bits.
     """
+    loop = _float_loop if x0.size <= _FLOAT_LOOP_COORDS else _array_loop
+    return loop(f, x0, box, tol, max_iter)
+
+
+def _array_loop(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
+    """``_nelder_mead_lockstep`` with every start's simplex in one (k, p+1, p)
+    array, each step a few numpy calls over all running starts."""
     fold = _box_fold(box)
     k, p = x0.shape
-    verts = np.empty((k, p + 1, p))
-    verts[:, 0] = x0
-    verts[:, 1:] = fold(x0[:, None, :] + np.diag(0.05 * (box[:, 1] - box[:, 0])))
-    vals = f(verts.reshape(-1, p)).reshape(k, p + 1)
+    verts, vals = _simplices(f, x0, box, fold)
 
     thetas, values = np.empty((k, p)), np.empty(k)
     run = np.arange(k)  # the starts still searching, in the row order of verts
@@ -239,6 +284,114 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     return thetas, values
 
 
+_value = itemgetter(0)
+
+
+def _float_loop(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
+    """``_nelder_mead_lockstep`` with each start's simplex a list of
+    ``(value, point)`` pairs of Python floats, stably sorted by value.
+
+    It takes ``_array_loop``'s steps one start at a time, with the same
+    float64 operations: the stable sort by value; the centroid summed
+    vertex after vertex, as numpy's reduction over the vertex axis sums
+    it; the fold, whose ``%`` is ``np.mod``'s fmod-and-adjust rule and
+    whose clip returns the face on a tie and passes a NaN, as
+    ``np.maximum`` and ``np.minimum`` do.  Each move is
+    ``origin + t * (target - origin)``: the reflection and the expansion
+    are ``t = -1`` and ``t = -2`` toward the worst vertex, whose products
+    equal ``centroid - worst`` and ``2 * (centroid - worst)`` exactly up
+    to the sign of a zero, which the fold's ``%`` drops.  Each phase's
+    points from all running starts go to ``f`` as one (j, p) array in
+    start order, as ``_array_loop`` sends them.  A start stopped by
+    ``max_iter`` returns the first vertex of its sorted simplex, the
+    first minimum that ``_array_loop``'s argmin finds.
+    """
+    k, p = x0.shape
+    verts, vals = _simplices(f, x0, box, _box_fold(box))
+    lo, hi = box[:, 0], box[:, 1]
+    w = hi - lo
+    faces = list(zip(lo.tolist(), hi.tolist(), w.tolist(), (lo + w).tolist(),
+                     (2.0 * w).tolist()))
+
+    def move(origin, target, t):
+        out = []
+        for a, b, (low, high, width, top, period) in zip(origin, target, faces):
+            y = top - abs(width - (a + t * (b - a) - low) % period)
+            out.append(low if low >= y else high if high <= y else y)
+        return out
+
+    def converged(simplex):
+        best = simplex[0][1]
+        for _, x in simplex[1:]:
+            for a, b in zip(x, best):
+                if not abs(a - b) < tol:
+                    return False
+        return True
+
+    def evaluate(points):
+        return f(np.array(points)).tolist()
+
+    def replace_worst(simplex, value, point):
+        del simplex[-1]
+        insort(simplex, (value, point), key=_value)
+
+    thetas, values = [None] * k, [None] * k
+    # the starts still searching, each with its simplex, in start order
+    run = [(i, sorted(zip(fv, xv), key=_value))
+           for i, (xv, fv) in enumerate(zip(verts.tolist(), vals.tolist()))]
+    for _ in range(max_iter):
+        live = []
+        for i, simplex in run:
+            if converged(simplex):
+                values[i], thetas[i] = simplex[0]
+            else:
+                live.append((i, simplex))
+        run = live
+        if not run:
+            break
+        moves = []
+        for _, simplex in run:
+            centroid = simplex[0][1]
+            for _, x in simplex[1:-1]:
+                centroid = list(map(add, centroid, x))
+            centroid = [a / p for a in centroid]
+            worst = simplex[-1][1]
+            moves.append((simplex, centroid, worst, move(centroid, worst, -1.0)))
+        frs = evaluate([m[-1] for m in moves])
+
+        # beyond the best value: try the expansion; not below the second
+        # worst: contract, toward the reflection if it beat the worst
+        second = []
+        for (simplex, centroid, worst, xr), fr in zip(moves, frs):
+            if fr < simplex[0][0]:
+                second.append((simplex, xr, fr, True, move(centroid, worst, -2.0)))
+            elif fr >= simplex[-2][0]:
+                toward = worst if fr >= simplex[-1][0] else xr
+                second.append((simplex, xr, fr, False, move(centroid, toward, 0.5)))
+            else:
+                replace_worst(simplex, fr, xr)
+        if not second:
+            continue
+        shrinks = []
+        for (simplex, xr, fr, expand, x2), f2 in zip(second, evaluate([s[-1] for s in second])):
+            if f2 < min(fr, simplex[-1][0]):
+                replace_worst(simplex, f2, x2)
+            elif expand:
+                replace_worst(simplex, fr, xr)
+            else:
+                shrinks.append(simplex)
+        if shrinks:
+            pts = [move(simplex[0][1], x, 0.5) for simplex in shrinks for _, x in simplex[1:]]
+            fs = evaluate(pts)
+            for j, simplex in enumerate(shrinks):
+                simplex[1:] = zip(fs[j * p:(j + 1) * p], pts[j * p:(j + 1) * p])
+                simplex.sort(key=_value)
+
+    for i, simplex in run:
+        values[i], thetas[i] = simplex[0]
+    return np.array(thetas), np.array(values)
+
+
 def _extra_start(point, box):
     """An extra start as a (p,) array, refused unless it is a point of the box."""
     x = np.asarray(point, dtype=float).reshape(-1)
@@ -290,8 +443,8 @@ def _search_groups(objective, box, x0s):
 def _start_points(box, starts, stream, extra_points=()):
     """The (k, p) starts of one search: the ``extra_points``, then ``starts`` Latin
     hypercube points drawn from ``stream``."""
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
+    if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
+        raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
     inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, box.shape[0]))
     return np.concatenate([inits, latin_hypercube(stream, starts, box)])
 

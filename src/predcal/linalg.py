@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 from dataclasses import dataclass
 
@@ -118,10 +119,14 @@ def _as_points(a, d=None):
 
 
 def _as_box(box):
-    """``box`` as a float (p, 2) array of [low, high] rows with high > low."""
+    """``box`` as a float (p, 2) array of finite [low, high] rows with high > low
+    and a finite width high - low."""
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError(f"box must have shape (p, 2), got {box.shape}")
+    # in Python floats, a width that overflows is inf without a numpy warning
+    if not all(math.isfinite(low) and math.isfinite(high - low) for low, high in box.tolist()):
+        raise ValueError(f"box bounds and widths must be finite, got {box.tolist()}")
     if not np.all(box[:, 1] > box[:, 0]):
         raise ValueError("box rows must satisfy high > low")
     return box

@@ -1,6 +1,7 @@
 """Calibrators, the weighted objective, and the box-constrained optimizer."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,42 @@ def test_minimize_box_refuses_extra_starts_outside_the_box():
     # a start on a face is a point of the box
     theta, value = minimize_box(objective, box, 1, RngStream(22), extra_points=[[0.0, 1.0]])
     assert value < 1e-12
+
+
+@pytest.mark.parametrize("box", [[[0.0, np.inf]], [[-1e308, 1e308]]])
+def test_box_with_a_nonfinite_bound_or_width_is_refused(box):
+    # these once warned from the fold's remainder and then raised
+    # ObjectiveNonFinite at theta=[inf]; -1e308..1e308 overflows the width
+    queried = []
+
+    def objective(t):
+        queried.append(t)
+        return np.sum(t * t, axis=1)
+
+    message = re.escape(f"box bounds and widths must be finite, got {box}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            minimize_box(objective, box, 2, RngStream(1))
+        with pytest.raises(ValueError, match=message):
+            ComputerModel(eta=lambda x, t: t[:, :1] * x[:, 0], theta_box=box)
+    assert queried == []
+
+
+@pytest.mark.parametrize("starts", [2.5, True, "3", 0, -1, None])
+def test_starts_that_is_not_an_integer_of_at_least_one_is_refused(starts):
+    # these once failed inside numpy or with a str < int TypeError
+    message = re.escape(f"starts must be an integer >= 1, got {starts!r}")
+    with pytest.raises(ValueError, match=message):
+        minimize_box(lambda t: np.sum(t * t, axis=1), [[0.0, 1.0]], starts, RngStream(1))
+    system = get_system("ex1")
+    data = generate_dataset(system, 8, 0.1, RngStream(2))
+    with pytest.raises(ValueError, match=message):
+        calibrate_ls(data, system.model, starts=starts, stream=RngStream(3))
+    with pytest.raises(ValueError, match=message):
+        calibrate_l2(data, system.model, SPEC1, starts=starts, stream=RngStream(3))
+    with pytest.raises(ValueError, match=message):
+        calibrate_optpred(data, system.model, SPEC1, starts=starts, stream=RngStream(3))
 
 
 def test_computer_model_validation():

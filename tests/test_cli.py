@@ -513,6 +513,36 @@ def test_calibrate_ion_ls_at_any_log_time(tmp_path, capsys):
     assert len(theta) == 3 and all(np.isfinite(theta))
 
 
+def test_calibrate_predict_round_trip_for_the_ion_model(tmp_path, capsys):
+    # OptPred on the ion model at one start searches 3, then 6 coordinates
+    stream = RngStream(81)
+    x = uniform(stream, 1, size=8)
+    model = get_system("ion").model
+    y = model.eval(x, [2.5, 1.2, 0.8]) + 0.02 * np.sin(7.0 * x[:, 0])
+    data_csv = tmp_path / "ion.csv"
+    rows = "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x[:, 0], y))
+    data_csv.write_text("x,y\n" + rows)
+    fit_json, pred_csv = tmp_path / "fit.json", tmp_path / "pred.csv"
+    assert cli_main(
+        ["calibrate", "--data", str(data_csv), "--model", "ion", "--method", "optpred",
+         "--psi", "0.3", "--starts", "1", "--out", str(fit_json)]
+    ) == 0
+    assert "method=OptPred-OneStep" in capsys.readouterr().out
+    # the dataset file serves as the points file
+    assert cli_main(
+        ["predict", "--fit", str(fit_json), "--points", str(data_csv), "--out", str(pred_csv)]
+    ) == 0
+    header, arr = _read_csv(pred_csv)
+    assert header == "x1,prediction"
+
+    data = load_dataset_csv(data_csv)
+    result = calibrate_optpred(data, model, KernelSpec("matern32", 0.3, 1), starts=1,
+                               stream=RngStream(DEFAULT_SEED, 2))
+    want = predict(model, {"fit": result}, data.x)["fit"]
+    assert [v.hex() for v in arr[:, 1]] == [float(v).hex() for v in want]
+    assert [v.hex() for v in arr[:, 0]] == [float(v).hex() for v in data.x[:, 0]]
+
+
 def test_experiment_subcommand_matches_library(tmp_path, capsys):
     cfg = tmp_path / "toy.cfg"
     cfg.write_text(

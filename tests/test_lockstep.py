@@ -2,15 +2,18 @@
 
 ``_nelder_mead`` below is the scalar search from one start that
 ``minimize_box`` ran, start after start, before its starts were
-advanced together.  Every start of the lockstep search must end on the
-oracle's parameter and value to the bit, and every named model must
-equal its public formula at scalar parameters to the bit.
+advanced together.  Every start of the lockstep search, in both its
+loop forms (``_array_loop`` and ``_float_loop``), must end on the
+oracle's parameter and value to the bit; the two forms must make the
+same objective calls; and every named model must equal its public
+formula at scalar parameters to the bit.
 """
 
 import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predcal import (
     Dataset,
@@ -32,7 +35,14 @@ from predcal import (
     uniform,
 )
 from predcal import calibrate
-from predcal.calibrate import MAX_NM_ITER, SIMPLEX_TOL, _box_fold, _nelder_mead_lockstep
+from predcal.calibrate import (
+    MAX_NM_ITER,
+    SIMPLEX_TOL,
+    _array_loop,
+    _box_fold,
+    _float_loop,
+    _nelder_mead_lockstep,
+)
 from predcal.linalg import solve_spd
 from predcal.regression import ridge_factor
 from predcal.rng import latin_hypercube
@@ -92,9 +102,13 @@ def _bits(a):
     return [float(v).hex() for v in np.ravel(a)]
 
 
-def _assert_matches_oracle(objective, x0, box, **limits):
-    """Each lockstep start ends where the scalar oracle ends from it alone."""
-    thetas, values = _nelder_mead_lockstep(objective, x0, box, **limits)
+# the two iteration loops of _nelder_mead_lockstep; each test below calls both
+LOOPS = (_array_loop, _float_loop)
+
+
+def _assert_matches_oracle(loop, objective, x0, box, **limits):
+    """Each start of ``loop`` ends where the scalar oracle ends from it alone."""
+    thetas, values = loop(objective, x0, box, **limits)
     want = [
         _nelder_mead(lambda t: float(objective(t[None])[0]), x, box, **limits) for x in x0
     ]
@@ -113,28 +127,32 @@ ROSEN_BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
 
 def test_lockstep_matches_oracle_on_rosenbrock():
     x0 = latin_hypercube(RngStream(3), 10, ROSEN_BOX)
-    _assert_matches_oracle(_rosenbrock, x0, ROSEN_BOX)
+    for loop in LOOPS:
+        _assert_matches_oracle(loop, _rosenbrock, x0, ROSEN_BOX)
 
 
-def test_lockstep_matches_oracle_on_a_constant_objective():
+def test_lockstep_matches_oracle_on_a_constant_objective(monkeypatch):
     # every comparison is a tie: the stable sort and the shrink decide
     box = np.array([[0.0, 1.0], [2.0, 3.0]])
     x0 = latin_hypercube(RngStream(2), 4, box)
-    want = _assert_matches_oracle(lambda t: np.full(len(t), 7.25), x0, box)
-    theta, value = minimize_box(lambda t: np.full(len(t), 7.25), box, 4, RngStream(2))
-    # ties go to the lexicographically smallest parameter
-    assert (value, theta.tolist()) == min((v, x.tolist()) for x, v in want)
+    for loop in LOOPS:
+        want = _assert_matches_oracle(loop, lambda t: np.full(len(t), 7.25), x0, box)
+        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
+        theta, value = minimize_box(lambda t: np.full(len(t), 7.25), box, 4, RngStream(2))
+        # ties go to the lexicographically smallest parameter
+        assert (value, theta.tolist()) == min((v, x.tolist()) for x, v in want)
 
 
 def test_lockstep_matches_oracle_when_stopped_by_the_iteration_limit():
-    x0 = latin_hypercube(RngStream(23), 3, ROSEN_BOX)
-    # tol 0 never converges, so every start runs MAX_NM_ITER iterations
-    _assert_matches_oracle(_rosenbrock, x0, ROSEN_BOX, tol=0.0)
-    # short limits stop some starts while others have converged
     quad = lambda t: np.sum((t - 0.3) ** 2, axis=1)
-    x0 = latin_hypercube(RngStream(24), 10, ROSEN_BOX)
-    for max_iter in (0, 1, 7, 40, 70):
-        _assert_matches_oracle(quad, x0, ROSEN_BOX, max_iter=max_iter)
+    for loop in LOOPS:
+        # tol 0 never converges, so every start runs MAX_NM_ITER iterations
+        x0 = latin_hypercube(RngStream(23), 3, ROSEN_BOX)
+        _assert_matches_oracle(loop, _rosenbrock, x0, ROSEN_BOX, tol=0.0)
+        # short limits stop some starts while others have converged
+        x0 = latin_hypercube(RngStream(24), 10, ROSEN_BOX)
+        for max_iter in (0, 1, 7, 40, 70):
+            _assert_matches_oracle(loop, quad, x0, ROSEN_BOX, max_iter=max_iter)
 
 
 def test_lockstep_makes_at_most_three_calls_per_iteration():
@@ -145,27 +163,100 @@ def test_lockstep_makes_at_most_three_calls_per_iteration():
         return _rosenbrock(t)
 
     x0 = latin_hypercube(RngStream(25), 6, ROSEN_BOX)
-    for max_iter in (1, 5, 30):
-        calls.clear()
-        _nelder_mead_lockstep(counted, x0, ROSEN_BOX, max_iter=max_iter)
-        assert calls[0] == 6 * 3  # every start's first simplex in one call
-        assert len(calls) <= 1 + 3 * max_iter
-        assert max(calls[1:]) <= 6 * 2  # at most one shrink (p points) per start
+    for loop in LOOPS:
+        for max_iter in (1, 5, 30):
+            calls.clear()
+            loop(counted, x0, ROSEN_BOX, max_iter=max_iter)
+            assert calls[0] == 6 * 3  # every start's first simplex in one call
+            assert len(calls) <= 1 + 3 * max_iter
+            assert max(calls[1:]) <= 6 * 2  # at most one shrink (p points) per start
 
 
-def test_search_never_queries_outside_a_box_with_inexact_width():
+def test_search_never_queries_outside_a_box_with_inexact_width(monkeypatch):
     # 10 - 0.01 rounds, and a plain reflection of 0.01 lands at 0.01 - 2e-16
     box = np.array([[0.01, 10.0]] * 3)
-    seen = []
 
     def objective(t):
         seen.append(t.copy())
         return np.sum(t, axis=1)
 
-    theta, _ = minimize_box(objective, box, 2, RngStream(26), extra_points=[box[:, 0]])
-    pts = np.concatenate(seen)
-    assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
-    assert theta.tolist() == box[:, 0].tolist()
+    for loop in LOOPS:
+        seen = []
+        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
+        theta, _ = minimize_box(objective, box, 2, RngStream(26), extra_points=[box[:, 0]])
+        pts = np.concatenate(seen)
+        assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
+        assert theta.tolist() == box[:, 0].tolist()
+
+
+def _recorded(objective, calls):
+    """``objective``, each of its calls' row array appended to ``calls``."""
+
+    def recorded(t):
+        calls.append(t.copy())
+        return objective(t)
+
+    return recorded
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    k=st.integers(1, 8),
+    max_iter=st.sampled_from([0, 1, 2, 5, 30, MAX_NM_ITER]),
+    kind=st.sampled_from(["quadratic", "rounded", "wavy"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_loops_return_the_same_bits_from_the_same_calls(p, k, max_iter, kind, seed):
+    rng = np.random.default_rng(seed)
+    low = rng.uniform(-5.0, 5.0, p)
+    box = np.column_stack([low, low + rng.uniform(1e-3, 10.0, p)])
+    x0 = latin_hypercube(RngStream(seed), k, box)
+    center, scale = rng.uniform(-6.0, 6.0, p), rng.uniform(0.1, 3.0, p)
+    objective = {
+        "quadratic": lambda t: np.sum(scale * (t - center) ** 2, axis=1),
+        # coarse values: ties everywhere, and shrinks
+        "rounded": lambda t: np.round(np.sum(np.abs(t - center), axis=1), 1),
+        "wavy": lambda t: np.sum(np.sin(3.0 * t) + scale * t * t, axis=1),
+    }[kind]
+    runs = []
+    for loop in (_array_loop, _float_loop):
+        calls = []
+        thetas, values = loop(_recorded(objective, calls), x0, box, max_iter=max_iter)
+        runs.append((_bits(thetas), _bits(values), [(c.shape, _bits(c)) for c in calls]))
+    assert runs[0] == runs[1]
+
+
+def test_both_loops_clip_a_tie_to_the_face():
+    # the reflection 0.25 + (0.25 - 0.5) folds to +0.0 on the face -0.0, and
+    # np.maximum returns its second argument, the face, on a tie
+    box = np.array([[-0.0, 5.0]])
+    for loop in LOOPS:
+        calls = []
+        thetas, values = loop(_recorded(lambda t: t[:, 0], calls), np.array([[0.25]]), box)
+        assert _bits(calls[1]) == _bits(thetas) == _bits(values) == [(-0.0).hex()]
+
+
+@pytest.mark.parametrize("k, p, loop", [(12, 1, "_float_loop"), (6, 2, "_float_loop"),
+                                        (4, 3, "_float_loop"), (13, 1, "_array_loop"),
+                                        (7, 2, "_array_loop"), (5, 3, "_array_loop")])
+def test_lockstep_picks_its_loop_by_coordinate_count(monkeypatch, k, p, loop):
+    taken = []
+
+    def spied(name):
+        real = getattr(calibrate, name)
+
+        def loop(*args):
+            taken.append(name)
+            return real(*args)
+
+        return loop
+
+    for name in ("_array_loop", "_float_loop"):
+        monkeypatch.setattr(calibrate, name, spied(name))
+    box = np.array([[0.0, 1.0]] * p)
+    _nelder_mead_lockstep(lambda t: np.sum(t * t, axis=1), np.full((k, p), 0.5), box)
+    assert taken == [loop]
 
 
 def _dataset(name):
@@ -181,7 +272,8 @@ def _dataset(name):
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ion"])
 def test_calibrators_searches_match_oracle(monkeypatch, name):
-    """Every search of the LS, L2 and OptPred calibrators, start by start."""
+    """Every search of the LS, L2 and OptPred calibrators, start by start, in
+    both loop forms."""
     data, psi, starts = _dataset(name)
     system = get_system(name)
     kernel = KernelSpec("matern32", psi, system.d)
@@ -195,7 +287,7 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
         box = np.asarray(box, dtype=float)
         draw = latin_hypercube(copy.deepcopy(stream), starts, box)
         x0 = np.concatenate([np.reshape(extra_points, (-1, box.shape[0])), draw])
-        want = _assert_matches_oracle(objective, x0, box)
+        want = _assert_matches_oracle(loop, objective, x0, box)
         theta, value = real(objective, box, starts, stream, extra_points)
         best = min(want, key=lambda t: (t[1], tuple(t[0])))
         assert _bits(theta) == _bits(best[0]) and _bits(value) == _bits(best[1])
@@ -204,11 +296,14 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
 
     monkeypatch.setattr(calibrate, "minimize_box", checked)
     model = system.model
-    calibrate_ls(data, model, starts=starts, stream=RngStream(30, 1))
-    calibrate_l2(data, model, kernel, starts=starts, stream=RngStream(30, 2))
-    calibrate_optpred(data, model, kernel, starts=starts, stream=RngStream(30, 3))
-    # LS, L2, then OptPred's warm start and its one search with the extra start
-    assert searches == [starts, starts, starts, starts + 1]
+    for loop in LOOPS:
+        searches.clear()
+        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
+        calibrate_ls(data, model, starts=starts, stream=RngStream(30, 1))
+        calibrate_l2(data, model, kernel, starts=starts, stream=RngStream(30, 2))
+        calibrate_optpred(data, model, kernel, starts=starts, stream=RngStream(30, 3))
+        # LS, L2, then OptPred's warm start and its one search with the extra start
+        assert searches == [starts, starts, starts, starts + 1]
 
 
 def test_batched_objectives_equal_their_one_theta_forms(monkeypatch):

@@ -16,16 +16,17 @@ Three estimators are provided:
   at that parameter.
 
 All searches use a multi-start Nelder-Mead restricted to the parameter
-box, which must have finite bounds and finite widths; candidate points
-that leave the box are reflected back through the violated face.  The
-starts run in lockstep: each iteration evaluates the objective at most
-three times for all running starts together (the reflections; the
-expansion and contraction points; the shrinks).  So an objective takes a
-(k, p) array of parameter rows and returns their k values.  A computer
-model has the same form: its ``eta`` maps inputs and a (k, p) array of
-parameter rows to a (k, m) array, so the calibrators' objectives
-evaluate the model at every row in one ``ComputerModel.eval_batch``
-call.  Each start still follows its own path, with its own convergence
+box, which must have finite bounds and max(p, 4) * (|low| + high - low)
+finite in each row, so that no number a search computes overflows;
+candidate points that leave the box are reflected back through the
+violated face.  The starts run in lockstep: each iteration evaluates
+the objective at most three times for all running starts together (the
+reflections; the expansion and contraction points; the shrinks).  So
+an objective takes a (k, p) array of parameter rows and returns their k
+values.  A computer model has the same form: its ``eta`` maps inputs
+and a (k, p) array of parameter rows to a (k, m) array, so the
+calibrators' objectives evaluate the model at every row in one
+``ComputerModel.eval_batch`` call.  Each start still follows its own path, with its own convergence
 test and iteration limit: it reaches the same parameter and value, to
 the bit, as it would searched alone.
 
@@ -95,7 +96,9 @@ MAX_NM_ITER = 500
 # the most coordinates (starts x parameters) whose Nelder-Mead keeps its
 # simplices in Python floats; the float loop's bookkeeping time over the
 # array loop's, on a 2-CPU box, was 0.89 at 10 starts, 0.88 at 12 and 1.15
-# at 13 for p = 1, and below 1 up to 20 starts at p = 2 and 8 at p = 3
+# at 13 for p = 1.  The cut-off is tuned for p = 1 only: the ratio was
+# still 0.92 at p = 2 with 20 starts and 0.54 at p = 3 with 8, so past 12
+# coordinates it follows the number of starts rather than their product
 _FLOAT_LOOP_COORDS = 12
 # node budget of the L2 distance's midpoint rule: 576 nodes at d = 1, 24^2 at d = 2
 L2_NODES = 576

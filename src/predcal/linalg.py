@@ -119,14 +119,24 @@ def _as_points(a, d=None):
 
 
 def _as_box(box):
-    """``box`` as a float (p, 2) array of finite [low, high] rows with high > low
-    and a finite width high - low."""
+    """``box`` as a float (p, 2) array of finite [low, high] rows with high > low,
+    each row's max(p, 4) * (|low| + high - low) finite.
+
+    A Nelder-Mead candidate lies within two widths of the box, its fold
+    into the box takes differences of up to three widths, and a centroid
+    sums p vertices of the box, so that bound keeps every number a search
+    computes finite.
+    """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
         raise ValueError(f"box must have shape (p, 2), got {box.shape}")
-    # in Python floats, a width that overflows is inf without a numpy warning
-    if not all(math.isfinite(low) and math.isfinite(high - low) for low, high in box.tolist()):
-        raise ValueError(f"box bounds and widths must be finite, got {box.tolist()}")
+    # in Python floats, a product that overflows is inf without a numpy warning
+    scale = max(box.shape[0], 4)
+    if not all(math.isfinite(scale * (abs(low) + (high - low))) for low, high in box.tolist()):
+        raise ValueError(
+            "box bounds must be finite and max(p, 4) * (|low| + high - low) finite, "
+            f"got {box.tolist()}"
+        )
     if not np.all(box[:, 1] > box[:, 0]):
         raise ValueError("box rows must satisfy high > low")
     return box

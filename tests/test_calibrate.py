@@ -101,17 +101,22 @@ def test_minimize_box_refuses_extra_starts_outside_the_box():
     assert value < 1e-12
 
 
-@pytest.mark.parametrize("box", [[[0.0, np.inf]], [[-1e308, 1e308]]])
+@pytest.mark.parametrize(
+    "box", [[[0.0, np.inf]], [[-1e308, 1e308]], [[-1e308, 7e307]], [[0.0, 3.5e307]] * 6]
+)
 def test_box_with_a_nonfinite_bound_or_width_is_refused(box):
-    # these once warned from the fold's remainder and then raised
-    # ObjectiveNonFinite at theta=[inf]; -1e308..1e308 overflows the width
+    # these once warned from the fold's remainder or an overflow and then
+    # raised ObjectiveNonFinite at an infinite theta; -1e308..1e308
+    # overflows the width, -1e308..7e307 the fold's period of two widths,
+    # six rows of 0..3.5e307 a centroid's sum of six vertices
     queried = []
 
     def objective(t):
         queried.append(t)
         return np.sum(t * t, axis=1)
 
-    message = re.escape(f"box bounds and widths must be finite, got {box}")
+    bound = "max(p, 4) * (|low| + high - low) finite"
+    message = re.escape(f"box bounds must be finite and {bound}, got {box}")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
@@ -119,6 +124,21 @@ def test_box_with_a_nonfinite_bound_or_width_is_refused(box):
         with pytest.raises(ValueError, match=message):
             ComputerModel(eta=lambda x, t: t[:, :1] * x[:, 0], theta_box=box)
     assert queried == []
+
+
+@pytest.mark.parametrize("row, p", [([-1e307, 1e307], 4), ([0.0, 4.4e307], 4), ([0.0, 2.9e307], 6)])
+@pytest.mark.parametrize("starts", [1, 4])
+def test_a_wide_box_within_the_bound_is_searched_without_overflow(row, p, starts):
+    # one start takes the float loop, four the array loop; the objective
+    # drives every start toward the low faces, past which expansions reach
+    # two widths
+    box = [row] * p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, value = minimize_box(lambda t: t.sum(axis=1), box, starts, RngStream(1))
+    assert np.all(theta >= row[0]) and np.all(theta <= row[1])
+    # below the value at the box's centre
+    assert value == theta.sum() and value < p / 2 * (row[0] + row[1])
 
 
 @pytest.mark.parametrize("starts", [2.5, True, "3", 0, -1, None])

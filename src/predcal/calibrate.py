@@ -30,16 +30,14 @@ calibrators' objectives evaluate the model at every row in one
 test and iteration limit: it reaches the same parameter and value, to
 the bit, as it would searched alone.
 
-The lockstep keeps its simplices in one of two forms, picked by its
-size, k starts times p parameters.  Up to ``_FLOAT_LOOP_COORDS``
-coordinates (at the default ten starts, a one-parameter model's L2 and
-OptPred searches) each start's simplex is a list of Python floats, since
-there numpy's fixed cost per call outweighs the arithmetic.  Above it
-(the shared least squares lockstep of two groups of ten starts, every
-search of a two-parameter model at ten starts) every simplex lives in
-one (k, p+1, p) array.  Both forms send the objective the same rows in
-the same calls and do the same float64 arithmetic, so they return the
-same bits.
+Between objective calls each start's simplex is a list of Python floats,
+since at the few coordinates of these searches numpy's fixed cost per
+call outweighs the arithmetic; its float64 operations are those of a
+one-start search in numpy, so each start returns that search's bits.
+This bookkeeping grows with the number of starts: at the calibrators'
+ten (twenty in a shared least squares lockstep) it is cheap, while at a
+hundred on a cheap objective it takes three to four times as long as
+keeping all simplices in one numpy array.
 
 So searches of one objective can share a lockstep: ``_search_groups``
 runs several groups of starts together and keeps each group's own best,
@@ -93,13 +91,6 @@ __all__ = [
 DEFAULT_STARTS = 10
 SIMPLEX_TOL = 1e-8
 MAX_NM_ITER = 500
-# the most coordinates (starts x parameters) whose Nelder-Mead keeps its
-# simplices in Python floats; the float loop's bookkeeping time over the
-# array loop's, on a 2-CPU box, was 0.89 at 10 starts, 0.88 at 12 and 1.15
-# at 13 for p = 1.  The cut-off is tuned for p = 1 only: the ratio was
-# still 0.92 at p = 2 with 20 starts and 0.54 at p = 3 with 8, so past 12
-# coordinates it follows the number of starts rather than their product
-_FLOAT_LOOP_COORDS = 12
 # node budget of the L2 distance's midpoint rule: 576 nodes at d = 1, 24^2 at d = 2
 L2_NODES = 576
 
@@ -194,6 +185,9 @@ def _simplices(f, x0, box, fold):
     return verts, vals
 
 
+_value = itemgetter(0)
+
+
 def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     """Nelder-Mead from every row of ``x0`` (k, p), the starts advanced together.
 
@@ -207,107 +201,24 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     simplex diameter (max infinity-norm distance to the best vertex)
     drops below ``tol`` or after ``max_iter`` iterations.  Each iteration
     calls ``f`` at most three times, each time on the running starts
-    that need it: their reflection points; their expansion or
-    contraction points; their shrunk simplices.
+    that need it, as one (j, p) array in start order: their reflection
+    points; their expansion or contraction points; their shrunk
+    simplices.
 
-    The iterations take one of two forms, picked once from ``x0.size``
-    (k * p coordinates).  ``_array_loop`` keeps every simplex in one
-    numpy array, and pays about fifty numpy calls per iteration whatever
-    k and p are; ``_float_loop`` keeps each simplex in Python floats and
-    pays per start and coordinate.  Up to ``_FLOAT_LOOP_COORDS``
-    coordinates the float loop's bookkeeping is the cheaper.  Both make
-    the same calls of ``f`` on the same rows in the same order, and
-    Python's float arithmetic and comparisons are numpy's elementwise
-    float64 ones, so the two return the same bits.
-    """
-    loop = _float_loop if x0.size <= _FLOAT_LOOP_COORDS else _array_loop
-    return loop(f, x0, box, tol, max_iter)
-
-
-def _array_loop(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
-    """``_nelder_mead_lockstep`` with every start's simplex in one (k, p+1, p)
-    array, each step a few numpy calls over all running starts."""
-    fold = _box_fold(box)
-    k, p = x0.shape
-    verts, vals = _simplices(f, x0, box, fold)
-
-    thetas, values = np.empty((k, p)), np.empty(k)
-    run = np.arange(k)  # the starts still searching, in the row order of verts
-    rows = run[:, None]
-    for _ in range(max_iter):
-        order = vals.argsort(axis=1, kind="stable")
-        verts, vals = verts[rows, order], vals[rows, order]
-        done = np.maximum.reduce(np.abs(verts[:, 1:] - verts[:, :1]), axis=(1, 2)) < tol
-        if np.count_nonzero(done):
-            thetas[run[done]], values[run[done]] = verts[done, 0], vals[done, 0]
-            run, verts, vals = run[~done], verts[~done], vals[~done]
-            if not run.size:
-                return thetas, values
-            rows = rows[: run.size]
-        centroid = np.add.reduce(verts[:, :-1], axis=1) / p
-        worst = verts[:, -1]
-        step = centroid - worst
-        xr = fold(centroid + step)
-        fr = f(xr)
-
-        # beyond the best value: try the expansion; not below the second
-        # worst: contract, toward the reflection if it beat the worst
-        expand = fr < vals[:, 0]
-        second = expand | (fr >= vals[:, -2])
-        n_second = np.count_nonzero(second)
-        if not n_second:
-            verts[:, -1], vals[:, -1] = xr, fr
-            continue
-        inside = (fr >= vals[:, -1])[:, None]
-        half = np.where(inside, worst, xr) - centroid
-        x2 = fold(centroid + np.where(expand[:, None], 2.0 * step, 0.5 * half))
-        if n_second == run.size:
-            f2 = f(x2)
-        else:
-            f2 = np.full(run.size, np.inf)
-            f2[second] = f(x2[second])
-        # an expansion must beat the reflection, a contraction both the
-        # reflection and the worst vertex; an expansion's fr is below the
-        # worst value already, so one test serves both (f2 is inf elsewhere)
-        take = f2 < np.minimum(fr, vals[:, -1])
-        shrink = second & ~(expand | take)
-        new_x, new_f = np.where(take[:, None], x2, xr), np.where(take, f2, fr)
-        if shrink.any():
-            v = verts[shrink]
-            pts = fold(v[:, :1] + 0.5 * (v[:, 1:] - v[:, :1]))
-            verts[shrink, 1:] = pts
-            vals[shrink, 1:] = f(pts.reshape(-1, p)).reshape(-1, p)
-            keep = ~shrink
-            verts[keep, -1], vals[keep, -1] = new_x[keep], new_f[keep]
-        else:
-            verts[:, -1], vals[:, -1] = new_x, new_f
-
-    best = vals.argmin(axis=1)
-    thetas[run], values[run] = verts[rows[:, 0], best], vals[rows[:, 0], best]
-    return thetas, values
-
-
-_value = itemgetter(0)
-
-
-def _float_loop(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
-    """``_nelder_mead_lockstep`` with each start's simplex a list of
-    ``(value, point)`` pairs of Python floats, stably sorted by value.
-
-    It takes ``_array_loop``'s steps one start at a time, with the same
-    float64 operations: the stable sort by value; the centroid summed
-    vertex after vertex, as numpy's reduction over the vertex axis sums
-    it; the fold, whose ``%`` is ``np.mod``'s fmod-and-adjust rule and
-    whose clip returns the face on a tie and passes a NaN, as
-    ``np.maximum`` and ``np.minimum`` do.  Each move is
-    ``origin + t * (target - origin)``: the reflection and the expansion
-    are ``t = -1`` and ``t = -2`` toward the worst vertex, whose products
-    equal ``centroid - worst`` and ``2 * (centroid - worst)`` exactly up
-    to the sign of a zero, which the fold's ``%`` drops.  Each phase's
-    points from all running starts go to ``f`` as one (j, p) array in
-    start order, as ``_array_loop`` sends them.  A start stopped by
-    ``max_iter`` returns the first vertex of its sorted simplex, the
-    first minimum that ``_array_loop``'s argmin finds.
+    After the first simplices (``_simplices``), each start's simplex is a
+    list of ``(value, point)`` pairs of Python floats, stably sorted by
+    value: numpy's fixed cost per call would outweigh the arithmetic of a
+    few coordinates.  The centroid is summed vertex after vertex.  Each
+    move is ``origin + t * (target - origin)`` folded into the box: the
+    reflection and the expansion are ``t = -1`` and ``t = -2`` toward the
+    worst vertex, whose products equal ``centroid - worst`` and
+    ``2 * (centroid - worst)`` exactly up to the sign of a zero, which
+    the fold's ``%`` drops; contractions and shrinks are ``t = 0.5``.
+    The fold is ``_box_fold``'s rule, which the first simplices take, in
+    Python floats: ``%`` is ``np.mod``'s fmod-and-adjust rule, and the
+    clip returns the face on a tie and passes a NaN, as ``np.maximum``
+    and ``np.minimum`` do.  A start stopped by ``max_iter`` returns the
+    first vertex of its sorted simplex, the first minimum of its values.
     """
     k, p = x0.shape
     verts, vals = _simplices(f, x0, box, _box_fold(box))

@@ -129,7 +129,7 @@ def test_box_with_a_nonfinite_bound_or_width_is_refused(box):
 @pytest.mark.parametrize("row, p", [([-1e307, 1e307], 4), ([0.0, 4.4e307], 4), ([0.0, 2.9e307], 6)])
 @pytest.mark.parametrize("starts", [1, 4])
 def test_a_wide_box_within_the_bound_is_searched_without_overflow(row, p, starts):
-    # one start takes the float loop, four the array loop; the objective
+    # one start searched alone and four in one lockstep; the objective
     # drives every start toward the low faces, past which expansions reach
     # two widths
     box = [row] * p

@@ -2,14 +2,13 @@
 
 ``_nelder_mead`` below is the scalar search from one start that
 ``minimize_box`` ran, start after start, before its starts were
-advanced together.  Every start of the lockstep search, in both its
-loop forms (``_array_loop`` and ``_float_loop``), must end on the
-oracle's parameter and value to the bit; the two forms must make the
-same objective calls; and every named model must equal its public
-formula at scalar parameters to the bit.
+advanced together.  Every start of the lockstep search must end on the
+oracle's parameter and value to the bit, and every named model must
+equal its public formula at scalar parameters to the bit.
 """
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,9 +37,7 @@ from predcal import calibrate
 from predcal.calibrate import (
     MAX_NM_ITER,
     SIMPLEX_TOL,
-    _array_loop,
     _box_fold,
-    _float_loop,
     _nelder_mead_lockstep,
 )
 from predcal.linalg import solve_spd
@@ -102,19 +99,23 @@ def _bits(a):
     return [float(v).hex() for v in np.ravel(a)]
 
 
-# the two iteration loops of _nelder_mead_lockstep; each test below calls both
-LOOPS = (_array_loop, _float_loop)
+def _assert_matches_oracle(objective, x0, box, **limits):
+    """Each start of the lockstep ends where the scalar oracle ends from it
+    alone, and the lockstep queries the objective at the points the oracle
+    searches query, each as often."""
+    rows, points = [], []
+    thetas, values = _nelder_mead_lockstep(_recorded(objective, rows), x0, box, **limits)
 
+    def scalar(t):
+        points.append(t)
+        return float(objective(t[None])[0])
 
-def _assert_matches_oracle(loop, objective, x0, box, **limits):
-    """Each start of ``loop`` ends where the scalar oracle ends from it alone."""
-    thetas, values = loop(objective, x0, box, **limits)
-    want = [
-        _nelder_mead(lambda t: float(objective(t[None])[0]), x, box, **limits) for x in x0
-    ]
+    want = [_nelder_mead(scalar, x, box, **limits) for x in x0]
     for i, (theta, value) in enumerate(want):
         assert _bits(thetas[i]) == _bits(theta), f"start {i}"
         assert _bits(values[i]) == _bits(value), f"start {i}"
+    queried = Counter(tuple(_bits(t)) for t in np.concatenate(rows))
+    assert queried == Counter(tuple(_bits(t)) for t in points)
     return want
 
 
@@ -127,32 +128,31 @@ ROSEN_BOX = np.array([[-2.0, 2.0], [-2.0, 2.0]])
 
 def test_lockstep_matches_oracle_on_rosenbrock():
     x0 = latin_hypercube(RngStream(3), 10, ROSEN_BOX)
-    for loop in LOOPS:
-        _assert_matches_oracle(loop, _rosenbrock, x0, ROSEN_BOX)
+    _assert_matches_oracle(_rosenbrock, x0, ROSEN_BOX)
 
 
-def test_lockstep_matches_oracle_on_a_constant_objective(monkeypatch):
+def test_lockstep_matches_oracle_on_a_constant_objective():
     # every comparison is a tie: the stable sort and the shrink decide
     box = np.array([[0.0, 1.0], [2.0, 3.0]])
     x0 = latin_hypercube(RngStream(2), 4, box)
-    for loop in LOOPS:
-        want = _assert_matches_oracle(loop, lambda t: np.full(len(t), 7.25), x0, box)
-        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
-        theta, value = minimize_box(lambda t: np.full(len(t), 7.25), box, 4, RngStream(2))
-        # ties go to the lexicographically smallest parameter
-        assert (value, theta.tolist()) == min((v, x.tolist()) for x, v in want)
+    want = _assert_matches_oracle(lambda t: np.full(len(t), 7.25), x0, box)
+    theta, value = minimize_box(lambda t: np.full(len(t), 7.25), box, 4, RngStream(2))
+    # ties go to the lexicographically smallest parameter
+    assert (value, theta.tolist()) == min((v, x.tolist()) for x, v in want)
 
 
 def test_lockstep_matches_oracle_when_stopped_by_the_iteration_limit():
     quad = lambda t: np.sum((t - 0.3) ** 2, axis=1)
-    for loop in LOOPS:
-        # tol 0 never converges, so every start runs MAX_NM_ITER iterations
-        x0 = latin_hypercube(RngStream(23), 3, ROSEN_BOX)
-        _assert_matches_oracle(loop, _rosenbrock, x0, ROSEN_BOX, tol=0.0)
-        # short limits stop some starts while others have converged
-        x0 = latin_hypercube(RngStream(24), 10, ROSEN_BOX)
-        for max_iter in (0, 1, 7, 40, 70):
-            _assert_matches_oracle(loop, quad, x0, ROSEN_BOX, max_iter=max_iter)
+    # tol 0 never converges, so every start runs MAX_NM_ITER iterations
+    x0 = latin_hypercube(RngStream(23), 3, ROSEN_BOX)
+    _assert_matches_oracle(_rosenbrock, x0, ROSEN_BOX, tol=0.0)
+    # short limits stop some starts while others have converged; 20 starts
+    # at p = 1 is the size of ex1's shared least squares lockstep
+    one = np.array([[-2.0, 2.0]])
+    for x0, box in ((latin_hypercube(RngStream(24), 10, ROSEN_BOX), ROSEN_BOX),
+                    (latin_hypercube(RngStream(24), 20, one), one)):
+        for max_iter in (0, 1, 7, 40, 70, MAX_NM_ITER):
+            _assert_matches_oracle(quad, x0, box, max_iter=max_iter)
 
 
 def test_lockstep_makes_at_most_three_calls_per_iteration():
@@ -163,30 +163,27 @@ def test_lockstep_makes_at_most_three_calls_per_iteration():
         return _rosenbrock(t)
 
     x0 = latin_hypercube(RngStream(25), 6, ROSEN_BOX)
-    for loop in LOOPS:
-        for max_iter in (1, 5, 30):
-            calls.clear()
-            loop(counted, x0, ROSEN_BOX, max_iter=max_iter)
-            assert calls[0] == 6 * 3  # every start's first simplex in one call
-            assert len(calls) <= 1 + 3 * max_iter
-            assert max(calls[1:]) <= 6 * 2  # at most one shrink (p points) per start
+    for max_iter in (1, 5, 30):
+        calls.clear()
+        _nelder_mead_lockstep(counted, x0, ROSEN_BOX, max_iter=max_iter)
+        assert calls[0] == 6 * 3  # every start's first simplex in one call
+        assert len(calls) <= 1 + 3 * max_iter
+        assert max(calls[1:]) <= 6 * 2  # at most one shrink (p points) per start
 
 
-def test_search_never_queries_outside_a_box_with_inexact_width(monkeypatch):
+def test_search_never_queries_outside_a_box_with_inexact_width():
     # 10 - 0.01 rounds, and a plain reflection of 0.01 lands at 0.01 - 2e-16
     box = np.array([[0.01, 10.0]] * 3)
+    seen = []
 
     def objective(t):
         seen.append(t.copy())
         return np.sum(t, axis=1)
 
-    for loop in LOOPS:
-        seen = []
-        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
-        theta, _ = minimize_box(objective, box, 2, RngStream(26), extra_points=[box[:, 0]])
-        pts = np.concatenate(seen)
-        assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
-        assert theta.tolist() == box[:, 0].tolist()
+    theta, _ = minimize_box(objective, box, 2, RngStream(26), extra_points=[box[:, 0]])
+    pts = np.concatenate(seen)
+    assert np.all(pts >= box[:, 0]) and np.all(pts <= box[:, 1])
+    assert theta.tolist() == box[:, 0].tolist()
 
 
 def _recorded(objective, calls):
@@ -208,6 +205,7 @@ def _recorded(objective, calls):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_both_loops_return_the_same_bits_from_the_same_calls(p, k, max_iter, kind, seed):
+    """The lockstep and the scalar oracle loop, on random boxes and objectives."""
     rng = np.random.default_rng(seed)
     low = rng.uniform(-5.0, 5.0, p)
     box = np.column_stack([low, low + rng.uniform(1e-3, 10.0, p)])
@@ -219,44 +217,19 @@ def test_both_loops_return_the_same_bits_from_the_same_calls(p, k, max_iter, kin
         "rounded": lambda t: np.round(np.sum(np.abs(t - center), axis=1), 1),
         "wavy": lambda t: np.sum(np.sin(3.0 * t) + scale * t * t, axis=1),
     }[kind]
-    runs = []
-    for loop in (_array_loop, _float_loop):
-        calls = []
-        thetas, values = loop(_recorded(objective, calls), x0, box, max_iter=max_iter)
-        runs.append((_bits(thetas), _bits(values), [(c.shape, _bits(c)) for c in calls]))
-    assert runs[0] == runs[1]
+    _assert_matches_oracle(objective, x0, box, max_iter=max_iter)
 
 
 def test_both_loops_clip_a_tie_to_the_face():
+    """The lockstep and the scalar oracle loop return the face -0.0."""
     # the reflection 0.25 + (0.25 - 0.5) folds to +0.0 on the face -0.0, and
     # np.maximum returns its second argument, the face, on a tie
     box = np.array([[-0.0, 5.0]])
-    for loop in LOOPS:
-        calls = []
-        thetas, values = loop(_recorded(lambda t: t[:, 0], calls), np.array([[0.25]]), box)
-        assert _bits(calls[1]) == _bits(thetas) == _bits(values) == [(-0.0).hex()]
-
-
-@pytest.mark.parametrize("k, p, loop", [(12, 1, "_float_loop"), (6, 2, "_float_loop"),
-                                        (4, 3, "_float_loop"), (13, 1, "_array_loop"),
-                                        (7, 2, "_array_loop"), (5, 3, "_array_loop")])
-def test_lockstep_picks_its_loop_by_coordinate_count(monkeypatch, k, p, loop):
-    taken = []
-
-    def spied(name):
-        real = getattr(calibrate, name)
-
-        def loop(*args):
-            taken.append(name)
-            return real(*args)
-
-        return loop
-
-    for name in ("_array_loop", "_float_loop"):
-        monkeypatch.setattr(calibrate, name, spied(name))
-    box = np.array([[0.0, 1.0]] * p)
-    _nelder_mead_lockstep(lambda t: np.sum(t * t, axis=1), np.full((k, p), 0.5), box)
-    assert taken == [loop]
+    calls = []
+    x0 = np.array([[0.25]])
+    thetas, values = _nelder_mead_lockstep(_recorded(lambda t: t[:, 0], calls), x0, box)
+    assert _bits(calls[1]) == _bits(thetas) == _bits(values) == [(-0.0).hex()]
+    _assert_matches_oracle(lambda t: t[:, 0], x0, box)
 
 
 def _dataset(name):
@@ -272,8 +245,7 @@ def _dataset(name):
 
 @pytest.mark.parametrize("name", ["ex1", "ex2", "ion"])
 def test_calibrators_searches_match_oracle(monkeypatch, name):
-    """Every search of the LS, L2 and OptPred calibrators, start by start, in
-    both loop forms."""
+    """Every search of the LS, L2 and OptPred calibrators, start by start."""
     data, psi, starts = _dataset(name)
     system = get_system(name)
     kernel = KernelSpec("matern32", psi, system.d)
@@ -287,7 +259,7 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
         box = np.asarray(box, dtype=float)
         draw = latin_hypercube(copy.deepcopy(stream), starts, box)
         x0 = np.concatenate([np.reshape(extra_points, (-1, box.shape[0])), draw])
-        want = _assert_matches_oracle(loop, objective, x0, box)
+        want = _assert_matches_oracle(objective, x0, box)
         theta, value = real(objective, box, starts, stream, extra_points)
         best = min(want, key=lambda t: (t[1], tuple(t[0])))
         assert _bits(theta) == _bits(best[0]) and _bits(value) == _bits(best[1])
@@ -296,14 +268,11 @@ def test_calibrators_searches_match_oracle(monkeypatch, name):
 
     monkeypatch.setattr(calibrate, "minimize_box", checked)
     model = system.model
-    for loop in LOOPS:
-        searches.clear()
-        monkeypatch.setattr(calibrate, "_nelder_mead_lockstep", loop)
-        calibrate_ls(data, model, starts=starts, stream=RngStream(30, 1))
-        calibrate_l2(data, model, kernel, starts=starts, stream=RngStream(30, 2))
-        calibrate_optpred(data, model, kernel, starts=starts, stream=RngStream(30, 3))
-        # LS, L2, then OptPred's warm start and its one search with the extra start
-        assert searches == [starts, starts, starts, starts + 1]
+    calibrate_ls(data, model, starts=starts, stream=RngStream(30, 1))
+    calibrate_l2(data, model, kernel, starts=starts, stream=RngStream(30, 2))
+    calibrate_optpred(data, model, kernel, starts=starts, stream=RngStream(30, 3))
+    # LS, L2, then OptPred's warm start and its one search with the extra start
+    assert searches == [starts, starts, starts, starts + 1]
 
 
 def test_batched_objectives_equal_their_one_theta_forms(monkeypatch):

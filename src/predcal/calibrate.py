@@ -30,10 +30,10 @@ calibrators' objectives evaluate the model at every row in one
 test and iteration limit: it reaches the same parameter and value, to
 the bit, as it would searched alone.
 
-Between objective calls each start's simplex is a list of Python floats,
+Each start's simplex, its first included, is a list of Python floats,
 since at the few coordinates of these searches numpy's fixed cost per
-call outweighs the arithmetic; its float64 operations are those of a
-one-start search in numpy, so each start returns that search's bits.
+call outweighs the arithmetic; its float64 operations, folds included,
+are those of a one-start search in numpy, so it returns that search's bits.
 This bookkeeping grows with the number of starts: at the calibrators'
 ten (twenty in a shared least squares lockstep) it is cheap, while at a
 hundred on a cheap objective it takes three to four times as long as
@@ -155,36 +155,6 @@ class CalibrationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _box_fold(box):
-    """The map of points into ``box``, as a function of an (..., p) array.
-
-    Each coordinate is reflected back through the face it crossed, then
-    clipped to the box: the reflection's rounding can leave a point an
-    ulp outside a face (0.01 - 2e-16 for a [0.01, 10] row).
-    """
-    lo, hi = box[:, 0], box[:, 1]
-    w = hi - lo
-    top, period = lo + w, 2.0 * w
-
-    def fold(x):
-        y = top - np.abs(w - np.mod(x - lo, period))
-        return np.minimum(np.maximum(y, lo, out=y), hi, out=y)
-
-    return fold
-
-
-def _simplices(f, x0, box, fold):
-    """Every start's first simplex: (k, p+1, p) vertices, ``x0[i]`` and its p
-    steps of 5% of the box's widths folded into the box, and their (k, p+1)
-    values from one call of ``f``."""
-    k, p = x0.shape
-    verts = np.empty((k, p + 1, p))
-    verts[:, 0] = x0
-    verts[:, 1:] = fold(x0[:, None, :] + np.diag(0.05 * (box[:, 1] - box[:, 0])))
-    vals = f(verts.reshape(-1, p)).reshape(k, p + 1)
-    return verts, vals
-
-
 _value = itemgetter(0)
 
 
@@ -205,34 +175,38 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     points; their expansion or contraction points; their shrunk
     simplices.
 
-    After the first simplices (``_simplices``), each start's simplex is a
-    list of ``(value, point)`` pairs of Python floats, stably sorted by
-    value: numpy's fixed cost per call would outweigh the arithmetic of a
-    few coordinates.  The centroid is summed vertex after vertex.  Each
-    move is ``origin + t * (target - origin)`` folded into the box: the
-    reflection and the expansion are ``t = -1`` and ``t = -2`` toward the
-    worst vertex, whose products equal ``centroid - worst`` and
-    ``2 * (centroid - worst)`` exactly up to the sign of a zero, which
-    the fold's ``%`` drops; contractions and shrinks are ``t = 0.5``.
-    The fold is ``_box_fold``'s rule, which the first simplices take, in
-    Python floats: ``%`` is ``np.mod``'s fmod-and-adjust rule, and the
-    clip returns the face on a tie and passes a NaN, as ``np.maximum``
-    and ``np.minimum`` do.  A start stopped by ``max_iter`` returns the
-    first vertex of its sorted simplex, the first minimum of its values.
+    Each start's simplex is a list of ``(value, point)`` pairs of Python
+    floats, stably sorted by value: numpy's fixed cost per call would
+    outweigh the arithmetic of a few coordinates.  The first simplex is
+    the start and its p steps of 5% of the box's widths, folded into the
+    box, all starts' first vertices evaluated in one call.  The centroid
+    is summed vertex after vertex.  Each move is ``origin + t * (target -
+    origin)`` folded into the box: the reflection and the expansion are
+    ``t = -1`` and ``t = -2`` toward the worst vertex, whose products equal
+    ``centroid - worst`` and ``2 * (centroid - worst)`` exactly up to the
+    sign of a zero, which the fold's ``%`` drops; contractions and shrinks
+    are ``t = 0.5``.  The fold reflects a coordinate back through the face
+    it crossed, then clips it to the box, as the reflection's rounding can
+    leave it an ulp outside (0.01 - 2e-16 in a [0.01, 10] row).  Its ``%``
+    is ``np.mod``'s fmod-and-adjust rule and its clip returns the face on
+    a tie and passes a NaN, as ``np.maximum`` and ``np.minimum`` do: the
+    test oracle's numpy fold checks that.  A start stopped by ``max_iter``
+    returns the first vertex of its sorted simplex, the first minimum of
+    its values.
     """
     k, p = x0.shape
-    verts, vals = _simplices(f, x0, box, _box_fold(box))
-    lo, hi = box[:, 0], box[:, 1]
-    w = hi - lo
-    faces = list(zip(lo.tolist(), hi.tolist(), w.tolist(), (lo + w).tolist(),
-                     (2.0 * w).tolist()))
+    faces = [(low, high, high - low, low + (high - low), 2.0 * (high - low))
+             for low, high in box.tolist()]
 
-    def move(origin, target, t):
+    def fold(point):
         out = []
-        for a, b, (low, high, width, top, period) in zip(origin, target, faces):
-            y = top - abs(width - (a + t * (b - a) - low) % period)
+        for c, (low, high, width, top, period) in zip(point, faces):
+            y = top - abs(width - (c - low) % period)
             out.append(low if low >= y else high if high <= y else y)
         return out
+
+    def move(origin, target, t):
+        return fold([a + t * (b - a) for a, b in zip(origin, target)])
 
     def converged(simplex):
         best = simplex[0][1]
@@ -249,10 +223,16 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
         del simplex[-1]
         insort(simplex, (value, point), key=_value)
 
+    # the coordinates a vertex does not step add 0.0, which turns a -0.0 into +0.0
+    steps = [0.05 * width for _, _, width, _, _ in faces]
+    verts = [[x] + [fold([c + (step if i == j else 0.0) for i, c in enumerate(x)])
+                    for j, step in enumerate(steps)]
+             for x in x0.tolist()]
+    vals = evaluate([v for simplex in verts for v in simplex])
     thetas, values = [None] * k, [None] * k
     # the starts still searching, each with its simplex, in start order
-    run = [(i, sorted(zip(fv, xv), key=_value))
-           for i, (xv, fv) in enumerate(zip(verts.tolist(), vals.tolist()))]
+    run = [(i, sorted(zip(vals[i * (p + 1):(i + 1) * (p + 1)], xv), key=_value))
+           for i, xv in enumerate(verts)]
     for _ in range(max_iter):
         live = []
         for i, simplex in run:

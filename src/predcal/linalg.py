@@ -3,9 +3,10 @@
 The package's SPD solves route through the helpers here: a Cholesky
 factorization, never an explicit inverse.  Dense factorizations are
 delegated to LAPACK through scipy.linalg, the one part of scipy the
-package imports.  ``solve_spd`` calls LAPACK ``potrs`` directly, the call
-``scipy.linalg.cho_solve`` makes behind its checks, so it has
-``cho_solve``'s bits at a few microseconds less per solve.  A quadratic
+package imports.  ``cholesky`` and ``solve_spd`` call LAPACK ``potrf``
+and ``potrs`` directly, the calls ``scipy.linalg.cholesky`` and
+``cho_solve`` make behind their checks, so they have those functions'
+bits at a few microseconds less per call.  A quadratic
 form b^T A^{-1} b needs only half a solve: with A = L L^T it is
 ||L^{-1} b||^2, one triangular solve (``solve_lower``, LAPACK ``trtrs``).
 ``cholesky`` takes its input as given, with no symmetrization and no
@@ -47,8 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import cholesky as _lapack_cholesky, LinAlgError
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 __all__ = [
     "NotPositiveDefinite",
@@ -145,16 +145,20 @@ def _as_box(box):
 def cholesky(a):
     """Factor an SPD matrix as ``L L^T``.
 
+    The factorization is LAPACK ``potrf``, called directly: the call that
+    ``scipy.linalg.cholesky`` wraps, so the bits are its bits, the upper
+    triangle of L zeroed as it returns it.
+
     Raises
     ------
     NotPositiveDefinite
         If LAPACK encounters a nonpositive pivot.
     """
-    m = _as_square_array(a)
-    try:
-        l = _lapack_cholesky(m, lower=True, check_finite=False)
-    except LinAlgError as err:
-        raise NotPositiveDefinite(str(err)) from err
+    l, info = dpotrf(_as_square_array(a), lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to LAPACK potrf")
     return CholFactor(l)
 
 

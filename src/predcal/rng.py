@@ -10,6 +10,8 @@ order in which replicates happen to run.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .linalg import _as_box
@@ -17,6 +19,13 @@ from .linalg import _as_box
 __all__ = ["RngStream", "uniform", "normal", "latin_hypercube"]
 
 _U64 = 2**64
+
+
+def _integer(name, value):
+    """``value`` as an int, refused unless it is an integer; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class RngStream:
@@ -37,8 +46,8 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        seed = int(seed)
-        stream_id = int(stream_id)
+        seed = _integer("seed", seed)
+        stream_id = _integer("stream_id", stream_id)
         if not 0 <= seed < _U64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0 <= stream_id < _U64:
@@ -61,7 +70,7 @@ def uniform(stream, d, size):
     """Draw ``size`` points uniformly from the unit cube ``[0, 1]^d``, a (size, d) array."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return stream.generator.random((int(size), d))
+    return stream.generator.random((_integer("size", size), d))
 
 
 def normal(stream, sigma, size):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy
 from scipy.linalg import cho_solve
+from scipy.linalg import cholesky as scipy_cholesky
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import solve_triangular
 
@@ -43,9 +44,25 @@ def test_cholesky_hand_worked_2x2():
 
 
 def test_cholesky_rejects_indefinite():
-    # eigenvalues 1 and -1
-    with pytest.raises(NotPositiveDefinite):
+    # eigenvalues 1 and -1; the message is scipy.linalg.cholesky's
+    with pytest.raises(NotPositiveDefinite,
+                       match="^1-th leading minor of the array is not positive definite$"):
         cholesky(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_cholesky_has_the_bits_of_scipy_cholesky():
+    # cholesky calls LAPACK potrf itself, the call scipy's cholesky wraps;
+    # potrf reads the lower triangle only, so a non-symmetric input factors too
+    rng = np.random.default_rng(4)
+    for n in (1, 10, 50):
+        a = _random_spd(rng, n, scale=float(n))
+        lower_only = np.tril(a) + np.triu(rng.standard_normal((n, n)), 1)
+        for m in (a, np.asfortranarray(a), a.T, lower_only, np.asfortranarray(lower_only)):
+            keep = m.copy()
+            got = cholesky(m).l
+            assert np.array_equal(got, scipy_cholesky(m, lower=True, check_finite=False))
+            assert np.array_equal(m, keep)  # the input is not overwritten
+    assert cholesky(np.zeros((0, 0))).l.shape == (0, 0)
 
 
 def test_cholesky_rejects_non_square():

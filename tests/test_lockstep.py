@@ -34,15 +34,30 @@ from predcal import (
     uniform,
 )
 from predcal import calibrate
-from predcal.calibrate import (
-    MAX_NM_ITER,
-    SIMPLEX_TOL,
-    _box_fold,
-    _nelder_mead_lockstep,
-)
+from predcal.calibrate import MAX_NM_ITER, SIMPLEX_TOL, _nelder_mead_lockstep
 from predcal.linalg import solve_spd
 from predcal.regression import ridge_factor
 from predcal.rng import latin_hypercube
+
+
+def _box_fold(box):
+    """The map of points into ``box``, as a function of an (..., p) array.
+
+    Each coordinate is reflected back through the face it crossed, then
+    clipped to the box: the reflection's rounding can leave a point an
+    ulp outside a face (0.01 - 2e-16 for a [0.01, 10] row).  The search
+    folds in Python floats; this numpy form is the reference it must
+    equal.
+    """
+    lo, hi = box[:, 0], box[:, 1]
+    w = hi - lo
+    top, period = lo + w, 2.0 * w
+
+    def fold(x):
+        y = top - np.abs(w - np.mod(x - lo, period))
+        return np.minimum(np.maximum(y, lo, out=y), hi, out=y)
+
+    return fold
 
 
 def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
@@ -149,8 +164,14 @@ def test_lockstep_matches_oracle_when_stopped_by_the_iteration_limit():
     # short limits stop some starts while others have converged; 20 starts
     # at p = 1 is the size of ex1's shared least squares lockstep
     one = np.array([[-2.0, 2.0]])
+    # starts at the corners and on the faces, whose first steps leave the
+    # box; in the last row low + (high - low) rounds above high, so the
+    # step from 0.87 onto the face 0.9 folds an ulp outside until clipped
+    faces = np.array([[0.01, 10.0], [-1.0, 1.0], [-0.0, 3.0], [0.3, 0.9]])
+    on_faces = np.array([faces[:, 1], faces[:, 0], [10.0, 0.0, -0.0, 0.87], [5.0, 1.0, -0.0, 0.9]])
     for x0, box in ((latin_hypercube(RngStream(24), 10, ROSEN_BOX), ROSEN_BOX),
-                    (latin_hypercube(RngStream(24), 20, one), one)):
+                    (latin_hypercube(RngStream(24), 20, one), one),
+                    (on_faces, faces)):
         for max_iter in (0, 1, 7, 40, 70, MAX_NM_ITER):
             _assert_matches_oracle(quad, x0, box, max_iter=max_iter)
 

@@ -13,6 +13,18 @@ def test_stream_key_validation():
         RngStream(2**64)
     with pytest.raises(ValueError):
         RngStream(3, stream_id=-5)
+    # numpy integers are integers
+    assert repr(RngStream(np.int64(4), np.uint64(2**64 - 1))) == (
+        f"RngStream(seed=4, stream_id={2**64 - 1})")
+
+
+@pytest.mark.parametrize("seed, stream_id, bad", [
+    (2.9, 0, "seed"), (True, 0, "seed"), ("12", 0, "seed"), (np.float64(3.0), 0, "seed"),
+    (1, 0.5, "stream_id"), (1, False, "stream_id"), (1, "3", "stream_id"),
+])
+def test_stream_key_must_be_an_integer(seed, stream_id, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be an integer, got"):
+        RngStream(seed, stream_id)
 
 
 def test_uniform_range_and_shape():
@@ -25,6 +37,9 @@ def test_uniform_range_and_shape():
     assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         uniform(s, 0, size=3)
+    for size in (2.7, 3.0, True, "4"):
+        with pytest.raises(ValueError, match="size must be an integer, got"):
+            uniform(s, 1, size=size)
 
 
 def test_uniform_determinism_and_stream_separation():

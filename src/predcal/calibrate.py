@@ -19,9 +19,10 @@ All searches use a multi-start Nelder-Mead restricted to the parameter
 box, which must have finite bounds and max(p, 4) * (|low| + high - low)
 finite in each row, so that no number a search computes overflows;
 candidate points that leave the box are reflected back through the
-violated face.  The starts run in lockstep: each iteration evaluates
-the objective at most three times for all running starts together (the
-reflections; the expansion and contraction points; the shrinks).  So
+violated face.  Each start is one plain search that asks for the
+points it needs next; the starts run in lockstep: each objective call
+holds the next request of every running start (its first simplex, a
+reflection, an expansion or contraction point, or a shrunk simplex).  So
 an objective takes a (k, p) array of parameter rows and returns their k
 values.  A computer model has the same form: its ``eta`` maps inputs
 and a (k, p) array of parameter rows to a (k, m) array, so the
@@ -169,34 +170,38 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     Every candidate is folded into the box before evaluation, so the
     search never queries an infeasible point.  A start stops when its
     simplex diameter (max infinity-norm distance to the best vertex)
-    drops below ``tol`` or after ``max_iter`` iterations.  Each iteration
-    calls ``f`` at most three times, each time on the running starts
-    that need it, as one (j, p) array in start order: their reflection
-    points; their expansion or contraction points; their shrunk
-    simplices.
+    drops below ``tol`` or after ``max_iter`` iterations.
+
+    Each start's search, ``search``, is a generator in the textbook order:
+    it yields the points it needs next (its first simplex; the reflection;
+    the expansion or contraction; the p shrunk points), then takes their
+    values, one per point, from the iterator it is sent.  Each ``f`` call
+    holds the next request of every running start, as one (j, p) array in
+    start order, so ``f`` is called as often as the start with the most
+    requests makes them.
 
     Each start's simplex is a list of ``(value, point)`` pairs of Python
     floats, stably sorted by value: numpy's fixed cost per call would
     outweigh the arithmetic of a few coordinates.  The first simplex is
     the start and its p steps of 5% of the box's widths, folded into the
-    box, all starts' first vertices evaluated in one call.  The centroid
-    is summed vertex after vertex.  Each move is ``origin + t * (target -
-    origin)`` folded into the box: the reflection and the expansion are
-    ``t = -1`` and ``t = -2`` toward the worst vertex, whose products equal
-    ``centroid - worst`` and ``2 * (centroid - worst)`` exactly up to the
-    sign of a zero, which the fold's ``%`` drops; contractions and shrinks
-    are ``t = 0.5``.  The fold reflects a coordinate back through the face
-    it crossed, then clips it to the box, as the reflection's rounding can
-    leave it an ulp outside (0.01 - 2e-16 in a [0.01, 10] row).  Its ``%``
-    is ``np.mod``'s fmod-and-adjust rule and its clip returns the face on
-    a tie and passes a NaN, as ``np.maximum`` and ``np.minimum`` do: the
-    test oracle's numpy fold checks that.  A start stopped by ``max_iter``
-    returns the first vertex of its sorted simplex, the first minimum of
-    its values.
+    box.  The centroid is summed vertex after vertex.  Each move is
+    ``origin + t * (target - origin)`` folded into the box: the reflection
+    and the expansion are ``t = -1`` and ``t = -2`` toward the worst
+    vertex, whose products equal ``centroid - worst`` and
+    ``2 * (centroid - worst)`` exactly up to the sign of a zero, which the
+    fold's ``%`` drops; contractions and shrinks are ``t = 0.5``.  The
+    fold reflects a coordinate back through the face it crossed, then
+    clips it to the box, as the reflection's rounding can leave it an ulp
+    outside (0.01 - 2e-16 in a [0.01, 10] row).  Its ``%`` is ``np.mod``'s
+    fmod-and-adjust rule and its clip returns the face on a tie and passes
+    a NaN, as ``np.maximum`` and ``np.minimum`` do: the test oracle's
+    numpy fold checks that.  A start stopped by ``max_iter`` returns the
+    first vertex of its sorted simplex, the first minimum of its values.
     """
     k, p = x0.shape
     faces = [(low, high, high - low, low + (high - low), 2.0 * (high - low))
              for low, high in box.tolist()]
+    steps = [0.05 * width for _, _, width, _, _ in faces]
 
     def fold(point):
         out = []
@@ -216,74 +221,61 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
                     return False
         return True
 
-    def evaluate(points):
-        return f(np.array(points)).tolist()
-
     def replace_worst(simplex, value, point):
         del simplex[-1]
         insort(simplex, (value, point), key=_value)
 
-    # the coordinates a vertex does not step add 0.0, which turns a -0.0 into +0.0
-    steps = [0.05 * width for _, _, width, _, _ in faces]
-    verts = [[x] + [fold([c + (step if i == j else 0.0) for i, c in enumerate(x)])
-                    for j, step in enumerate(steps)]
-             for x in x0.tolist()]
-    vals = evaluate([v for simplex in verts for v in simplex])
-    thetas, values = [None] * k, [None] * k
-    # the starts still searching, each with its simplex, in start order
-    run = [(i, sorted(zip(vals[i * (p + 1):(i + 1) * (p + 1)], xv), key=_value))
-           for i, xv in enumerate(verts)]
-    for _ in range(max_iter):
-        live = []
-        for i, simplex in run:
+    def search(x):
+        # the coordinates a vertex does not step add 0.0, which turns a -0.0 into +0.0
+        verts = [x] + [fold([c + (step if i == j else 0.0) for i, c in enumerate(x)])
+                       for j, step in enumerate(steps)]
+        values = yield verts
+        simplex = sorted([(next(values), v) for v in verts], key=_value)
+        for _ in range(max_iter):
             if converged(simplex):
-                values[i], thetas[i] = simplex[0]
-            else:
-                live.append((i, simplex))
-        run = live
-        if not run:
-            break
-        moves = []
-        for _, simplex in run:
+                break
             centroid = simplex[0][1]
-            for _, x in simplex[1:-1]:
-                centroid = list(map(add, centroid, x))
+            for _, v in simplex[1:-1]:
+                centroid = list(map(add, centroid, v))
             centroid = [a / p for a in centroid]
             worst = simplex[-1][1]
-            moves.append((simplex, centroid, worst, move(centroid, worst, -1.0)))
-        frs = evaluate([m[-1] for m in moves])
-
-        # beyond the best value: try the expansion; not below the second
-        # worst: contract, toward the reflection if it beat the worst
-        second = []
-        for (simplex, centroid, worst, xr), fr in zip(moves, frs):
+            xr = move(centroid, worst, -1.0)
+            fr = next((yield [xr]))
             if fr < simplex[0][0]:
-                second.append((simplex, xr, fr, True, move(centroid, worst, -2.0)))
-            elif fr >= simplex[-2][0]:
-                toward = worst if fr >= simplex[-1][0] else xr
-                second.append((simplex, xr, fr, False, move(centroid, toward, 0.5)))
-            else:
-                replace_worst(simplex, fr, xr)
-        if not second:
-            continue
-        shrinks = []
-        for (simplex, xr, fr, expand, x2), f2 in zip(second, evaluate([s[-1] for s in second])):
-            if f2 < min(fr, simplex[-1][0]):
-                replace_worst(simplex, f2, x2)
-            elif expand:
+                xe = move(centroid, worst, -2.0)
+                fe = next((yield [xe]))
+                if fe < fr:
+                    replace_worst(simplex, fe, xe)
+                else:
+                    replace_worst(simplex, fr, xr)
+            elif fr < simplex[-2][0]:
                 replace_worst(simplex, fr, xr)
             else:
-                shrinks.append(simplex)
-        if shrinks:
-            pts = [move(simplex[0][1], x, 0.5) for simplex in shrinks for _, x in simplex[1:]]
-            fs = evaluate(pts)
-            for j, simplex in enumerate(shrinks):
-                simplex[1:] = zip(fs[j * p:(j + 1) * p], pts[j * p:(j + 1) * p])
-                simplex.sort(key=_value)
+                # contract, toward the reflection if it beat the worst
+                xc = move(centroid, worst if fr >= simplex[-1][0] else xr, 0.5)
+                fc = next((yield [xc]))
+                if fc < min(fr, simplex[-1][0]):
+                    replace_worst(simplex, fc, xc)
+                else:
+                    pts = [move(simplex[0][1], v, 0.5) for _, v in simplex[1:]]
+                    values = yield pts
+                    simplex[1:] = [(next(values), v) for v in pts]
+                    simplex.sort(key=_value)
+        return simplex[0]
 
-    for i, simplex in run:
-        values[i], thetas[i] = simplex[0]
-    return np.array(thetas), np.array(values)
+    results = [None] * k
+    # the starts still searching, each with its search and its pending points
+    running = [(i, s, next(s)) for i, s in enumerate(map(search, x0.tolist()))]
+    while running:
+        vals = iter(f(np.array([x for _, _, pts in running for x in pts])).tolist())
+        live = []
+        for i, s, _ in running:
+            try:
+                live.append((i, s, s.send(vals)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        running = live
+    return np.array([x for _, x in results]), np.array([v for v, _ in results])
 
 
 def _extra_start(point, box):
@@ -300,7 +292,9 @@ def _extra_start(point, box):
 def _search_groups(objective, box, x0s):
     """Nelder-Mead from every start of every group of ``x0s``, in one lockstep.
 
-    ``x0s`` is a list of (k_g, p) arrays of starts in the box.  Returns
+    ``x0s`` is a list of (k_g, p) arrays of starts in the box; each
+    objective call holds the next request of every running start of every
+    group.  Returns
     one ``(theta, value)`` per group: the best of its starts' results,
     exact value ties going to the lexicographically smallest parameter.
     Each start reaches what a search from it alone would, so a group's
@@ -350,9 +344,9 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     their k values.  ``starts`` Latin hypercube start points are drawn
     from ``stream``; any ``extra_points`` are prepended as additional
     starts, and each must hold p finite values inside the box.  All
-    starts are searched in lockstep, so each iteration calls
-    ``objective`` at most three times, on a batch holding one candidate
-    (or, for a shrink, p) per running start; each start still reaches
+    starts are searched in lockstep: each ``objective`` call holds the
+    next request of every running start, one candidate (p for a shrink,
+    p + 1 for its first simplex) per start; each start still reaches
     what a search from it alone would.  The best local result wins; exact
     value ties go to the lexicographically smallest parameter vector.
 

@@ -42,7 +42,7 @@ from .calibrate import (
 )
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
 from .regression import _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
-from .rng import RngStream
+from .rng import RngStream, _integer
 from .systems import NoTruthAvailable, generate_dataset, get_system
 
 __all__ = [
@@ -115,9 +115,7 @@ class ExperimentConfig:
         if get_system(self.system).zeta is None:
             raise ValueError(f"system {self.system!r} has no sampling truth")
         for key in _INT_KEYS:
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            _integer(key, getattr(self, key))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.n < 2:
@@ -383,7 +381,7 @@ def run_experiment(config, threads=1):
     OptCal runs, ``traces`` hold each replicate's OptPred trace.  Returns the
     ``PmseReport`` and writes no file: ``report.to_csv()`` is its text.
     """
-    if threads < 0:
+    if _integer("threads", threads) < 0:
         raise ValueError("threads must be >= 0")
     cells = [(si, r) for si in range(len(config.sigma2)) for r in range(config.replicates)]
     run = partial(_run_replicate, config)

@@ -68,6 +68,7 @@ class RngStream:
 
 def uniform(stream, d, size):
     """Draw ``size`` points uniformly from the unit cube ``[0, 1]^d``, a (size, d) array."""
+    d = _integer("d", d)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return stream.generator.random((_integer("size", size), d))
@@ -77,7 +78,7 @@ def normal(stream, sigma, size):
     """Draw ``size`` values from ``N(0, sigma^2)``.  ``sigma = 0`` returns exact zeros."""
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and >= 0")
-    return sigma * stream.generator.standard_normal(size)
+    return sigma * stream.generator.standard_normal(_integer("size", size))
 
 
 def latin_hypercube(stream, k, box):
@@ -99,6 +100,7 @@ def latin_hypercube(stream, k, box):
     -------
     ndarray, shape (k, d)
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError("point count must be >= 1")
     box = _as_box(box)

@@ -674,6 +674,13 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
         run_experiment(cfg, threads=-1)
 
 
+@pytest.mark.parametrize("threads", [2.5, 1.0, True, "2", np.float64(2.0)])
+def test_run_experiment_threads_must_be_an_integer(threads):
+    # True would otherwise run as one worker, and 2.5 fail in the pool
+    with pytest.raises(ValueError, match="threads must be an integer, got"):
+        run_experiment(_toy_cfg(), threads=threads)
+
+
 def test_run_experiment_collects_traces():
     cfg = _toy_cfg(replicates=2, methods=("OptCal",))
     rep = run_experiment(cfg)

@@ -61,7 +61,13 @@ def _box_fold(box):
 
 
 def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
-    """Nelder-Mead from one start with a scalar objective; returns (x_best, f_best)."""
+    """Nelder-Mead from one start with a scalar objective.
+
+    Returns ``(x_best, f_best, requests)``: ``requests`` counts the point
+    sets the search asked for, each answered before it could go on: the
+    first simplex, each reflection, each expansion or contraction and each
+    shrink.
+    """
     fold = _box_fold(box)
     p = x0.shape[0]
     width = box[:, 1] - box[:, 0]
@@ -72,6 +78,7 @@ def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
         verts.append(fold(x0 + step))
     verts = np.array(verts)
     vals = np.array([f(v) for v in verts])
+    requests = 1
 
     for _ in range(max_iter):
         order = np.argsort(vals, kind="stable")
@@ -84,9 +91,11 @@ def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
 
         xr = fold(centroid + (centroid - worst))
         fr = f(xr)
+        requests += 1
         if fr < vals[0]:
             xe = fold(centroid + 2.0 * (centroid - worst))
             fe = f(xe)
+            requests += 1
             if fe < fr:
                 verts[-1], vals[-1] = xe, fe
             else:
@@ -99,15 +108,17 @@ def _nelder_mead(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
             else:
                 xc = fold(centroid + 0.5 * (worst - centroid))
             fc = f(xc)
+            requests += 1
             if fc < min(fr, vals[-1]):
                 verts[-1], vals[-1] = xc, fc
             else:
+                requests += 1
                 for i in range(1, p + 1):
                     verts[i] = fold(verts[0] + 0.5 * (verts[i] - verts[0]))
                     vals[i] = f(verts[i])
 
     best = int(np.argmin(vals))
-    return verts[best].copy(), float(vals[best])
+    return verts[best].copy(), float(vals[best]), requests
 
 
 def _bits(a):
@@ -116,8 +127,10 @@ def _bits(a):
 
 def _assert_matches_oracle(objective, x0, box, **limits):
     """Each start of the lockstep ends where the scalar oracle ends from it
-    alone, and the lockstep queries the objective at the points the oracle
-    searches query, each as often."""
+    alone, the lockstep queries the objective at the points the oracle
+    searches query, each as often, and it calls the objective once for each
+    request of the start that makes the most.  Returns the oracle's
+    ``(x_best, f_best)`` per start."""
     rows, points = [], []
     thetas, values = _nelder_mead_lockstep(_recorded(objective, rows), x0, box, **limits)
 
@@ -125,12 +138,15 @@ def _assert_matches_oracle(objective, x0, box, **limits):
         points.append(t)
         return float(objective(t[None])[0])
 
-    want = [_nelder_mead(scalar, x, box, **limits) for x in x0]
+    searches = [_nelder_mead(scalar, x, box, **limits) for x in x0]
+    want = [(theta, value) for theta, value, _ in searches]
     for i, (theta, value) in enumerate(want):
         assert _bits(thetas[i]) == _bits(theta), f"start {i}"
         assert _bits(values[i]) == _bits(value), f"start {i}"
     queried = Counter(tuple(_bits(t)) for t in np.concatenate(rows))
     assert queried == Counter(tuple(_bits(t)) for t in points)
+    # each call holds the next request of every running start
+    assert len(rows) == max(requests for _, _, requests in searches)
     return want
 
 

@@ -91,6 +91,18 @@ def test_normal_requires_size():
         normal(RngStream(1), 1.0)
 
 
+@pytest.mark.parametrize("size", [2.7, 3.0, True, "4", np.float64(2.0)])
+def test_normal_size_must_be_an_integer(size):
+    with pytest.raises(ValueError, match="size must be an integer, got"):
+        normal(RngStream(1), 1.0, size=size)
+
+
+@pytest.mark.parametrize("d", [1.5, 2.0, True, "1", np.float64(1.0)])
+def test_uniform_dimension_must_be_an_integer(d):
+    with pytest.raises(ValueError, match="d must be an integer, got"):
+        uniform(RngStream(1), d, 3)
+
+
 def test_latin_hypercube_single_point_unit_box():
     p = latin_hypercube(RngStream(8), 1, [[0.0, 1.0]])
     assert p.shape == (1, 1)
@@ -108,6 +120,12 @@ def test_latin_hypercube_stratifies_each_axis():
     for j in range(2):
         strata = np.sort(np.floor((q[:, j] + 1.0) / 2.0 * 10).astype(int))
         assert np.array_equal(strata, np.arange(10))
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "4", np.float64(2.0)])
+def test_latin_hypercube_count_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="k must be an integer, got"):
+        latin_hypercube(RngStream(1), k, [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_latin_hypercube_rejects_degenerate_box():

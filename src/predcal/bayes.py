@@ -76,12 +76,11 @@ class BayesHyper:
     sigma2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and > 0")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be finite and > 0")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError("sigma2 must be finite and > 0")
+        for name in ("alpha", "beta", "sigma2"):
+            value = getattr(self, name)
+            # bool is a number to Python, but no prior scale
+            if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
     def induced_lambda(self, n):
         """The ridge level sigma2 / (n beta) implied by the priors."""

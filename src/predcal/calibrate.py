@@ -36,22 +36,20 @@ since at the few coordinates of these searches numpy's fixed cost per
 call outweighs the arithmetic; its float64 operations, folds included,
 are those of a one-start search in numpy, so it returns that search's bits.
 This bookkeeping grows with the number of starts: at the calibrators'
-ten (twenty in a shared least squares lockstep) it is cheap, while at a
-hundred on a cheap objective it takes three to four times as long as
-keeping all simplices in one numpy array.
+ten (eleven with OptPred's warm start) it is cheap, while at a hundred
+on a cheap objective it takes three to four times as long as keeping
+all simplices in one numpy array.
 
-So searches of one objective can share a lockstep: ``_search_groups``
-runs several groups of starts together and keeps each group's own best,
-and ``minimize_box`` is its one-group case.  Each public calibrator is
-one composition of private pieces that ``experiments.build_predictors``
-also uses: ``calibrate_ls`` is one least squares search;
-``calibrate_optpred`` is ``calibrate_ls`` followed by ``_optpred_step``
-on the design's ``regression._spectrum``; ``calibrate_l2`` is the
-design's range check (``_check_l2_design``), the GCV-tuned smoother of
-the response and ``_l2_search``.  So a
-replicate runs LSCal's and OptCal's least squares searches as one
-lockstep (``_ls_searches``), hands NP's fit to ``_l2_search`` and shares
-one spectrum; every result keeps the bits of its calibrator run alone.
+Each public calibrator is one composition of private pieces that
+``experiments.build_predictors`` also uses: ``calibrate_ls`` is one
+least squares search; ``calibrate_optpred`` is ``calibrate_ls``
+followed by ``_optpred_step`` on the design's ``regression._spectrum``,
+both drawing from one stream; ``calibrate_l2`` is the design's range
+check (``_check_l2_design``), the GCV-tuned smoother of the response and
+``_l2_search``.  So a replicate runs one least squares search, whose
+parameter LSCal uses and OptCal warms from, hands NP's fit to
+``_l2_search`` and shares one spectrum; every result keeps the bits of
+its calibrator run alone.
 """
 
 from __future__ import annotations
@@ -289,54 +287,6 @@ def _extra_start(point, box):
     return x
 
 
-def _search_groups(objective, box, x0s):
-    """Nelder-Mead from every start of every group of ``x0s``, in one lockstep.
-
-    ``x0s`` is a list of (k_g, p) arrays of starts in the box; each
-    objective call holds the next request of every running start of every
-    group.  Returns
-    one ``(theta, value)`` per group: the best of its starts' results,
-    exact value ties going to the lexicographically smallest parameter.
-    Each start reaches what a search from it alone would, so a group's
-    result does not depend on the other groups searched with it.
-
-    Raises
-    ------
-    ObjectiveNonFinite
-        If the objective produces a non-finite value anywhere.
-    """
-
-    def checked(thetas):
-        values = np.asarray(objective(thetas), dtype=float)
-        if values.shape != (thetas.shape[0],):
-            raise ValueError(
-                f"objective must return one value per theta row, got shape {values.shape}"
-            )
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = thetas[np.argmin(finite)]
-            raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
-        return values
-
-    thetas, values = _nelder_mead_lockstep(checked, np.concatenate(x0s), box)
-    bests, end = [], 0
-    for x0 in x0s:
-        start, end = end, end + len(x0)
-        vals, points = values[start:end].tolist(), thetas[start:end].tolist()
-        best = min(range(len(vals)), key=lambda i: (vals[i], points[i]))
-        bests.append((thetas[start + best].copy(), vals[best]))
-    return bests
-
-
-def _start_points(box, starts, stream, extra_points=()):
-    """The (k, p) starts of one search: the ``extra_points``, then ``starts`` Latin
-    hypercube points drawn from ``stream``."""
-    if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
-        raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
-    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, box.shape[0]))
-    return np.concatenate([inits, latin_hypercube(stream, starts, box)])
-
-
 def minimize_box(objective, box, starts, stream, extra_points=()):
     """Multi-start Nelder-Mead over a box.
 
@@ -359,11 +309,31 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     ObjectiveNonFinite
         If the objective produces a non-finite value anywhere.
     ValueError
-        If an extra start is not a point of the box.
+        If an extra start is not a point of the box, or the objective does
+        not return one value per parameter row.
     """
     box = _as_box(box)
-    (best,) = _search_groups(objective, box, [_start_points(box, starts, stream, extra_points)])
-    return best
+    if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
+        raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
+    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, box.shape[0]))
+
+    def checked(thetas):
+        values = np.asarray(objective(thetas), dtype=float)
+        if values.shape != (thetas.shape[0],):
+            raise ValueError(
+                f"objective must return one value per theta row, got shape {values.shape}"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = thetas[np.argmin(finite)]
+            raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
+        return values
+
+    x0 = np.concatenate([inits, latin_hypercube(stream, starts, box)])
+    thetas, values = _nelder_mead_lockstep(checked, x0, box)
+    vals, points = values.tolist(), thetas.tolist()
+    best = min(range(len(vals)), key=lambda i: (vals[i], points[i]))
+    return thetas[best].copy(), vals[best]
 
 
 def _row_mean_square(d):
@@ -385,19 +355,6 @@ def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
     """Least squares calibration: minimize mean squared data-model misfit."""
     theta, _ = minimize_box(_ls_objective(data, model), model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="LS")
-
-
-def _ls_searches(data, model, starts, streams):
-    """``calibrate_ls``'s parameter on each of the ``streams``, from one lockstep.
-
-    The starts are drawn stream after stream, as many from each as
-    ``calibrate_ls`` draws; each group of starts keeps its own best, so
-    every parameter has the bits of ``calibrate_ls`` run on its stream
-    alone.
-    """
-    box = model.theta_box
-    x0s = [_start_points(box, starts, stream) for stream in streams]
-    return [theta for theta, _ in _search_groups(_ls_objective(data, model), box, x0s)]
 
 
 def calibrate_l2(data, model, kernel, starts=DEFAULT_STARTS, *, stream):

@@ -37,8 +37,8 @@ from .calibrate import (
     CalibrationResult,
     _check_l2_design,
     _l2_search,
-    _ls_searches,
     _optpred_step,
+    calibrate_ls,
 )
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
 from .regression import _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
@@ -73,18 +73,13 @@ _PHASE_DATA = 0
 _PHASE_PSI = 1
 _PHASE_LS = 2
 _PHASE_L2 = 3
-_PHASE_OPTPRED = 4
-
-# the stream each least squares search draws its starts from: LSCal's own,
-# and OptCal's, which its warm start shares with its weighted search
-_LS_STREAMS = {"LSCal": "ls", "OptCal": "optpred"}
 
 # the integer fields of ExperimentConfig
 _INT_KEYS = ("n", "replicates", "mc_test_points", "starts", "seed")
 
 
 def default_psi_grid(d):
-    if d < 1:
+    if _integer("d", d) < 1:
         raise ValueError("input dimension must be >= 1")
     return tuple(p * math.sqrt(d) for p in _PSI_GRID_1D)
 
@@ -263,6 +258,7 @@ def pmse(predictors, system, nodes):
     """
     if system.zeta is None:
         raise NoTruthAvailable(f"system {system.id!r} has no truth to score against")
+    nodes = _integer("nodes", nodes)
     if nodes < 1:
         raise ValueError("nodes must be >= 1")
     x = _unit_cube_nodes(system.d, nodes)
@@ -273,9 +269,9 @@ def pmse(predictors, system, nodes):
 def build_predictors(data, system, kernel, config, streams):
     """Build the requested predictors on one dataset.
 
-    ``streams`` maps phase names ("ls", "l2", "optpred") to independent
-    streams, so each method's randomness is unaffected by which other
-    methods run alongside it.
+    ``streams`` maps phase names ("ls", "l2") to independent streams, so
+    each method's randomness is unaffected by which other methods run
+    alongside it.
 
     Returns a mapping of method name -> ``CalibrationResult``: NP's is
     ``(None, "NP", fit, lambda)`` and LSCal's ``(theta_LS, "LS", fit, lambda)``,
@@ -283,11 +279,12 @@ def build_predictors(data, system, kernel, config, streams):
     OptCal's ``calibrate_optpred``'s.  Each has the bits of its pieces run
     alone on its stream, but shared work is done once.  One Gram matrix of
     the design and its eigendecomposition (``regression._spectrum``) give
-    NP's, LSCal's and OptPred's GCV levels.  LSCal's least squares search
-    and OptCal's warm start run as one lockstep, each group of starts drawn
-    from its own stream and keeping its own best (``calibrate._ls_searches``).
-    NP's fit of the raw response is L2's smoother.  With NoBiasCorr asked
-    for, a design outside the unit cube is refused before any fit.
+    NP's, LSCal's and OptPred's GCV levels.  One ``calibrate_ls`` on the
+    "ls" stream gives LSCal's parameter and OptCal's warm start, and
+    OptCal's search draws its starts from that stream next, as
+    ``calibrate_optpred`` does.  NP's fit of the raw response is L2's
+    smoother.  With NoBiasCorr asked for, a design outside the unit cube
+    is refused before any fit.
     """
     model = system.model
     methods = config.methods
@@ -306,19 +303,16 @@ def build_predictors(data, system, kernel, config, streams):
     if "NoBiasCorr" in methods:
         fits["NoBiasCorr"] = _l2_search(data, model, smoother, config.starts, streams["l2"])
 
-    searched = [m for m in ("LSCal", "OptCal") if m in methods]
-    if searched:
-        ls_streams = [streams[_LS_STREAMS[m]] for m in searched]
-        theta_ls = dict(zip(searched, _ls_searches(data, model, config.starts, ls_streams)))
+    if "LSCal" in methods or "OptCal" in methods:
+        theta_ls = calibrate_ls(data, model, config.starts, stream=streams["ls"]).theta_hat
 
     if "LSCal" in methods:
-        theta = theta_ls["LSCal"]
-        lam, fit = _fit_gcv(data, model.eval(data.x, theta), kernel, spectrum)
-        fits["LSCal"] = CalibrationResult(theta, "LS", fit, lam)
+        lam, fit = _fit_gcv(data, model.eval(data.x, theta_ls), kernel, spectrum)
+        fits["LSCal"] = CalibrationResult(theta_ls, "LS", fit, lam)
 
     if "OptCal" in methods:
-        fits["OptCal"] = _optpred_step(data, model, kernel, spectrum, theta_ls["OptCal"],
-                                       config.starts, streams["optpred"])
+        fits["OptCal"] = _optpred_step(data, model, kernel, spectrum, theta_ls, config.starts,
+                                       streams["ls"])
 
     return fits
 
@@ -333,7 +327,7 @@ def _run_replicate(config, cell):
         sigma = math.sqrt(config.sigma2[sigma_idx])
         data = generate_dataset(system, config.n, sigma, stream(_PHASE_DATA))
         kernel = choose_kernel(data, config.psi, stream(_PHASE_PSI))
-        streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2), "optpred": stream(_PHASE_OPTPRED)}
+        streams = {"ls": stream(_PHASE_LS), "l2": stream(_PHASE_L2)}
         fits = build_predictors(data, system, kernel, config, streams)
         return pmse(fits, system, config.mc_test_points), fits
     except Exception as err:

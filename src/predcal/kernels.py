@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_lower
+from .rng import _integer
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -262,6 +263,7 @@ def rkhs_norm_sq_approx(spec, g, grid_size):
     NotPositiveDefinite
         If no jitter up to ``MAX_JITTER`` yields a factorizable matrix.
     """
+    grid_size = _integer("grid_size", grid_size)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     pts, factor = _grid_factor(spec, grid_size)

@@ -27,7 +27,7 @@ import numpy as np
 from .calibrate import ComputerModel
 from .linalg import matrix_exponential
 from .regression import Dataset
-from .rng import normal, uniform
+from .rng import _integer, normal, uniform
 
 __all__ = [
     "NoTruthAvailable",
@@ -227,6 +227,7 @@ def generate_dataset(system, n, sigma, stream):
     """
     if system.zeta is None:
         raise NoTruthAvailable(f"system {system.id!r} has no sampling truth")
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     x = uniform(stream, system.d, size=n)

@@ -91,6 +91,14 @@ def test_posterior_mean_linear_in_y():
     assert np.allclose(p12, 2.0 * p1 - 0.5 * p2, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "sigma2"])
+def test_bayes_hyper_refuses_a_bool(name):
+    # bool is a number to Python, but no prior scale
+    scales = {"alpha": 1.0, "beta": 1.0, "sigma2": 1.0, name: True}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0$"):
+        BayesHyper(**scales)
+
+
 def test_bayes_hyper_validation():
     with pytest.raises(ValueError):
         BayesHyper(alpha=0.0, beta=1.0, sigma2=1.0)

@@ -243,6 +243,13 @@ def test_kernel_cross_shape_and_consistency():
     assert k[1, 2] == pytest.approx((1.0 + 0.7 / 0.3) * math.exp(-0.7 / 0.3), rel=1e-14)
 
 
+@pytest.mark.parametrize("grid_size", [2.5, 3.0, True, "3", np.float64(3.0)])
+def test_norm_surrogate_grid_size_must_be_an_integer(grid_size):
+    spec = KernelSpec("matern32", 0.3, 1)
+    with pytest.raises(ValueError, match="^grid_size must be an integer, got"):
+        rkhs_norm_sq_approx(spec, lambda x: np.zeros(len(x)), grid_size)
+
+
 def test_norm_surrogate_zero_function():
     spec = KernelSpec("matern32", 0.3, 1)
     assert rkhs_norm_sq_approx(spec, lambda x: np.zeros(len(x)), 50) == 0.0

@@ -177,8 +177,8 @@ def test_lockstep_matches_oracle_when_stopped_by_the_iteration_limit():
     # tol 0 never converges, so every start runs MAX_NM_ITER iterations
     x0 = latin_hypercube(RngStream(23), 3, ROSEN_BOX)
     _assert_matches_oracle(_rosenbrock, x0, ROSEN_BOX, tol=0.0)
-    # short limits stop some starts while others have converged; 20 starts
-    # at p = 1 is the size of ex1's shared least squares lockstep
+    # short limits stop some starts while others have converged, also
+    # among many starts at p = 1
     one = np.array([[-2.0, 2.0]])
     # starts at the corners and on the faces, whose first steps leave the
     # box; in the last row low + (high - low) rounds above high, so the

@@ -372,9 +372,12 @@ def test_non_finite_model_values_are_refused():
 
 def test_lambda_must_be_finite_and_positive():
     data = generate_dataset(get_system("ex1"), 20, 0.3, RngStream(1, 1))
-    for lam in (0.0, -0.01, np.inf, np.nan):
-        with pytest.raises(ValueError, match="finite and > 0"):
+    # bool is a number to Python, but no smoothing level
+    for lam in (0.0, -0.01, np.inf, np.nan, True):
+        with pytest.raises(ValueError, match="^lambda must be finite and > 0$"):
             gcv_score(data, None, SPEC1, lam)
+        with pytest.raises(ValueError, match="^lambda must be finite and > 0$"):
+            ridge_factor(gram(SPEC1, data.x), lam)
 
 
 def test_select_lambda_interior_on_smooth_instance():

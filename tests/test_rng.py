@@ -86,6 +86,11 @@ def test_normal_rejects_nonfinite_sigma():
             normal(RngStream(1), sigma, size=3)
 
 
+def test_normal_refuses_a_bool_sigma():
+    with pytest.raises(ValueError, match="^sigma must be finite and >= 0$"):
+        normal(RngStream(1), True, size=3)
+
+
 def test_normal_requires_size():
     with pytest.raises(TypeError):
         normal(RngStream(1), 1.0)

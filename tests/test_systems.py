@@ -327,6 +327,13 @@ def test_generate_dataset_errors():
         generate_dataset(get_system("ex1"), 0, 0.1, RngStream(48))
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3", np.float64(3.0)])
+def test_generate_dataset_size_must_be_an_integer(n):
+    # the message names n, not the size of the uniform draw it feeds
+    with pytest.raises(ValueError, match="^n must be an integer, got"):
+        generate_dataset(get_system("ex1"), n, 0.1, RngStream(48))
+
+
 def test_load_dataset_csv_round_trip(tmp_path):
     path = tmp_path / "d2.csv"
     rng = np.random.default_rng(49)

@@ -23,7 +23,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .kernels import gram, kernel_apply, kernel_cross
-from .linalg import _as_points, solve_spd
+from .linalg import _as_points, _is_real, solve_spd
 from .regression import DiscrepancyFit, ridge_factor
 
 __all__ = [
@@ -78,8 +78,7 @@ class BayesHyper:
     def __post_init__(self):
         for name in ("alpha", "beta", "sigma2"):
             value = getattr(self, name)
-            # bool is a number to Python, but no prior scale
-            if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+            if not (_is_real(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0")
 
     def induced_lambda(self, n):

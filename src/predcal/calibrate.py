@@ -42,14 +42,15 @@ all simplices in one numpy array.
 
 Each public calibrator is one composition of private pieces that
 ``experiments.build_predictors`` also uses: ``calibrate_ls`` is one
-least squares search; ``calibrate_optpred`` is ``calibrate_ls``
-followed by ``_optpred_step`` on the design's ``regression._spectrum``,
-both drawing from one stream; ``calibrate_l2`` is the design's range
-check (``_check_l2_design``), the GCV-tuned smoother of the response and
-``_l2_search``.  So a replicate runs one least squares search, whose
-parameter LSCal uses and OptCal warms from, hands NP's fit to
-``_l2_search`` and shares one spectrum; every result keeps the bits of
-its calibrator run alone.
+least squares search; ``calibrate_optpred`` is ``calibrate_ls``, the GCV
+level of its residuals on the design's ``regression._spectrum``, then
+``_optpred_step`` from that parameter and level, both searches drawing
+from one stream; ``calibrate_l2`` is the design's range check
+(``_check_l2_design``), the GCV-tuned smoother of the response and
+``_l2_search``.  So a replicate runs one least squares search and picks
+one level at its residuals, the pair LSCal fits with and OptCal takes,
+hands NP's fit to ``_l2_search`` and shares one spectrum; every result
+keeps the bits of its calibrator run alone.
 """
 
 from __future__ import annotations
@@ -158,12 +159,13 @@ _value = itemgetter(0)
 
 
 def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
-    """Nelder-Mead from every row of ``x0`` (k, p), the starts advanced together.
+    """Nelder-Mead from every start of ``x0``, the starts advanced together.
 
-    ``f`` maps a (j, p) array of points to their j values.  Returns
-    ``(thetas, values)`` of shapes (k, p) and (k,): row i is the best
-    vertex of start i's final simplex, the point a search from ``x0[i]``
-    alone would return.
+    ``x0`` is a list of starts, each a list of p Python floats, and ``f``
+    maps a (j, p) array of points to their j values.  Returns a list of
+    ``(value, point)`` pairs of Python floats, one per start in start
+    order: pair i is the best vertex of start i's final simplex and its
+    value, what a search from ``x0[i]`` alone would return.
 
     Every candidate is folded into the box before evaluation, so the
     search never queries an infeasible point.  A start stops when its
@@ -196,7 +198,7 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
     numpy fold checks that.  A start stopped by ``max_iter`` returns the
     first vertex of its sorted simplex, the first minimum of its values.
     """
-    k, p = x0.shape
+    p = box.shape[0]
     faces = [(low, high, high - low, low + (high - low), 2.0 * (high - low))
              for low, high in box.tolist()]
     steps = [0.05 * width for _, _, width, _, _ in faces]
@@ -261,9 +263,9 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
                     simplex.sort(key=_value)
         return simplex[0]
 
-    results = [None] * k
+    results = [None] * len(x0)
     # the starts still searching, each with its search and its pending points
-    running = [(i, s, next(s)) for i, s in enumerate(map(search, x0.tolist()))]
+    running = [(i, s, next(s)) for i, s in enumerate(map(search, x0))]
     while running:
         vals = iter(f(np.array([x for _, _, pts in running for x in pts])).tolist())
         live = []
@@ -273,18 +275,18 @@ def _nelder_mead_lockstep(f, x0, box, tol=SIMPLEX_TOL, max_iter=MAX_NM_ITER):
             except StopIteration as stop:
                 results[i] = stop.value
         running = live
-    return np.array([x for _, x in results]), np.array([v for v, _ in results])
+    return results
 
 
 def _extra_start(point, box):
-    """An extra start as a (p,) array, refused unless it is a point of the box."""
+    """An extra start as a list of p Python floats, refused unless it is a point of the box."""
     x = np.asarray(point, dtype=float).reshape(-1)
     if x.shape[0] != box.shape[0] or not (np.all(x >= box[:, 0]) and np.all(x <= box[:, 1])):
         raise ValueError(
             f"extra start {point!r} must hold p={box.shape[0]} finite values "
             f"inside the box {box.tolist()}"
         )
-    return x
+    return x.tolist()
 
 
 def minimize_box(objective, box, starts, stream, extra_points=()):
@@ -297,8 +299,9 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     starts are searched in lockstep: each ``objective`` call holds the
     next request of every running start, one candidate (p for a shrink,
     p + 1 for its first simplex) per start; each start still reaches
-    what a search from it alone would.  The best local result wins; exact
-    value ties go to the lexicographically smallest parameter vector.
+    what a search from it alone would.  The least ``(value, theta)`` pair
+    wins in Python's tuple order: the smaller value, and among exact value
+    ties the lexicographically smaller parameter vector.
 
     Returns
     -------
@@ -315,7 +318,7 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
     box = _as_box(box)
     if not isinstance(starts, numbers.Integral) or isinstance(starts, bool) or starts < 1:
         raise ValueError(f"starts must be an integer >= 1, got {starts!r}")
-    inits = np.reshape([_extra_start(q, box) for q in extra_points], (-1, box.shape[0]))
+    x0 = [_extra_start(q, box) for q in extra_points]
 
     def checked(thetas):
         values = np.asarray(objective(thetas), dtype=float)
@@ -329,11 +332,9 @@ def minimize_box(objective, box, starts, stream, extra_points=()):
             raise ObjectiveNonFinite(f"objective is not finite at theta={bad}")
         return values
 
-    x0 = np.concatenate([inits, latin_hypercube(stream, starts, box)])
-    thetas, values = _nelder_mead_lockstep(checked, x0, box)
-    vals, points = values.tolist(), thetas.tolist()
-    best = min(range(len(vals)), key=lambda i: (vals[i], points[i]))
-    return thetas[best].copy(), vals[best]
+    x0 += latin_hypercube(stream, starts, box).tolist()
+    value, theta = min(_nelder_mead_lockstep(checked, x0, box))
+    return np.array(theta), value
 
 
 def _row_mean_square(d):
@@ -342,18 +343,13 @@ def _row_mean_square(d):
     return np.add.reduce(d * d, axis=1) / d.shape[1]
 
 
-def _ls_objective(data, model):
-    """(k, p) theta rows -> the mean squared data-model misfit of each row."""
+def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
+    """Least squares calibration: minimize mean squared data-model misfit."""
 
     def objective(thetas):
         return _row_mean_square(data.y - model.eval_batch(data.x, thetas))
 
-    return objective
-
-
-def calibrate_ls(data, model, starts=DEFAULT_STARTS, *, stream):
-    """Least squares calibration: minimize mean squared data-model misfit."""
-    theta, _ = minimize_box(_ls_objective(data, model), model.theta_box, starts, stream)
+    theta, _ = minimize_box(objective, model.theta_box, starts, stream)
     return CalibrationResult(theta_hat=theta, method="LS")
 
 
@@ -437,23 +433,23 @@ def calibrate_optpred(data, model, kernel, starts=DEFAULT_STARTS, *, stream):
     Procedure: (1) least squares calibration; (2) GCV fixes the smoothing
     level at the warm start's residuals; (3) the parameter minimizes the
     weighted misfit at that level, with the warm start included as a
-    search start; (4) the discrepancy is fit once, at that parameter.
+    search start; (4) the discrepancy is fit once, at that parameter:
+    steps (1) and (2) here, then ``_optpred_step``.
 
     The recorded ``objective_trace`` holds the profiled penalized
     objective after the warm start and after the search; it is
     nonincreasing by construction.
     """
-    ls = calibrate_ls(data, model, starts=starts, stream=stream)
-    return _optpred_step(data, model, kernel, _spectrum(kernel, data.x), ls.theta_hat,
-                         starts, stream)
-
-
-def _optpred_step(data, model, kernel, spectrum, theta_ls, starts, stream):
-    """Steps (2)-(4) of ``calibrate_optpred`` from its warm start ``theta_ls``, with
-    the level picked on ``spectrum = regression._spectrum(kernel, data.x)``; ``stream``
-    is the warm start's.  One factorization serves every theta and the discrepancy fit."""
-    gm, w, u = spectrum
+    theta_ls = calibrate_ls(data, model, starts=starts, stream=stream).theta_hat
+    gm, w, u = _spectrum(kernel, data.x)
     lam = float(_gcv_level(w, u, _residuals(data, model.eval(data.x, theta_ls)))[0])
+    return _optpred_step(data, model, kernel, gm, theta_ls, lam, starts, stream)
+
+
+def _optpred_step(data, model, kernel, gm, theta_ls, lam, starts, stream):
+    """Steps (3) and (4) of ``calibrate_optpred`` from the warm start ``theta_ls`` and
+    its GCV level ``lam``, on ``gm = gram(kernel, data.x)``; ``stream`` is the warm
+    start's.  One factorization serves every theta and the discrepancy fit."""
     factor = ridge_factor(gm, lam)
     wobj = _weighted_misfit(data, model, factor)
     theta, value = minimize_box(wobj, model.theta_box, starts, stream, extra_points=[theta_ls])

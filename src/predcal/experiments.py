@@ -24,7 +24,6 @@ expansion ``discrepancy``, either term absent when None.  Predictor names:
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -41,6 +40,7 @@ from .calibrate import (
     calibrate_ls,
 )
 from .kernels import KernelSpec, _unit_cube_nodes, gram, kernel_apply
+from .linalg import _is_real
 from .regression import _fit_gcv, _residuals, _ridge_gcv_coef, _spectrum
 from .rng import RngStream, _integer
 from .systems import NoTruthAvailable, generate_dataset, get_system
@@ -115,9 +115,7 @@ class ExperimentConfig:
             raise ValueError("seed must lie in [0, 2**64)")
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        levels_ok = all(isinstance(s, numbers.Real) and not isinstance(s, bool)
-                        and math.isfinite(s) and s >= 0 for s in self.sigma2)
-        if not (self.sigma2 and levels_ok):
+        if not (self.sigma2 and all(_is_real(s) and s >= 0 for s in self.sigma2)):
             raise ValueError("sigma2 must be a nonempty list of finite nonnegative numbers")
         if len(set(self.sigma2)) != len(self.sigma2):
             raise ValueError("sigma2 values must be distinct")
@@ -131,8 +129,7 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise ValueError(f"methods must be distinct; repeated: {', '.join(repeated)}")
-        fixed_psi = isinstance(self.psi, numbers.Real) and not isinstance(self.psi, bool)
-        if self.psi != "cv5" and not (fixed_psi and math.isfinite(self.psi) and self.psi > 0):
+        if self.psi != "cv5" and not (_is_real(self.psi) and self.psi > 0):
             raise ValueError("psi must be 'cv5' or a finite positive number")
         if self.psi == "cv5" and self.n < 5:
             raise ValueError("psi='cv5' needs n >= 5 for five-fold cross-validation")
@@ -152,7 +149,8 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     Folds come from one seeded shuffle of the design.  For every grid
     value, each fold is predicted by a GCV-tuned ridge fit of the
     remaining folds; the scale with the smallest summed squared error
-    wins, ties going to the larger (smoother) scale.
+    wins, ties going to the larger (smoother) scale.  A grid value that is
+    not a finite number > 0 (a bool or a string) is refused first.
 
     One Gram matrix of the whole design per scale serves every fold: its
     training block is the training design's Gram matrix and its held-out
@@ -160,7 +158,11 @@ def cv5_select_psi(data, family, psi_grid, eta_at_x, stream):
     sits only on the diagonal.  Each fold's level is ``fit_ridge_gcv``'s
     pick; ``_cv5_errors`` fits equal-sized folds as one stack, bit for bit.
     """
-    psi_grid = sorted(float(p) for p in psi_grid)
+    psi_grid = list(psi_grid)
+    for p in psi_grid:
+        if not (_is_real(p) and p > 0):
+            raise ValueError(f"psi grid values must be finite numbers > 0, got {p!r}")
+    psi_grid = sorted(map(float, psi_grid))
     if not psi_grid:
         raise ValueError("psi grid is empty")
     if data.n < 5:
@@ -185,10 +187,8 @@ def _cv5_errors(data, family, psi_grid, eta_at_x, stream):
     # puts the larger folds first, so the groups keep the fold order
     groups = []
     for size in sorted({fold.size for fold in folds}, reverse=True):
-        held_out = np.array([fold for fold in folds if fold.size == size])
-        mask = np.ones((held_out.shape[0], data.n), dtype=bool)
-        np.put_along_axis(mask, held_out, False, axis=1)
-        groups.append((held_out, np.nonzero(mask)[1].reshape(held_out.shape[0], -1)))
+        same = [fold for fold in folds if fold.size == size]
+        groups.append((np.array(same), np.array([np.delete(np.arange(data.n), f) for f in same])))
 
     errors = np.empty(len(psi_grid))
     for i, psi in enumerate(psi_grid):
@@ -279,9 +279,10 @@ def build_predictors(data, system, kernel, config, streams):
     OptCal's ``calibrate_optpred``'s.  Each has the bits of its pieces run
     alone on its stream, but shared work is done once.  One Gram matrix of
     the design and its eigendecomposition (``regression._spectrum``) give
-    NP's, LSCal's and OptPred's GCV levels.  One ``calibrate_ls`` on the
-    "ls" stream gives LSCal's parameter and OptCal's warm start, and
-    OptCal's search draws its starts from that stream next, as
+    the two GCV levels: NP's, and the one at the least squares residuals.
+    One ``calibrate_ls`` on the "ls" stream and that level give LSCal's
+    parameter and level and OptCal's warm start and level, and OptCal's
+    search draws its starts from that stream next, as
     ``calibrate_optpred`` does.  NP's fit of the raw response is L2's
     smoother.  With NoBiasCorr asked for, a design outside the unit cube
     is refused before any fit.
@@ -305,14 +306,14 @@ def build_predictors(data, system, kernel, config, streams):
 
     if "LSCal" in methods or "OptCal" in methods:
         theta_ls = calibrate_ls(data, model, config.starts, stream=streams["ls"]).theta_hat
+        lam, fit = _fit_gcv(data, model.eval(data.x, theta_ls), kernel, spectrum)
 
     if "LSCal" in methods:
-        lam, fit = _fit_gcv(data, model.eval(data.x, theta_ls), kernel, spectrum)
         fits["LSCal"] = CalibrationResult(theta_ls, "LS", fit, lam)
 
     if "OptCal" in methods:
-        fits["OptCal"] = _optpred_step(data, model, kernel, spectrum, theta_ls, config.starts,
-                                       streams["ls"])
+        fits["OptCal"] = _optpred_step(data, model, kernel, spectrum[0], theta_ls, lam,
+                                       config.starts, streams["ls"])
 
     return fits
 

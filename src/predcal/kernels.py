@@ -33,13 +33,13 @@ solve per function on the cached factor.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatch, NotPositiveDefinite, _as_points, cholesky, solve_lower
+from .linalg import (DimensionMismatch, NotPositiveDefinite, _as_points, _is_real, cholesky,
+                     solve_lower)
 from .rng import _integer
 
 __all__ = [
@@ -71,14 +71,11 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         # bool is a number to Python; a JSON true is no length scale
-        if not (_is_number(self.psi, numbers.Real) and 0 < self.psi < math.inf):
+        if not (_is_real(self.psi) and self.psi > 0):
             raise ValueError(f"length scale psi must be a finite number > 0, got {self.psi!r}")
-        if not (_is_number(self.dim, numbers.Integral) and self.dim >= 1):
+        if not (isinstance(self.dim, numbers.Integral) and not isinstance(self.dim, bool)
+                and self.dim >= 1):
             raise ValueError(f"input dimension must be an integer >= 1, got {self.dim!r}")
-
-
-def _is_number(value, kind):
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _mat32(r, psi):

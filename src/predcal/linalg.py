@@ -18,10 +18,12 @@ own jitter.  The matrix exponential is a Pade-13 scaling and squaring
 slice scaled by its own power of two; the ion model passes one matrix
 per design point.  ``scipy.linalg.expm`` is its oracle in the tests.
 
-The package's two shape rules live here too: a set of points is always
-an (m, d) array of rows, also for d = 1, and a parameter box always a
-(p, 2) array of [low, high] rows.  A 1-d array is refused, never read
-as one point or as one box row.
+The package's point, box and finite-real rules live here too: a set of
+points is always an (m, d) array of rows, also for d = 1, and a
+parameter box always a (p, 2) array of [low, high] rows.  A 1-d array
+is refused, never read as one point or as one box row.  A real
+parameter (a level, a scale) is a finite ``numbers.Real`` that is not a
+bool (``_is_real``), so a string is refused with the checker's ValueError.
 
 Importing this module, and so importing predcal, pins the OpenBLAS
 builds bundled with numpy and with scipy to one thread for the whole
@@ -43,6 +45,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -102,13 +105,6 @@ class CholFactor:
         return self.l.shape[0]
 
 
-def _as_square_array(a):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
-    return a
-
-
 def _as_points(a, d=None):
     """``a`` as a float (m, d) array of point rows, with d columns when ``d`` is given."""
     a = np.asarray(a, dtype=float)
@@ -116,6 +112,11 @@ def _as_points(a, d=None):
         width = "d" if d is None else d
         raise DimensionMismatch(f"points must form an (m, {width}) array, got shape {a.shape}")
     return a
+
+
+def _is_real(value):
+    """Whether ``value`` is a finite ``numbers.Real`` (numpy scalars too) and no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 def _as_box(box):
@@ -154,7 +155,10 @@ def cholesky(a):
     NotPositiveDefinite
         If LAPACK encounters a nonpositive pivot.
     """
-    l, info = dpotrf(_as_square_array(a), lower=1, clean=1)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
+    l, info = dpotrf(a, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:

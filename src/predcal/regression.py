@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, gram, kernel_apply
-from .linalg import _as_points, cholesky, solve_spd
+from .linalg import _as_points, _is_real, cholesky, solve_spd
 
 __all__ = [
     "Dataset",
@@ -116,7 +116,7 @@ def ridge_factor(gram_matrix, lam):
     ValueError
         If lam is not finite and > 0.
     """
-    if isinstance(lam, bool) or not (np.isfinite(lam) and lam > 0):
+    if not (_is_real(lam) and lam > 0):
         raise ValueError("lambda must be finite and > 0")
     n = gram_matrix.values.shape[0]
     return cholesky(gram_matrix.values + n * lam * np.eye(n))
@@ -201,7 +201,7 @@ def gcv_score(data, eta_at_x, kernel, lam):
         If tr(I - A) <= 1e-12 * n, where the score is numerically
         meaningless.
     """
-    if isinstance(lam, bool) or not (np.isfinite(lam) and lam > 0):
+    if not (_is_real(lam) and lam > 0):
         raise ValueError("lambda must be finite and > 0")
     _, w, u = _spectrum(kernel, data.x)
     z = u.T @ _residuals(data, eta_at_x)

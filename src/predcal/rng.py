@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import _as_box
+from .linalg import _as_box, _is_real
 
 __all__ = ["RngStream", "uniform", "normal", "latin_hypercube"]
 
@@ -76,7 +76,7 @@ def uniform(stream, d, size):
 
 def normal(stream, sigma, size):
     """Draw ``size`` values from ``N(0, sigma^2)``.  ``sigma = 0`` returns exact zeros."""
-    if isinstance(sigma, bool) or not (np.isfinite(sigma) and sigma >= 0):
+    if not (_is_real(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and >= 0")
     return sigma * stream.generator.standard_normal(_integer("size", size))
 

@@ -37,7 +37,7 @@ from predcal import (
     run_experiment,
     uniform,
 )
-from predcal import calibrate, experiments, kernels
+from predcal import calibrate, experiments, kernels, regression
 from predcal.experiments import _stream
 from predcal.regression import _ridge_gcv_coef
 from predcal.systems import NamedSystem
@@ -195,6 +195,24 @@ def test_cv5_validation():
     data10 = generate_dataset(sys1, 10, 0.2, RngStream(63))
     with pytest.raises(ValueError):
         cv5_select_psi(data10, "matern32", [], None, RngStream(63, 1))
+
+
+@pytest.mark.parametrize("bad", [True, "0.3", 0.0, -0.1, float("nan"), float("inf"), None])
+def test_cv5_refuses_a_grid_value_that_is_no_length_scale_before_drawing_folds(bad):
+    # True once scored psi = 1.0 and "0.3" psi = 0.3, values KernelSpec refuses
+    data = generate_dataset(get_system("ex1"), 10, 0.2, RngStream(64))
+    stream = RngStream(64, 1)
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+        cv5_select_psi(data, "matern32", [bad, 0.05], None, stream)
+    assert stream.generator.random() == RngStream(64, 1).generator.random()
+
+
+def test_cv5_reads_a_grid_once_and_picks_a_float_from_numpy_and_int_scales():
+    data = generate_dataset(get_system("ex1"), 10, 0.2, RngStream(64))
+    want = cv5_select_psi(data, "matern32", [0.1, 0.3, 1.0], None, RngStream(64, 1))
+    for grid in ((p for p in (0.1, 0.3, 1.0)), [np.float64(0.1), np.float64(0.3), np.int64(1)]):
+        got = cv5_select_psi(data, "matern32", grid, None, RngStream(64, 1))
+        assert type(got) is float and got == want
 
 
 def test_cv5_refuses_model_values_of_the_wrong_length():
@@ -598,6 +616,32 @@ def test_a_replicate_makes_one_least_squares_search_and_one_smoother_fit(monkeyp
     # fresh starts
     assert searches == [starts, starts, starts + 1]
     assert len(smoothers) == 1
+
+
+def test_optcal_takes_lscal_level():
+    system = get_system("ex1")
+    data = generate_dataset(system, 20, 0.3, RngStream(79))
+    cfg = _toy_cfg(n=20, methods=("LSCal", "OptCal"), starts=3)
+    preds = build_predictors(data, system, KernelSpec("matern32", 0.3, 1), cfg, _fresh_streams(79))
+    assert preds["OptCal"].lambda_used.hex() == preds["LSCal"].lambda_used.hex()
+
+
+def test_a_replicate_picks_two_gcv_levels(monkeypatch):
+    # NP's level and the least squares residuals' level, which LSCal and OptCal share
+    system = get_system("ex1")
+    data = generate_dataset(system, 20, 0.3, RngStream(80))
+    picks = []
+    real = regression._gcv_level
+
+    def counted(w, u, r):
+        picks.append(r)
+        return real(w, u, r)
+
+    monkeypatch.setattr(regression, "_gcv_level", counted)
+    monkeypatch.setattr(calibrate, "_gcv_level", counted)
+    cfg = _toy_cfg(n=20, methods=METHOD_NAMES, starts=3)
+    build_predictors(data, system, KernelSpec("matern32", 0.3, 1), cfg, _fresh_streams(80))
+    assert len(picks) == 2
 
 
 def test_run_experiment_single_cell():

@@ -15,14 +15,24 @@ from scipy.linalg import expm as scipy_expm
 from scipy.linalg import solve_triangular
 
 from predcal import (
+    BayesHyper,
     CholFactor,
+    Dataset,
     DimensionMismatch,
+    ExperimentConfig,
+    KernelSpec,
     NotPositiveDefinite,
+    RngStream,
     cholesky,
+    gcv_score,
+    gram,
     matrix_exponential,
+    normal,
+    ridge_factor,
     solve_lower,
     solve_spd,
 )
+from predcal.linalg import _is_real
 from predcal.systems import _ion_generator
 
 
@@ -258,3 +268,42 @@ def test_matrix_exponential_rejects_large_orders():
 
 def test_cholfactor_exposes_order():
     assert CholFactor(np.eye(5)).order == 5
+
+
+_SPEC = KernelSpec("matern32", 0.3, 1)
+# each checked real parameter, as a function of the value, and its own message
+_REAL_CHECKS = {
+    "ridge_factor": (lambda v: ridge_factor(gram(_SPEC, [[0.1], [0.6]]), v),
+                     "^lambda must be finite and > 0$"),
+    "gcv_score": (lambda v: gcv_score(Dataset([[0.1], [0.6]], [1.0, 2.0]), None, _SPEC, v),
+                  "^lambda must be finite and > 0$"),
+    "BayesHyper": (lambda v: BayesHyper(1.0, v, 1.0), "^beta must be finite and > 0$"),
+    "normal": (lambda v: normal(RngStream(1), v, 2), "^sigma must be finite and >= 0$"),
+    "KernelSpec": (lambda v: KernelSpec("matern32", v, 1), "psi must be a finite number > 0"),
+    "ExperimentConfig.sigma2": (lambda v: _config(sigma2=(v,)), "^sigma2 must be a nonempty"),
+    "ExperimentConfig.psi": (lambda v: _config(psi=v), "^psi must be 'cv5' or"),
+}
+
+
+def _config(**kw):
+    return ExperimentConfig(**{"system": "ex1", "n": 10, "sigma2": (0.1,), "replicates": 1,
+                               "psi": 0.3, **kw})
+
+
+@pytest.mark.parametrize("value", ["0.1", True, None, [0.1], np.array(0.1), 1 + 0j], ids=repr)
+@pytest.mark.parametrize("check", sorted(_REAL_CHECKS))
+def test_a_value_that_is_no_real_number_is_refused_with_the_checks_own_error(check, value):
+    # the smoothing level, noise and prior scale checks once failed on these with a
+    # TypeError, and let the 0-d array through
+    call, message = _REAL_CHECKS[check]
+    assert not _is_real(value)
+    with pytest.raises(ValueError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0.25, 1, np.float64(0.25), np.float32(0.25), np.int64(1)],
+                         ids=repr)
+@pytest.mark.parametrize("check", sorted(_REAL_CHECKS))
+def test_python_and_numpy_real_scalars_pass_the_real_checks(check, value):
+    assert _is_real(value)
+    _REAL_CHECKS[check][0](value)

@@ -132,7 +132,7 @@ def _assert_matches_oracle(objective, x0, box, **limits):
     request of the start that makes the most.  Returns the oracle's
     ``(x_best, f_best)`` per start."""
     rows, points = [], []
-    thetas, values = _nelder_mead_lockstep(_recorded(objective, rows), x0, box, **limits)
+    pairs = _nelder_mead_lockstep(_recorded(objective, rows), x0.tolist(), box, **limits)
 
     def scalar(t):
         points.append(t)
@@ -140,9 +140,10 @@ def _assert_matches_oracle(objective, x0, box, **limits):
 
     searches = [_nelder_mead(scalar, x, box, **limits) for x in x0]
     want = [(theta, value) for theta, value, _ in searches]
-    for i, (theta, value) in enumerate(want):
-        assert _bits(thetas[i]) == _bits(theta), f"start {i}"
-        assert _bits(values[i]) == _bits(value), f"start {i}"
+    assert len(pairs) == len(want)
+    for i, ((theta, value), (got_value, got_theta)) in enumerate(zip(want, pairs)):
+        assert _bits(got_theta) == _bits(theta), f"start {i}"
+        assert _bits(got_value) == _bits(value), f"start {i}"
     queried = Counter(tuple(_bits(t)) for t in np.concatenate(rows))
     assert queried == Counter(tuple(_bits(t)) for t in points)
     # each call holds the next request of every running start
@@ -202,7 +203,7 @@ def test_lockstep_makes_at_most_three_calls_per_iteration():
     x0 = latin_hypercube(RngStream(25), 6, ROSEN_BOX)
     for max_iter in (1, 5, 30):
         calls.clear()
-        _nelder_mead_lockstep(counted, x0, ROSEN_BOX, max_iter=max_iter)
+        _nelder_mead_lockstep(counted, x0.tolist(), ROSEN_BOX, max_iter=max_iter)
         assert calls[0] == 6 * 3  # every start's first simplex in one call
         assert len(calls) <= 1 + 3 * max_iter
         assert max(calls[1:]) <= 6 * 2  # at most one shrink (p points) per start
@@ -264,8 +265,8 @@ def test_both_loops_clip_a_tie_to_the_face():
     box = np.array([[-0.0, 5.0]])
     calls = []
     x0 = np.array([[0.25]])
-    thetas, values = _nelder_mead_lockstep(_recorded(lambda t: t[:, 0], calls), x0, box)
-    assert _bits(calls[1]) == _bits(thetas) == _bits(values) == [(-0.0).hex()]
+    [(value, theta)] = _nelder_mead_lockstep(_recorded(lambda t: t[:, 0], calls), [[0.25]], box)
+    assert _bits(calls[1]) == _bits(theta) == _bits(value) == [(-0.0).hex()]
     _assert_matches_oracle(lambda t: t[:, 0], x0, box)
 
 
